@@ -44,6 +44,13 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     )
 
 
+def _chunks(seed: int, trials: int, chunk: int):
+    """(generator, size) for each chunk of `trials`; chunk c draws from
+    derive_rng(seed, c), so the stream depends on the chunk size."""
+    for index, start in enumerate(range(0, trials, chunk)):
+        yield derive_rng(seed, index), min(chunk, trials - start)
+
+
 # ---------------------------------------------------------------------------
 # Entry distributions
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from scipy.stats import beta as beta_dist
 
 from .core import (
     EntryDistribution,
+    _chunks,
     covariance_batch,
-    derive_rng,
     eigvalues_batch,
     mp_edges,
     sample_batch,
@@ -97,21 +97,10 @@ class TailEstimate:
         }
 
 
-def _chunks(trials: int, chunk: int):
-    index = 0
-    done = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        yield index, size
-        index += 1
-        done += size
-
-
 def _count_event(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
                  predicate, chunk: int = CHUNK_TRIALS) -> int:
     hits = 0
-    for index, size in _chunks(trials, chunk):
-        rng = derive_rng(seed, index)
+    for rng, size in _chunks(seed, trials, chunk):
         entries = sample_batch(dist, rng, size, k, n)
         lam = eigvalues_batch(covariance_batch(entries))
         hits += int(np.count_nonzero(predicate(lam)))
@@ -281,8 +270,7 @@ def spectrum_histogram(dist: EntryDistribution, k: int, n: int, trials: int,
             f"too few eigenvalues for {bins} bins: need trials*k >= {10 * bins}"
         )
     pooled = []
-    for index, size in _chunks(trials, chunk):
-        rng = derive_rng(seed, index)
+    for rng, size in _chunks(seed, trials, chunk):
         entries = sample_batch(dist, rng, size, k, n)
         pooled.append(eigvalues_batch(covariance_batch(entries)).ravel())
     lam = np.concatenate(pooled)

@@ -8,7 +8,10 @@ by W) and then iteratively subtracts the estimated cross-user interference:
     est(1) = W Z,    est(s) = est(1) - (W - I) est(s-1).
 
 The partial-sum form sum_{j<s} (I-W)^j W Z is algebraically identical, and
-the weighted variant replaces W by W/M and rescales.  Whether the iteration
+the weighted variant replaces W by W/M and rescales.  Each form has one
+batched kernel over a (t, k, k) stack of W, and every decoder runs one of
+them, a single instance as a batch of 1.  The two forms round differently,
+so both are kept and checked against each other.  Whether the iteration
 converges is governed entirely by the spectrum of W, which ties bit errors
 to the extreme-eigenvalue deviations quantified elsewhere in this package.
 """
@@ -24,6 +27,7 @@ from .core import (
     EntryDistribution,
     SampleMatrix,
     Spectrum,
+    _chunks,
     covariance,
     covariance_batch,
     derive_rng,
@@ -106,17 +110,84 @@ def mf_decode(c: SampleMatrix, z: np.ndarray) -> np.ndarray:
     return c.entries @ received / c.n
 
 
+def _instance(c: SampleMatrix, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W and Z of a single instance as a batch of 1 for the kernels."""
+    z = _check_signal(c, z)
+    return covariance(c).values[None], z[None]
+
+
+def _stack_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W x row by row over a (t, k, k) stack, in one einsum call."""
+    return np.einsum("tij,tj->ti", w, x)
+
+
+def _matrix_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W x row by row with the bits of w @ x: one BLAS call per matrix."""
+    return np.matmul(w, x[..., None])[..., 0]
+
+
+# The BER paths multiply a stack in one call; a single instance keeps the
+# bits of w @ x, which einsum does not reproduce in the last place.
+def _partial_sum(w: np.ndarray, z: np.ndarray, s: int, weight: float = 1.0,
+                 product=_stack_product) -> np.ndarray:
+    """M^-1 sum_{j<s} (I - W/M)^j W Z over a (t, k, k) stack of W."""
+    m_inv = 1.0 / weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = product(w, z)
+        acc = term.copy()
+        for _ in range(s - 1):
+            term = term - m_inv * product(w, term)
+            acc += term
+        return acc * m_inv
+
+
+def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
+               visit=None, product=_stack_product
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """est(s) = est(1) - (W - I) est(s-1) over a (t, k, k) stack, s <= cap.
+
+    With tol, a trial stops at the first stage whose sup-norm change is
+    below tol (NaN changes compare False and run on); converged trials
+    leave the working set only in stages where some trial converges.
+    Without tol, visit(stage, est) sees every stage.  Returns (est, stages,
+    converged, ahead): each trial's last estimate and stage, whether it
+    stopped early, and est(cap + 1) on the rows that did not (NaN elsewhere).
+    The extra stage multiplies with w @ x per matrix: ber_experiment breaks
+    exact ties between users on it, so its last bits are part of the output.
+    """
+    est1 = product(w, z)
+    est = est1.copy()
+    stages = np.full(len(z), cap)
+    converged = np.zeros(len(z), dtype=bool)
+    rows, wa, e1a, ea = np.arange(len(z)), w, est1, est1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if visit is not None:
+            visit(1, ea)
+        for stage in range(2, cap + 1):
+            nxt = e1a - (product(wa, ea) - ea)
+            done = None if tol is None else np.max(np.abs(nxt - ea), axis=1) < tol
+            ea = nxt
+            if visit is not None:
+                visit(stage, ea)
+            if done is not None and np.any(done):
+                est[rows[done]] = ea[done]
+                stages[rows[done]] = stage
+                converged[rows[done]] = True
+                keep = ~done
+                rows, wa, e1a, ea = rows[keep], wa[keep], e1a[keep], ea[keep]
+                if rows.size == 0:
+                    break
+        est[rows] = ea
+        ahead = np.full_like(est, np.nan)
+        ahead[rows] = _matrix_product(wa, z[rows]) - (_matrix_product(wa, ea) - ea)
+    return est, stages, converged, ahead
+
+
 def sdpic_stage(c: SampleMatrix, z: np.ndarray, s: int) -> np.ndarray:
     """Stage-s estimate by the interference-cancellation recursion."""
     if s < 1:
         raise DomainError(f"stage must be >= 1, got {s}")
-    z = _check_signal(c, z)
-    w = covariance(c).values
-    est1 = w @ z
-    est = est1
-    for _ in range(s - 1):
-        est = est1 - (w @ est - est)
-    return est
+    return _recursion(*_instance(c, z), s, product=_matrix_product)[0][0]
 
 
 def sdpic_closed(c: SampleMatrix, z: np.ndarray, s: int) -> np.ndarray:
@@ -127,14 +198,7 @@ def sdpic_closed(c: SampleMatrix, z: np.ndarray, s: int) -> np.ndarray:
     """
     if s < 1:
         raise DomainError(f"stage must be >= 1, got {s}")
-    z = _check_signal(c, z)
-    w = covariance(c).values
-    term = w @ z
-    acc = term.copy()
-    for _ in range(s - 1):
-        term = term - w @ term
-        acc += term
-    return acc
+    return _partial_sum(*_instance(c, z), s, product=_matrix_product)[0]
 
 
 def weighted_sdpic(c: SampleMatrix, z: np.ndarray, s: int, weight: float) -> np.ndarray:
@@ -147,14 +211,7 @@ def weighted_sdpic(c: SampleMatrix, z: np.ndarray, s: int, weight: float) -> np.
         raise DomainError(f"stage must be >= 1, got {s}")
     if weight <= 0:
         raise DomainError(f"weight must be positive, got {weight}")
-    z = _check_signal(c, z)
-    w = covariance(c).values
-    term = w @ z
-    acc = term.copy()
-    for _ in range(s - 1):
-        term = term - (w @ term) / weight
-        acc += term
-    return acc / weight
+    return _partial_sum(*_instance(c, z), s, weight, _matrix_product)[0]
 
 
 def decide_bits(estimate: np.ndarray, coin_seed: int) -> np.ndarray:
@@ -197,36 +254,26 @@ def iterate_to_limit(c: SampleMatrix, z: np.ndarray,
     Returns (estimate, stages_run, converged); converged False means the
     stage cap was hit first.
     """
-    z = _check_signal(c, z)
-    w = covariance(c).values
-    est1 = w @ z
-    est = est1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stage in range(2, cap + 1):
-            nxt = est1 - (w @ est - est)
-            diff = float(np.max(np.abs(nxt - est)))
-            est = nxt
-            if diff < tol:
-                return est, stage, True
-    return est, cap, False
+    est, stages, converged, _ = _recursion(*_instance(c, z), cap, tol,
+                                            product=_matrix_product)
+    return est[0], int(stages[0]), bool(converged[0])
 
 
 def stage_trace(c: SampleMatrix, z: np.ndarray, max_stage: int,
                 coin_seed: int) -> list[tuple[int, float, int]]:
     """Per-stage (stage, ||est - Z||_inf, bit errors) rows for plotting."""
-    z = _check_signal(c, z)
-    w = covariance(c).values
+    w, zb = _instance(c, z)
+    z = zb[0]
     bits = np.sign(z)
-    est1 = w @ z
-    est = est1
     rows = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stage in range(1, max_stage + 1):
-            if stage > 1:
-                est = est1 - (w @ est - est)
-            dev = float(np.max(np.abs(est - z)))
-            errors = int(np.count_nonzero(decide_bits(est, coin_seed) != bits))
-            rows.append((stage, dev, errors))
+    if max_stage < 1:
+        return rows
+
+    def visit(stage, est):
+        errors = int(np.count_nonzero(decide_bits(est[0], coin_seed) != bits))
+        rows.append((stage, float(np.max(np.abs(est[0] - z))), errors))
+
+    _recursion(w, zb, max_stage, visit=visit, product=_matrix_product)
     return rows
 
 
@@ -276,40 +323,6 @@ def _decide_batch(est: np.ndarray, coins: np.ndarray) -> np.ndarray:
     return decided
 
 
-def _finite_stage_batch(w: np.ndarray, z: np.ndarray, s: int, weight: float | None) -> np.ndarray:
-    m_inv = 1.0 if weight is None else 1.0 / weight
-    term = np.einsum("tij,tj->ti", w, z)
-    acc = term.copy()
-    for _ in range(s - 1):
-        term = term - m_inv * np.einsum("tij,tj->ti", w, term)
-        acc += term
-    return acc * m_inv
-
-
-def _limit_batch(w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched run of the recursion; returns (estimate, capped mask)."""
-    trials = z.shape[0]
-    est1 = np.einsum("tij,tj->ti", w, z)
-    est = est1.copy()
-    active = np.arange(trials)
-    capped = np.zeros(trials, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2, INFTY_STAGE_CAP + 1):
-            wa = w[active]
-            ea = est[active]
-            nxt = est1[active] - (np.einsum("tij,tj->ti", wa, ea) - ea)
-            diff = np.max(np.abs(nxt - ea), axis=1)
-            est[active] = nxt
-            done = diff < INFTY_TOL  # NaN diffs compare False and stay active
-            if np.any(done):
-                active = active[~done]
-            if active.size == 0:
-                break
-    if active.size > 0:
-        capped[active] = True
-    return est, capped
-
-
 def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
                    weight: float | None = None,
                    chunk: int = CHUNK_TRIALS) -> BerEstimate:
@@ -340,11 +353,7 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     per_user = np.zeros(k, dtype=np.int64)
     cap_hits = 0
     oscillations = 0
-    index = 0
-    done = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        rng = derive_rng(seed, index)
+    for rng, size in _chunks(seed, trials, chunk):
         bits = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
         coins = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
         entries = sample_batch(EntryDistribution.RADEMACHER, rng, size, k, n)
@@ -352,34 +361,27 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
         z = bits  # equal unit powers
 
         if infinite_mode:
-            est, capped = _limit_batch(w, z)
-            decided = _decide_batch(est, coins)
-            wrong = decided != bits
-            if np.any(capped):
-                cap_hits += int(np.count_nonzero(capped))
-                idx = np.flatnonzero(capped)
-                lam = eigvalues_batch(w[idx])
-                scale = np.maximum(1.0, np.trace(w[idx], axis1=1, axis2=2))
-                oscillating = (lam[:, -1] >= PING_PONG_LAMBDA - 1e-12) | (
-                    lam[:, 0] <= SINGULAR_TOL * scale
-                )
-                oscillations += int(np.count_nonzero(oscillating))
-                for t in idx[oscillating]:
-                    one_more = _next_stage(w[t], z[t], est[t])
-                    flipping = np.sign(one_more) != np.sign(est[t])
-                    marked = wrong[t] | flipping
-                    if not np.any(marked):
-                        marked[int(np.argmax(np.abs(one_more - est[t])))] = True
-                    wrong[t] = marked
+            est, _, converged, ahead = _recursion(w, z, INFTY_STAGE_CAP, INFTY_TOL)
+            wrong = _decide_batch(est, coins) != bits
+            capped = np.flatnonzero(~converged)
+            if capped.size > 0:
+                cap_hits += capped.size
+                lam = eigvalues_batch(w[capped])
+                scale = np.maximum(1.0, np.trace(w[capped], axis1=1, axis2=2))
+                osc = capped[(lam[:, -1] >= PING_PONG_LAMBDA - 1e-12)
+                             | (lam[:, 0] <= SINGULAR_TOL * scale)]
+                oscillations += osc.size
+                marked = wrong[osc] | (np.sign(ahead[osc]) != np.sign(est[osc]))
+                quiet = np.flatnonzero(~np.any(marked, axis=1))
+                step = np.abs(ahead[osc[quiet]] - est[osc[quiet]])
+                marked[quiet, np.argmax(step, axis=1)] = True
+                wrong[osc] = marked
         else:
-            est = _finite_stage_batch(w, z, s, weight)
-            decided = _decide_batch(est, coins)
-            wrong = decided != bits
+            est = _partial_sum(w, z, s, 1.0 if weight is None else weight)
+            wrong = _decide_batch(est, coins) != bits
 
         any_errors += int(np.count_nonzero(np.any(wrong, axis=1)))
         per_user += np.count_nonzero(wrong, axis=0)
-        index += 1
-        done += size
 
     p_hat = any_errors / trials
     lo, hi = clopper_pearson(any_errors, trials)
@@ -390,8 +392,3 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
                        p_hat=p_hat, ci_low=lo, ci_high=hi, empirical_rate=rate,
                        seed=seed, cap_hit_count=cap_hits, oscillation_count=oscillations)
 
-
-def _next_stage(w: np.ndarray, z: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """One more recursion stage for a single trial (cap-hit diagnostics)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return w @ z - (w @ est - est)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from eigrates import (
     ber_experiment,
     covariance,
     decide_bits,
+    derive_rng,
     error_free_condition,
     iterate_to_limit,
     make_rng,
@@ -42,6 +44,11 @@ def scalar_code(entries):
 
 def random_bits(rng, k):
     return (rng.integers(0, 2, k) * 2 - 1).astype(float)
+
+
+def divergent_instance():
+    # +/-1, k=8, n=4: lambda_max = 3.618..., so the recursion overflows
+    return sample_matrix(R, 8, 4, 1)
 
 
 class TestTransmission:
@@ -255,6 +262,33 @@ class TestDecodeAndLimit:
         assert converged
         assert np.max(np.abs(est - z)) < 1e-8
 
+    def test_iterate_to_limit_hits_cap_when_divergent(self):
+        c = divergent_instance()
+        assert spectrum(covariance(c)).lambda_max == pytest.approx(3.618, abs=1e-3)
+        est, stages, converged = iterate_to_limit(c, np.ones(8))
+        assert (stages, converged) == (1000, False)
+        assert est.shape == (8,)
+
+    def test_divergent_instance_emits_no_warnings(self):
+        c = divergent_instance()
+        z = np.ones(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sdpic_stage(c, z, 1000)
+            sdpic_closed(c, z, 1000)
+            weighted_sdpic(c, z, 1000, 1.0)
+            run_decode(c, z, 1000, coin_seed=1)
+
+    def test_stage_trace_follows_sdpic_stage(self):
+        c = sample_matrix(R, 4, 9, 21)
+        z = np.array([1.0, -1.0, -1.0, 1.0])
+        rows = stage_trace(c, z, 12, coin_seed=2)
+        for stage, dev, errors in rows:
+            est = sdpic_stage(c, z, stage)
+            assert dev == float(np.max(np.abs(est - z)))
+            assert errors == int(np.count_nonzero(decide_bits(est, 2) != z))
+        assert stage_trace(c, z, 0, coin_seed=2) == []
+
     def test_stage_trace_rows(self):
         c = sample_matrix(R, 2, 10, 3)
         rows = stage_trace(c, np.array([1.0, -1.0]), 5, coin_seed=1)
@@ -298,6 +332,19 @@ class TestBerExperiment:
         est = ber_experiment(3, 12, math.inf, trials=20000, seed=77)
         assert est.cap_hit_count >= est.oscillation_count
         assert est.any_user_error_count >= est.oscillation_count
+
+    def test_cap_hits_match_single_instance_limit(self):
+        # one chunk, so every trial comes from derive_rng(seed, 0)
+        k, n, trials, seed = 3, 8, 400, 31
+        est = ber_experiment(k, n, math.inf, trials=trials, seed=seed)
+        rng = derive_rng(seed, 0)
+        bits = (rng.integers(0, 2, size=(trials, k)) * 2 - 1).astype(np.float64)
+        rng.integers(0, 2, size=(trials, k))  # the tie-break coins
+        entries = sample_batch(R, rng, trials, k, n)
+        capped = sum(not iterate_to_limit(SampleMatrix(R, k, n, entries[t], seed=0), bits[t])[2]
+                     for t in range(trials))
+        assert capped > 0
+        assert est.cap_hit_count == capped
 
     def test_weighted_mode_runs(self):
         est = ber_experiment(3, 16, 4, trials=5000, seed=3, weight=4.0)
