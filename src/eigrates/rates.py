@@ -5,10 +5,14 @@ For a unit direction x and one column of entries, S = sum_m x_m C_m.  The
 exponential decay constant of P(<x, W x> beyond alpha) is the transform
 sup_t (t*alpha - log E[exp(t S^2)]), and the decay constant for the extreme
 eigenvalues is the infimum of that transform over the unit sphere.  This
-module evaluates the CGF exactly (sign enumeration for +/-1 entries, a
-closed form for normal entries, Gaussian-mixture quadrature for symmetric
-uniform entries), runs the transform by bisection on the CGF derivative,
-and minimizes over the sphere by multi-start projected gradient descent.
+module evaluates the CGF and its first two derivatives, the mean and
+variance of S^2 under the tilted law, in one pass per entry law (sign
+enumeration for +/-1 entries, a closed form for normal entries,
+Gaussian-mixture quadrature for symmetric uniform entries).  It solves the
+transform by safeguarded Newton on the analytic CGF derivative inside a
+certified bracket, with the one bracketed root solver that also locates
+the phase transitions, and minimizes over the sphere by multi-start
+projected gradient descent.
 """
 
 from __future__ import annotations
@@ -119,6 +123,24 @@ class CgfSpec:
 
 def cgf(spec: CgfSpec, t: float) -> float:
     """Exact log E[exp(t S^2)] for admissible t."""
+    return _tilted(spec, t)[0]
+
+
+def cgf_derivative(spec: CgfSpec, t: float) -> float:
+    """d/dt log E[exp(t S^2)]: the tilted mean of S^2."""
+    return _tilted(spec, t)[1]
+
+
+def _tilted(spec: CgfSpec, t: float) -> tuple[float, float, float]:
+    """(Lambda(t), Lambda'(t), Lambda''(t)) from one pass over the tilted law.
+
+    The derivatives are the mean and variance of S^2 under the exponentially
+    tilted law.  For uniform entries, E[exp(t S^2)] = E_Z[prod_j sinhc(v_j)]
+    with v_j = sqrt(6t) Z x_j and Z standard normal (Gauss-Hermite), and
+    d/dt log sinhc(v_j) = 3 Z^2 x_j^2 q(v_j) with q(v) = (v coth v - 1)/v^2;
+    Lambda'' adds the tilted mean of 9 Z^4 sum_j x_j^4 q'(v_j)/v_j to the
+    tilted variance of the sum.
+    """
     lo, hi = spec.domain
     if not (lo <= t < hi):
         if spec.method is CgfMethod.GAUSSIAN_MIXTURE_QUADRATURE and t < 0:
@@ -126,23 +148,31 @@ def cgf(spec: CgfSpec, t: float) -> float:
                 "symmetric-uniform CGF needs t >= 0 (sqrt(2t) must be real)"
             )
         raise DomainError(f"t={t} outside the admissible domain {spec.domain}")
+    if spec.method is CgfMethod.CLOSED_FORM_NORMAL:
+        d = 1.0 / (1.0 - 2.0 * t)
+        return -0.5 * math.log1p(-2.0 * t), d, 2.0 * d * d
     if spec.method is CgfMethod.EXACT_ENUMERATION:
         s2 = spec.squared_support()
-        return float(logsumexp(t * s2)) - (spec.x.k - 1) * LOG2
-    if spec.method is CgfMethod.CLOSED_FORM_NORMAL:
-        return -0.5 * math.log1p(-2.0 * t)
-    return _cgf_uniform_quadrature(spec, t)
-
-
-def _cgf_uniform_quadrature(spec: CgfSpec, t: float) -> float:
-    # E[exp(t S^2)] = E_Z[ prod_j phi(sqrt(2t) Z x_j) ] for standard normal Z.
-    if t == 0.0:
-        return 0.0
+        z = t * s2
+        m = float(np.max(z))
+        w = np.exp(z - m)
+        tot = float(np.sum(w))
+        lam = m + math.log(tot) - (spec.x.k - 1) * LOG2
+        mean = float(np.dot(w, s2)) / tot
+        centered = s2 - mean
+        return lam, mean, float(np.dot(w, centered * centered)) / tot
     z, log_w = _hermgauss(_QUAD_NODES)
     v = math.sqrt(2.0 * t) * np.outer(z, spec.x.coords) * SQRT3
-    log_phi = _log_sinhc(v)
-    log_g = np.sum(log_phi, axis=1)
-    return float(logsumexp(log_w + log_g))
+    log_node = log_w + np.sum(_log_sinhc(v), axis=1)
+    lam = 0.0 if t == 0.0 else float(logsumexp(log_node))
+    p = np.exp(log_node - lam)  # tilted node weights
+    q, dq = _coth_terms(v)
+    zx2 = 3.0 * np.outer(z * z, spec.x.coords ** 2)
+    g = np.sum(zx2 * q, axis=1)
+    mean = float(np.dot(p, g))
+    centered = g - mean
+    curv = np.dot(p, centered * centered) + np.dot(p, np.sum(zx2 * zx2 * dq, axis=1))
+    return lam, mean, float(curv)
 
 
 def _log_sinhc(v: np.ndarray) -> np.ndarray:
@@ -154,25 +184,26 @@ def _log_sinhc(v: np.ndarray) -> np.ndarray:
     return np.where(small, a * a / 6.0, big)
 
 
-def cgf_derivative(spec: CgfSpec, t: float) -> float:
-    """d/dt log E[exp(t S^2)]: the tilted mean of S^2."""
-    if spec.method is CgfMethod.EXACT_ENUMERATION:
-        s2 = spec.squared_support()
-        shifted = t * s2
-        shifted -= np.max(shifted)
-        w = np.exp(shifted)
-        return float(np.dot(w, s2) / np.sum(w))
-    if spec.method is CgfMethod.CLOSED_FORM_NORMAL:
-        return 1.0 / (1.0 - 2.0 * t)
-    # step large enough that quadrature round-off (~1e-12) stays below the
-    # O(h^2) truncation error instead of being amplified by 1/h
-    h = 1e-4 * max(1.0, abs(t))
-    if t - h < 0.0:
-        # second-order one-sided stencil at the t = 0 quadrature edge
-        return (
-            -3.0 * cgf(spec, t) + 4.0 * cgf(spec, t + h) - cgf(spec, t + 2.0 * h)
-        ) / (2.0 * h)
-    return (cgf(spec, t + h) - cgf(spec, t - h)) / (2.0 * h)
+# Taylor coefficients in v^2 of q(v) = (v coth v - 1)/v^2 and of q'(v)/v,
+# used below |v| = 0.1 where the closed forms cancel.
+_Q_SERIES = (1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555)
+_DQ_SERIES = (-2 / 45, 8 / 945, -2 / 1575, 16 / 93555, -2764 / 127702575)
+
+
+def _coth_terms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q(v), q'(v)/v) with q(v) = (v coth v - 1)/v^2, both even in v."""
+    a = np.abs(v)
+    small = a < 0.1
+    safe = np.where(small, 1.0, a)
+    e = np.exp(-2.0 * safe)
+    one_minus = -np.expm1(-2.0 * safe)
+    coth = (1.0 + e) / one_minus
+    csch2 = 4.0 * e / (one_minus * one_minus)
+    q = (safe * coth - 1.0) / (safe * safe)
+    dq = (coth - safe * csch2) / safe ** 3 - 2.0 * q / (safe * safe)
+    a2 = a * a
+    return (np.where(small, np.polynomial.polynomial.polyval(a2, _Q_SERIES), q),
+            np.where(small, np.polynomial.polynomial.polyval(a2, _DQ_SERIES), dq))
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +212,19 @@ def cgf_derivative(spec: CgfSpec, t: float) -> float:
 
 @dataclass(frozen=True)
 class LegendreSolve:
-    """One transform solve: the rate, the optimal tilt, and how it ended."""
+    """One transform solve: the rate, the optimal tilt, and how it ended.
+
+    The counters are the root solver's: Newton and bisection steps inside
+    the bracket, and the outward probes that built it.
+    """
 
     rate: float
     t_star: float
     boundary: bool
     converged: bool
+    newton_steps: int = 0
+    bisection_steps: int = 0
+    expansions: int = 0
 
 
 def legendre(spec: CgfSpec, alpha: float) -> tuple[float, float]:
@@ -216,100 +254,53 @@ def legendre_solve(spec: CgfSpec, alpha: float) -> LegendreSolve:
                 return LegendreSolve(math.inf, math.inf, True, True)
             if alpha >= ess_sup * (1.0 - 1e-12) - _ATOL:
                 if spec.method is CgfMethod.EXACT_ENUMERATION:
-                    rate = -spec.atom_log_prob(ess_sup)
+                    rate = 0.0 - spec.atom_log_prob(ess_sup)  # +0.0 for a sure atom
                 else:
                     rate = math.inf  # continuous law: no atom at the ess sup
                 return LegendreSolve(rate, math.inf, True, True)
-        return _bisect_transform(spec, alpha, side=+1)
+        return _solve_transform(spec, alpha, side=+1)
     # lower tail, t <= 0
     if alpha < ess_inf * (1.0 - 1e-12) - _ATOL:
         return LegendreSolve(math.inf, -math.inf, True, True)
     if alpha <= ess_inf * (1.0 + 1e-12) + _ATOL and ess_inf > 0.0:
-        rate = -spec.atom_log_prob(ess_inf)
+        rate = 0.0 - spec.atom_log_prob(ess_inf)
         return LegendreSolve(rate, -math.inf, True, True)
-    return _bisect_transform(spec, alpha, side=-1)
+    return _solve_transform(spec, alpha, side=-1)
 
 
-def _tilted_stats(spec: CgfSpec, t: float):
-    """(Lambda(t), Lambda'(t), Lambda''(t) or None) sharing one exp pass.
-
-    The derivative pair is the mean and variance of S^2 under the
-    exponentially tilted law; for the quadrature method the curvature is
-    not available cheaply and comes back None.
-    """
-    if spec.method is CgfMethod.EXACT_ENUMERATION:
-        s2 = spec.squared_support()
-        z = t * s2
-        m = float(np.max(z))
-        w = np.exp(z - m)
-        tot = float(np.sum(w))
-        lam = m + math.log(tot) - (spec.x.k - 1) * LOG2
-        mean = float(np.dot(w, s2)) / tot
-        centered = s2 - mean
-        var = float(np.dot(w, centered * centered)) / tot
-        return lam, mean, var
-    if spec.method is CgfMethod.CLOSED_FORM_NORMAL:
-        d = 1.0 / (1.0 - 2.0 * t)
-        return -0.5 * math.log1p(-2.0 * t), d, 2.0 * d * d
-    return _cgf_uniform_quadrature(spec, t), cgf_derivative(spec, t), None
-
-
-def _bisect_transform(spec: CgfSpec, alpha: float, side: int) -> LegendreSolve:
+def _solve_transform(spec: CgfSpec, alpha: float, side: int) -> LegendreSolve:
     """Solve Lambda'(t) = alpha over t >= 0 (side=+1) or t <= 0 (-1).
 
-    Lambda is convex, so the derivative is monotone and the bracket is
-    certified once the endpoint derivatives straddle alpha; inside it,
-    Newton steps (falling back to the midpoint whenever they leave the
-    bracket or stall) finish the solve.
+    Lambda is convex, so Lambda' - alpha is increasing and its root is the
+    optimal tilt.  The bracket grows outward from t = 0 by doubling up to
+    |t| = T_EDGE, or by halving the gap to a finite domain edge; if the
+    derivative never straddles alpha inside that window, the transform is
+    taken just inside the edge and the solve is marked unconverged.
     """
-    dom_lo, dom_hi = spec.domain
-    if side > 0:
-        hi_edge = min(T_EDGE, dom_hi)
-        bracket = _expand_up(spec, alpha, hi_edge)
-        if bracket is None:
-            # derivative never straddled alpha inside the safe window
-            t_at = math.nextafter(hi_edge, 0.0)
-            val = t_at * alpha - cgf(spec, t_at)
-            return LegendreSolve(_clip_rate(val), t_at, True, False)
-    else:
-        lo_edge = max(-T_EDGE, dom_lo)
-        bracket = _expand_down(spec, alpha, lo_edge)
-        if bracket is None:
-            t_at = math.nextafter(lo_edge, 0.0)
-            val = t_at * alpha - cgf(spec, t_at)
-            return LegendreSolve(_clip_rate(val), t_at, True, False)
+    end = spec.domain[1] if side > 0 else spec.domain[0]
+    edge = side * min(T_EDGE, side * end)
 
-    lo, hi = bracket
-    t = 0.5 * (lo + hi)
-    lam = None
-    t_prev = f_prev = None
-    for it in range(120):
-        lam, deriv, curv = _tilted_stats(spec, t)
-        f = deriv - alpha
-        if f < 0.0:
-            lo = t
-        else:
-            hi = t
-        width = hi - lo
-        if width <= 1e-14 * max(1.0, abs(lo), abs(hi)) or abs(f) <= 1e-13 * max(1.0, alpha):
-            break
-        if curv is None and t_prev is not None and t != t_prev:
-            slope = (f - f_prev) / (t - t_prev)
-            curv = slope if slope > 0.0 else None
-        t_prev, f_prev = t, f
-        if curv is not None and curv > 0.0 and it % 3 != 2:
-            t_new = t - f / curv
-            if not (lo < t_new < hi):
-                t_new = 0.5 * (lo + hi)
-        else:
-            t_new = 0.5 * (lo + hi)
-        if t_new == t:
-            t_new = 0.5 * (lo + hi)
-            if t_new == t:
-                break
-        t = t_new
-    rate = t * alpha - (lam if lam is not None else cgf(spec, t))
-    return LegendreSolve(_clip_rate(rate), t, False, True)
+    def outward(t: float) -> float | None:
+        if math.isfinite(end):
+            gap = end - t
+            return None if abs(gap) < 1e-15 else end - gap / 2.0
+        if t == edge:
+            return None
+        return side * min(max(2.0 * abs(t), 1.0), T_EDGE)
+
+    def residual(t: float):
+        lam, deriv, curv = _tilted(spec, t)
+        return deriv - alpha, curv, lam
+
+    lo, hi = (0.0, None) if side > 0 else (None, 0.0)
+    root = _bracketed_root(residual, lo, hi, 0.0, 1e-14, 1e-13 * max(1.0, alpha), outward)
+    counts = (root.newton_steps, root.bisection_steps, root.expansions)
+    if root.at_edge:
+        t_at = math.nextafter(edge, 0.0)
+        val = t_at * alpha - _tilted(spec, t_at)[0]
+        return LegendreSolve(_clip_rate(val), t_at, True, False, *counts)
+    rate = root.t * alpha - root.value[2]
+    return LegendreSolve(_clip_rate(rate), root.t, False, True, *counts)
 
 
 def _clip_rate(rate: float) -> float:
@@ -317,41 +308,69 @@ def _clip_rate(rate: float) -> float:
     return max(rate, 0.0)
 
 
-def _expand_up(spec: CgfSpec, alpha: float, edge: float):
-    """Grow [0, hi] until Lambda'(hi) >= alpha; None if the edge blocks it."""
-    lo = 0.0
-    if cgf_derivative(spec, lo) >= alpha:
-        return lo, lo
-    finite_edge = math.isfinite(spec.domain[1])
-    hi = min(1.0, edge / 2) if finite_edge else min(1.0, edge)
+@dataclass
+class _Root:
+    """Where _bracketed_root stopped: the last point, f there, the bracket
+    (an end is None while it is open) and the step counts.  at_edge means
+    the bracket was still open when outward ran out of probes."""
+
+    t: float
+    value: tuple
+    lo: float | None
+    hi: float | None
+    newton_steps: int = 0
+    bisection_steps: int = 0
+    expansions: int = 0
+    at_edge: bool = False
+
+
+# Newton and bisection steps allowed in one solve.
+_MAX_STEPS = 120
+
+
+def _bracketed_root(f, lo, hi, t, xtol, ftol=0.0, outward=None) -> _Root:
+    """Root of the increasing function f on [lo, hi], starting from t.
+
+    f(t) returns (value, slope, ...); a value below 0 moves lo to t, any
+    other moves hi.  A Newton step is taken when the slope is positive and
+    the step lands strictly inside the bracket, or, while an end is still
+    None, no farther than the probe outward(t); otherwise the step is the
+    midpoint, or that probe.  outward returning None ends the search at the
+    edge.  Stops when hi - lo <= xtol * max(1, |lo|, |hi|), |value| < ftol,
+    a Newton step would not move t, or after _MAX_STEPS Newton and
+    bisection steps.
+    """
+    root = _Root(t, (), lo, hi)
     while True:
-        if cgf_derivative(spec, hi) >= alpha:
-            return lo, hi
-        lo = hi
-        if finite_edge:
-            gap = spec.domain[1] - hi
-            hi = spec.domain[1] - gap / 2.0
-            if gap < 1e-15:
-                return None
+        root.t, root.value = t, f(t)
+        val, slope = root.value[0], root.value[1]
+        if val < 0.0:
+            root.lo = t
         else:
-            hi *= 2.0
-            if hi > edge:
-                return None
-
-
-def _expand_down(spec: CgfSpec, alpha: float, edge: float):
-    """Grow [lo, 0] until Lambda'(lo) <= alpha; None if the edge blocks it."""
-    hi = 0.0
-    if cgf_derivative(spec, hi) <= alpha:
-        return hi, hi
-    lo = -1.0
-    while True:
-        if lo < edge:
-            return None
-        if cgf_derivative(spec, lo) <= alpha:
-            return lo, hi
-        hi = lo
-        lo *= 2.0
+            root.hi = t
+        lo, hi = root.lo, root.hi
+        closed = lo is not None and hi is not None
+        if (abs(val) < ftol or root.newton_steps + root.bisection_steps >= _MAX_STEPS
+                or closed and hi - lo <= xtol * max(1.0, abs(lo), abs(hi))):
+            return root
+        if not closed:
+            probe = outward(t)
+            if probe is None:
+                root.at_edge = True
+                return root
+        newton = slope is not None and slope > 0.0
+        t_new = t - val / slope if newton else math.nan
+        if t_new == t:
+            return root  # the Newton step is below one ulp of t
+        if newton and (lo < t_new < hi if closed else abs(t_new - t) <= abs(probe - t)):
+            root.newton_steps += 1
+        elif closed:
+            t_new = 0.5 * (lo + hi)
+            root.bisection_steps += 1
+        else:
+            t_new = probe
+            root.expansions += 1
+        t = t_new
 
 
 # ---------------------------------------------------------------------------
@@ -416,58 +435,20 @@ def rate_lower_bound_rademacher(alpha: float) -> float:
 
 
 def chernoff_squared_entry(dist: EntryDistribution, a: float) -> float:
-    """Legendre transform of the squared-entry CGF at level a."""
-    if a <= 0:
-        raise DomainError(f"a must be positive, got {a}")
-    if dist is EntryDistribution.RADEMACHER:
-        # squared entry is the point mass at 1
-        return 0.0 if abs(a - 1.0) <= 1e-12 else math.inf
-    if dist is EntryDistribution.STD_NORMAL:
-        return rate_wishart(a)
-    # symmetric uniform: numeric transform on t >= 0, defined for a >= 1
-    if a < 1.0:
-        raise UnsupportedDomainError(
-            "squared-entry transform for symmetric-uniform entries needs a >= 1"
-        )
-    if a >= 3.0 - 1e-12:
-        return math.inf
-    return _uniform_squared_transform(a)
+    """Legendre transform of the squared-entry CGF at level a.
 
-
-@functools.lru_cache(maxsize=1)
-def _leggauss_01():
-    x, w = np.polynomial.legendre.leggauss(120)
-    # map to [0, 1]
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-def _uniform_squared_transform(a: float) -> float:
-    u, w = _leggauss_01()
-    c2 = 3.0 * u * u  # entry = sqrt(3) * uniform(0, 1) in law for |entry|
-
-    def lam_and_prime(t: float):
-        e = np.exp(t * c2 - (max(t, 0.0) * 3.0))
-        z = float(np.dot(w, e))
-        zp = float(np.dot(w, c2 * e))
-        return math.log(z) + max(t, 0.0) * 3.0, zp / z
-
-    lo, hi = 0.0, 1.0
-    while lam_and_prime(hi)[1] < a:
-        lo = hi
-        hi *= 2.0
-        if hi > T_EDGE:
-            return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-        if lam_and_prime(mid)[1] < a:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    lam, _ = lam_and_prime(t)
-    return max(t * a - lam, 0.0)
+    This is the k = 1 transform, along S = C_1: 0 at a = 1 and infinite
+    elsewhere for +/-1 entries, (a - 1 - log a)/2 for normal entries, and a
+    numeric transform on a >= 1 for uniform entries.  Like every transform
+    here, the tilt is searched on |t| <= T_EDGE.  For uniform entries the
+    optimal tilt passes T_EDGE near a = 2.98 (for normal entries, below
+    a = 1/101); beyond, the value is the supremum over the window, finite
+    but below the transform.  At a = 2.975
+    the tilt is about 40 and the transform about 4.476.  Earlier versions
+    returned inf from about a = 2.969 on, where their search stopped at
+    t = 32.
+    """
+    return legendre_solve(CgfSpec.for_direction(dist, UnitVector.of([1.0])), a).rate
 
 
 # ---------------------------------------------------------------------------
@@ -692,13 +673,14 @@ def phase_transition_alpha_star(tol: float = 1e-8) -> float:
             break
     if lo is None:
         raise DomainError("no strategy crossing found on (0, 1)")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    return _bisect_crossing(gap, lo, hi, tol)
+
+
+def _bisect_crossing(gap, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] bisected to width tol around the sign change of
+    the decreasing gap (gap(lo) > 0 >= gap(hi))."""
+    root = _bracketed_root(lambda a: (-gap(a), None), lo, hi, 0.5 * (lo + hi), tol)
+    return float(0.5 * (root.lo + root.hi))
 
 
 def phase_transition_alpha_star_k(k: int, tol: float = 1e-6) -> float:
@@ -731,11 +713,4 @@ def phase_transition_alpha_star_k(k: int, tol: float = 1e-6) -> float:
             bracket = (a, b)
     if bracket is None:
         raise DomainError(f"no strategy crossing found on (0, 1) for k={k}")
-    lo, hi = bracket
-    while hi - lo > min(tol, 1e-7):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    return _bisect_crossing(gap, *bracket, min(tol, 1e-7))

@@ -46,6 +46,10 @@ INFTY_STAGE_CAP = 1000
 PING_PONG_LAMBDA = 2.0
 SINGULAR_TOL = 1e-9
 
+# Relative tolerance under which two users' last steps count as a tie when
+# a quiet oscillating trial's error is attributed.
+_TIE_RTOL = 1e-9
+
 CHUNK_TRIALS = 1 << 14
 
 
@@ -152,8 +156,6 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     Without tol, visit(stage, est) sees every stage.  Returns (est, stages,
     converged, ahead): each trial's last estimate and stage, whether it
     stopped early, and est(cap + 1) on the rows that did not (NaN elsewhere).
-    The extra stage multiplies with w @ x per matrix: ber_experiment breaks
-    exact ties between users on it, so its last bits are part of the output.
     """
     est1 = product(w, z)
     est = est1.copy()
@@ -179,7 +181,7 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
                     break
         est[rows] = ea
         ahead = np.full_like(est, np.nan)
-        ahead[rows] = _matrix_product(wa, z[rows]) - (_matrix_product(wa, ea) - ea)
+        ahead[rows] = e1a - (product(wa, ea) - ea)
     return est, stages, converged, ahead
 
 
@@ -215,14 +217,15 @@ def weighted_sdpic(c: SampleMatrix, z: np.ndarray, s: int, weight: float) -> np.
 
 
 def decide_bits(estimate: np.ndarray, coin_seed: int) -> np.ndarray:
-    """Hard decisions sign(est); exact zeros fall to a seeded fair coin.
+    """Hard decisions sign(est); exact zeros and NaN (an estimate that
+    overflowed) fall to a seeded fair coin.
 
     The coin for user m derives from (coin_seed, m), so reruns reproduce
     and positive rescaling of the estimate cannot change the outcome.
     """
     est = np.asarray(estimate, dtype=np.float64)
     decided = np.sign(est)
-    for m in np.flatnonzero(decided == 0.0):
+    for m in np.flatnonzero(np.abs(decided) != 1.0):
         decided[m] = float(derive_rng(coin_seed, int(m)).integers(0, 2) * 2 - 1)
     return decided
 
@@ -316,8 +319,9 @@ class BerEstimate:
 
 
 def _decide_batch(est: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """sign(est) per trial, with zeros and NaN taken from the coins."""
     decided = np.sign(est)
-    mask = decided == 0.0
+    mask = np.abs(decided) != 1.0
     if np.any(mask):
         decided[mask] = coins[mask]
     return decided
@@ -335,7 +339,8 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     declared an error outright: the stage limit does not exist there.  Its
     per-user attribution uses decisions that are wrong or still flipping at
     the cap, falling back to the least-converged user so the any-user count
-    never exceeds the per-user sum.
+    never exceeds the per-user sum; users whose last steps agree to a
+    relative 1e-9 tie, and the lowest index wins.
     """
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
@@ -374,7 +379,9 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
                 marked = wrong[osc] | (np.sign(ahead[osc]) != np.sign(est[osc]))
                 quiet = np.flatnonzero(~np.any(marked, axis=1))
                 step = np.abs(ahead[osc[quiet]] - est[osc[quiet]])
-                marked[quiet, np.argmax(step, axis=1)] = True
+                # steps equal up to round-off are ties, won by the lowest user
+                top = step >= np.max(step, axis=1, keepdims=True) * (1.0 - _TIE_RTOL)
+                marked[quiet, np.argmax(top, axis=1)] = True
                 wrong[osc] = marked
         else:
             est = _partial_sum(w, z, s, 1.0 if weight is None else weight)

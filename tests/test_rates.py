@@ -30,6 +30,7 @@ from eigrates import (
     rogers_covering,
     wishart_t_star,
 )
+from eigrates.rates import _tilted
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -41,6 +42,18 @@ FAST_OPTS = OptimizerSettings(random_restarts=4, seed=123)
 def spec_for(dist, k=2, coords=None):
     x = UnitVector.uniform(k) if coords is None else UnitVector.of(coords)
     return CgfSpec.for_direction(dist, x)
+
+
+def cgf_differences(spec, t):
+    """(Lambda', Lambda'') from differences of cgf: central, or second-order
+    forward where t - h leaves the domain."""
+    h = 1e-3 * max(1.0, abs(t))
+    if t - h < spec.domain[0]:
+        f = [cgf(spec, t + i * h) for i in range(4)]
+        return ((-3 * f[0] + 4 * f[1] - f[2]) / (2 * h),
+                (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h))
+    lo, mid, hi = (cgf(spec, t + i * h) for i in (-1, 0, 1))
+    return (hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h)
 
 
 class TestCgf:
@@ -112,6 +125,39 @@ class TestCgf:
             assert cgf(spec, t) == pytest.approx(oracle, abs=1e-12)
 
 
+class TestTilted:
+    def test_uniform_moments_at_origin(self):
+        # Lambda'(0) = E S^2 = 1 and Lambda''(0) = Var S^2 = 2 - (6/5) sum x^4
+        rng = make_rng(13)
+        for k in (1, 2, 3, 6):
+            x = UnitVector.random(k, rng)
+            lam, slope, curv = _tilted(CgfSpec.for_direction(U, x), 0.0)
+            assert lam == 0.0
+            assert slope == pytest.approx(1.0, abs=1e-14)
+            assert curv == pytest.approx(2.0 - 1.2 * np.sum(x.coords ** 4), abs=1e-13)
+
+    @pytest.mark.parametrize("dist", [R, U, N])
+    @pytest.mark.parametrize("t", [1e-6, 0.3, 5.0, 49.0])
+    def test_derivatives_match_differences_of_cgf(self, dist, t):
+        # differences of cgf are the oracle; the normal CGF only exists for
+        # t < 1/2, so its large tilts are checked at -t
+        if dist is N and t >= 0.5:
+            t = -t
+        spec = spec_for(dist, 3, coords=[2.0, -1.0, 0.5])
+        lam, slope, curv = _tilted(spec, t)
+        d1, d2 = cgf_differences(spec, t)
+        assert lam == cgf(spec, t)
+        assert slope == cgf_derivative(spec, t)
+        assert slope == pytest.approx(d1, rel=1e-5, abs=1e-7)
+        assert curv == pytest.approx(d2, rel=1e-4, abs=1e-7)
+
+    def test_domain_is_checked(self):
+        with pytest.raises(DomainError):
+            cgf_derivative(spec_for(N, 2), 0.5)
+        with pytest.raises(UnsupportedDomainError):
+            cgf_derivative(spec_for(U, 2), -0.1)
+
+
 class TestLegendre:
     def test_wishart_example(self):
         rate, t_star = legendre(spec_for(N, 3), 2.0)
@@ -159,6 +205,24 @@ class TestLegendre:
     def test_uniform_lower_tail_unsupported(self):
         with pytest.raises(UnsupportedDomainError):
             legendre(spec_for(U, 2), 0.7)
+
+    def test_solver_counters(self):
+        # pinned: a forced bisection or a wasted probe would change them
+        spec = CgfSpec.for_direction(R, UnitVector.uniform(8))
+        sol = legendre_solve(spec, 0.75)
+        assert (sol.newton_steps, sol.bisection_steps, sol.expansions) == (5, 0, 0)
+        assert sol.converged and not sol.boundary
+        at_atom = legendre_solve(spec, 8.0)  # all signs equal: S^2 = k
+        assert at_atom.rate == pytest.approx(7 * math.log(2.0), abs=1e-12)
+        assert (at_atom.newton_steps, at_atom.bisection_steps, at_atom.expansions) == (0, 0, 0)
+
+    def test_window_edge_is_reported(self):
+        # the normal lower tail at alpha = 1/200 needs t* = -99.5, beyond T_EDGE
+        sol = legendre_solve(spec_for(N, 2), 0.005)
+        assert sol.boundary and not sol.converged
+        assert sol.t_star == math.nextafter(-50.0, 0.0)
+        assert sol.rate == pytest.approx(sol.t_star * 0.005 + 0.5 * math.log1p(-2.0 * sol.t_star),
+                                         abs=1e-12)
 
     def test_matches_grid_supremum(self):
         # direct sup over a dense t grid as an independent oracle
@@ -235,6 +299,19 @@ class TestChernoffSquaredEntry:
     def test_domain(self):
         with pytest.raises(DomainError):
             chernoff_squared_entry(N, 0.0)
+
+    @pytest.mark.parametrize("dist", [R, U, N])
+    def test_is_the_one_coordinate_transform(self, dist):
+        spec = spec_for(dist, coords=[1.0])
+        for a in (0.5, 1.0, 1.5, 2.0, 2.9):
+            if dist is U and a < 1.0:
+                continue
+            assert chernoff_squared_entry(dist, a) == legendre_solve(spec, a).rate
+
+    def test_uniform_near_the_support_edge(self):
+        # the optimal tilt is about 40; the value was frozen from an
+        # independent adaptive quadrature of E exp(3 t u^2) and a root solve
+        assert chernoff_squared_entry(U, 2.975) == pytest.approx(4.476436940110148, abs=1e-9)
 
 
 class TestCoverings:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -28,6 +29,7 @@ from eigrates import (
     stage_trace,
     weighted_sdpic,
 )
+from eigrates import sdpic
 from eigrates.core import covariance_batch, eigvalues_batch, sample_batch
 
 R = EntryDistribution.RADEMACHER
@@ -216,6 +218,18 @@ class TestDecideBits:
             est[rng.integers(0, 6)] = 0.0
             assert np.array_equal(decide_bits(est, 11), decide_bits(3.7 * est, 11))
 
+    def test_nan_falls_to_the_zero_coin(self):
+        est = np.array([np.nan, 0.0, 2.0, -np.inf])
+        decided = decide_bits(est, 5)
+        assert np.array_equal(decided[2:], [1.0, -1.0])
+        assert decided[0] == decide_bits(np.zeros(1), 5)[0]
+        assert decided[1] == decide_bits(np.zeros(2), 5)[1]
+
+    def test_overflowed_decode_decides_every_bit(self):
+        state = run_decode(divergent_instance(), np.ones(8), 1000, coin_seed=1)
+        assert np.all(np.isnan(state.estimate))
+        assert set(np.unique(state.decided)) <= {-1.0, 1.0}
+
 
 class TestErrorFreeCondition:
     def test_worked_example(self):
@@ -345,6 +359,18 @@ class TestBerExperiment:
                      for t in range(trials))
         assert capped > 0
         assert est.cap_hit_count == capped
+
+    def test_oscillation_ties_do_not_depend_on_round_off(self):
+        # at k=3, n=18 some capped trials have lambda_max exactly 2 and two
+        # users with equal last steps; einsum and matmul round them apart
+        args = (3, 18, math.inf, 10**5, 909)
+        stacked = ber_experiment(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdpic, "_recursion",
+                       functools.partial(sdpic._recursion, product=sdpic._matrix_product))
+            per_matrix = ber_experiment(*args)
+        assert stacked.oscillation_count > 0
+        assert stacked.per_user_error_counts == per_matrix.per_user_error_counts
 
     def test_weighted_mode_runs(self):
         est = ber_experiment(3, 16, 4, trials=5000, seed=3, weight=4.0)
