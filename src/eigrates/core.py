@@ -47,6 +47,8 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 def _chunks(seed: int, trials: int, chunk: int):
     """(generator, size) for each chunk of `trials`; chunk c draws from
     derive_rng(seed, c), so the stream depends on the chunk size."""
+    if chunk < 1:
+        raise DomainError(f"need chunk >= 1, got {chunk}")
     for index, start in enumerate(range(0, trials, chunk)):
         yield derive_rng(seed, index), min(chunk, trials - start)
 
@@ -379,6 +381,9 @@ def mp_edges(beta: float) -> tuple[float, float]:
 # stacks, and use closed forms (k <= 2) or LAPACK (k >= 3) for eigenvalues.
 # Tests cross-check them against spectrum()/jacobi_eigh.
 
+# Entries drawn at a time by gram_batch, which bounds its scratch memory.
+GRAM_BLOCK_ENTRIES = 1 << 20
+
 def sample_batch(dist: EntryDistribution, rng: np.random.Generator,
                  m: int, k: int, n: int) -> np.ndarray:
     """m independent k x n entry matrices as an (m, k, n) stack."""
@@ -390,6 +395,44 @@ def covariance_batch(entries: np.ndarray) -> np.ndarray:
     n = entries.shape[-1]
     w = np.einsum("mkn,mln->mkl", entries, entries) / n
     return (w + np.swapaxes(w, -1, -2)) / 2.0
+
+
+def gram_batch(dist: EntryDistribution, rng: np.random.Generator,
+               m: int, k: int, n: int) -> np.ndarray:
+    """(m, k, k) stack of W = (1/n) C C^T for m fresh k x n entry matrices.
+
+    Bit for bit covariance_batch(sample_batch(dist, rng, m, k, n)), leaving
+    rng in the same state, but drawn GRAM_BLOCK_ENTRIES entries at a time.
+    For +/-1 entries no float C is built: see _sign_gram.
+    """
+    w = np.empty((m, k, k))
+    # k*n entries and k*k products per trial: size the block by the larger
+    step = max(1, GRAM_BLOCK_ENTRIES // (k * max(n, k)))
+    for start in range(0, m, step):
+        size = min(step, m - start)
+        if dist is EntryDistribution.RADEMACHER:
+            w[start:start + size] = _sign_gram(rng, size, k, n)
+        else:
+            w[start:start + size] = covariance_batch(sample_batch(dist, rng, size, k, n))
+    return w
+
+
+def _sign_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:
+    """W for m +/-1 matrices from the bits EntryDistribution.sample draws.
+
+    Row i is packed into the words b_i (bit 1 is the entry +1), and
+    n W_ij = n - 2 popcount(b_i XOR b_j) is an integer, so W = (nW)/n is
+    the correctly rounded quotient that the exact float sums of
+    covariance_batch give too.
+    """
+    bits = rng.integers(0, 2, size=(m, k, n))
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    width = -(-n // 64) * 8
+    if packed.shape[-1] != width:  # zero bytes up to whole 64-bit words
+        packed = np.pad(packed, ((0, 0), (0, 0), (0, width - packed.shape[-1])))
+    words = packed.view(np.uint64)
+    differ = np.bitwise_count(words[:, :, None, :] ^ words[:, None, :, :])
+    return (n - 2 * differ.sum(axis=-1, dtype=np.int64)) / n
 
 
 def eigvalues_batch(w: np.ndarray) -> np.ndarray:

@@ -2,17 +2,20 @@
 
 The empirical side of the rate-function toolkit: sample many covariance
 matrices, count spectral events, and report -(1/n) log p_hat with a 95%
-Clopper-Pearson interval, or enumerate every +/-1 sign matrix outright when
+Clopper-Pearson interval, or sum over every +/-1 sign matrix outright when
 k*n is small enough for that to be exact.
 
 Trials run in fixed-size chunks whose generators derive from
-(seed, chunk_index), so the hit count is independent of execution order and
-chunking is safe to parallelize.
+(seed, chunk_index), so the hit count does not depend on execution order
+and chunks could run in parallel.  The chunk size is part of the stream:
+another `chunk=` re-rolls the trials, and the counts move within sampling
+error.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,17 +25,20 @@ from scipy.stats import beta as beta_dist
 from .core import (
     EntryDistribution,
     _chunks,
-    covariance_batch,
     eigvalues_batch,
+    gram_batch,
     mp_edges,
-    sample_batch,
 )
 from .errors import DomainError
 
 CHUNK_TRIALS = 1 << 16
 
-# kn cap for full sign-matrix enumeration (2^(kn) matrices).
+# kn cap for exact enumeration over the 2^(kn) sign matrices.
 ENUM_MAX_BITS = 24
+
+# Column and Gram entries (k*(n+k) per multiset) in one enumerate_exact
+# chunk, which bounds its memory.
+ENUM_CHUNK_ENTRIES = 1 << 20
 
 # Eigenvalues below this (relative to the trace scale) count as zero.  The
 # +/-1 spectrum is rational with denominator n, so anything under 1/(2n) is
@@ -101,8 +107,7 @@ def _count_event(dist: EntryDistribution, k: int, n: int, trials: int, seed: int
                  predicate, chunk: int = CHUNK_TRIALS) -> int:
     hits = 0
     for rng, size in _chunks(seed, trials, chunk):
-        entries = sample_batch(dist, rng, size, k, n)
-        lam = eigvalues_batch(covariance_batch(entries))
+        lam = eigvalues_batch(gram_batch(dist, rng, size, k, n))
         hits += int(np.count_nonzero(predicate(lam)))
     return hits
 
@@ -151,29 +156,55 @@ def estimate_tail(dist: EntryDistribution, k: int, n: int, alpha: float,
                         empirical_rate=rate, seed=seed)
 
 
-def enumerate_exact(k: int, n: int, predicate, chunk_bits: int = 18) -> float:
-    """Exact event probability for +/-1 entries by full sign enumeration.
+def enumerate_exact(k: int, n: int, predicate) -> float:
+    """Exact event probability for +/-1 entries, summed over column classes.
 
-    Walks all 2^(k*n) sign matrices (k*n <= 24) in chunks and evaluates the
-    spectral predicate on each; the result is (#hits) / 2^(k*n).
+    W depends only on how many columns fall in each of the 2^(k-1) classes
+    {v, -v} of sign patterns, so the sum runs over the multisets of n
+    classes: each gives its integer Gram matrix G, one eigenvalue
+    evaluation of W = G/n, and the exact count 2^n n!/prod(m_c!) of the
+    sign matrices it stands for.  The result is (#hits) / 2^(k*n), for
+    k*n <= 24.
     """
     bits = k * n
     if bits > ENUM_MAX_BITS:
         raise DomainError(f"enumeration needs k*n <= {ENUM_MAX_BITS}, got {bits}")
     if k < 1 or n < 1:
         raise DomainError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    total = 1 << bits
-    step = 1 << min(chunk_bits, bits)
-    shifts = np.arange(bits, dtype=np.uint32)
+    # class c holds the columns +/-v with v_0 = +1, v_(i+1) = (-1)^(bit i of c)
+    shifts = np.arange(k - 1)
     hits = 0
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.uint32)
-        bits_01 = ((idx[:, None] >> shifts) & 1).astype(np.int8)
-        signs = (2 * bits_01 - 1).astype(np.float64)
-        entries = signs.reshape(-1, k, n)
-        lam = eigvalues_batch(covariance_batch(entries))
-        hits += int(np.count_nonzero(predicate(lam)))
-    return hits / total
+    for rows in _multisets(1 << (k - 1), n, max(1, ENUM_CHUNK_ENTRIES // (k * (n + k)))):
+        cols = np.ones(rows.shape + (k,), dtype=np.int64)
+        cols[..., 1:] = 1 - 2 * ((rows[..., None] >> shifts) & 1)
+        gram = np.einsum("bni,bnj->bij", cols, cols)
+        lam = eigvalues_batch(gram / n)
+        hits += int(np.sum(_sign_matrix_counts(rows)[predicate(lam)]))
+    return hits / (1 << bits)
+
+
+def _multisets(classes: int, n: int, chunk: int):
+    """Every multiset of n values in range(classes), as nondecreasing index
+    rows in lexicographic order, at most `chunk` rows at a time."""
+    tuples = itertools.combinations_with_replacement(range(classes), n)
+    while rows := list(itertools.islice(tuples, chunk)):
+        yield np.array(rows, dtype=np.int64)
+
+
+def _sign_matrix_counts(rows: np.ndarray) -> np.ndarray:
+    """2^n n!/prod(m_c!) per nondecreasing row: the sign matrices whose
+    columns fall in those classes (each class holds v and -v).
+
+    The prefix multinomials p!/prod(run_p!) are integers, so the running
+    product stays exact in int64.
+    """
+    n = rows.shape[1]
+    run = np.ones(rows.shape[0], dtype=np.int64)
+    count = np.ones(rows.shape[0], dtype=np.int64)
+    for p in range(1, n):
+        run = np.where(rows[:, p] == rows[:, p - 1], run + 1, 1)
+        count = count * (p + 1) // run
+    return count << n
 
 
 @dataclass(frozen=True)
@@ -271,8 +302,7 @@ def spectrum_histogram(dist: EntryDistribution, k: int, n: int, trials: int,
         )
     pooled = []
     for rng, size in _chunks(seed, trials, chunk):
-        entries = sample_batch(dist, rng, size, k, n)
-        pooled.append(eigvalues_batch(covariance_batch(entries)).ravel())
+        pooled.append(eigvalues_batch(gram_batch(dist, rng, size, k, n)).ravel())
     lam = np.concatenate(pooled)
     counts, edges = np.histogram(lam, bins=bins)
     mass = counts / lam.size

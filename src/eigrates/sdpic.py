@@ -29,10 +29,9 @@ from .core import (
     Spectrum,
     _chunks,
     covariance,
-    covariance_batch,
     derive_rng,
     eigvalues_batch,
-    sample_batch,
+    gram_batch,
 )
 from .errors import DimensionError, DomainError
 from .mclab import clopper_pearson
@@ -361,8 +360,7 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     for rng, size in _chunks(seed, trials, chunk):
         bits = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
         coins = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
-        entries = sample_batch(EntryDistribution.RADEMACHER, rng, size, k, n)
-        w = covariance_batch(entries)
+        w = gram_batch(EntryDistribution.RADEMACHER, rng, size, k, n)
         z = bits  # equal unit powers
 
         if infinite_mode:

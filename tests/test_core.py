@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from eigrates import (
     spectrum,
     trace_stat,
 )
-from eigrates.core import covariance_batch, eigvalues_batch, sample_batch
+from eigrates import core
+from eigrates.core import covariance_batch, eigvalues_batch, gram_batch, sample_batch
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -256,6 +258,44 @@ class TestBatchHelpers:
         a = sample_batch(R, derive_rng(9, 0), 2, 3, 5)
         b = derive_rng(9, 0).integers(0, 2, size=(2, 3, 5)) * 2 - 1
         assert np.array_equal(a, b.astype(float))
+
+
+class TestGramBatch:
+    # gram_batch must replay the entry path exactly: same W bits, same stream
+    def assert_same_as_entries(self, dist, m, k, n, seed=3):
+        expected_rng, rng = derive_rng(seed, k, n), derive_rng(seed, k, n)
+        expected = covariance_batch(sample_batch(dist, expected_rng, m, k, n))
+        w = gram_batch(dist, rng, m, k, n)
+        assert w.dtype == expected.dtype and w.shape == (m, k, k)
+        assert np.array_equal(w, expected)
+        assert repr(rng.bit_generator.state) == repr(expected_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("dist", [R, U, N])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 130])
+    def test_small_blocks(self, monkeypatch, dist, k, n):
+        monkeypatch.setattr(core, "GRAM_BLOCK_ENTRIES", 1 << 12)
+        step = max(1, (1 << 12) // (k * max(n, k)))
+        self.assert_same_as_entries(dist, 3 * step + 2, k, n)
+
+    @pytest.mark.parametrize("dist", [R, U, N])
+    def test_default_block(self, dist):
+        k, n = 8, 65
+        step = core.GRAM_BLOCK_ENTRIES // (k * n)
+        self.assert_same_as_entries(dist, step + 7, k, n)
+
+    @pytest.mark.parametrize("dist", [R, U])
+    def test_scratch_is_bounded_when_k_exceeds_n(self, dist):
+        # at k=64, n=1 the k*k products per trial, not the k*n entries,
+        # set the size of the temporaries
+        m, k = 2000, 64
+        tracemalloc.start()
+        try:
+            gram_batch(dist, derive_rng(5), m, k, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * k * k + 6 * 8 * core.GRAM_BLOCK_ENTRIES
 
 
 class TestCsvRoundTrip:

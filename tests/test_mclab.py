@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from eigrates import (
     zero_count_at_least,
     zero_eigen_rate,
 )
+from eigrates import mclab
+from eigrates.core import covariance_batch, eigvalues_batch
+from eigrates.mclab import _multisets, _sign_matrix_counts
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -84,6 +88,12 @@ class TestEstimateTail:
         with pytest.raises(DomainError):
             estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 0, 5)
 
+    @pytest.mark.parametrize("chunk", [0, -4])
+    def test_chunk_gate(self, chunk):
+        # a non-positive chunk once counted 0 hits of the whole budget
+        with pytest.raises(DomainError):
+            estimate_tail(R, 3, 6, 0.5, TailSide.MIN_BELOW, 1000, 1, chunk=chunk)
+
     def test_side_parse(self):
         assert TailSide.parse("min_below") is TailSide.MIN_BELOW
         assert TailSide.parse("MAX_ABOVE") is TailSide.MAX_ABOVE
@@ -91,7 +101,56 @@ class TestEstimateTail:
             TailSide.parse("sideways")
 
 
+def bit_walk(k: int, n: int, predicates) -> list[float]:
+    """Exact probability of each predicate by walking all 2^(k*n) sign
+    matrices, one bit pattern each: the oracle for enumerate_exact."""
+    bits = k * n
+    total = 1 << bits
+    step = 1 << min(18, bits)
+    shifts = np.arange(bits, dtype=np.uint32)
+    hits = [0] * len(predicates)
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.uint32)
+        signs = (2 * ((idx[:, None] >> shifts) & 1).astype(np.int8) - 1).astype(np.float64)
+        lam = eigvalues_batch(covariance_batch(signs.reshape(-1, k, n)))
+        for i, pred in enumerate(predicates):
+            hits[i] += int(np.count_nonzero(pred(lam)))
+    return [h / total for h in hits]
+
+
+# every shape with k*n <= 16
+SMALL_SHAPES = [(k, n) for k in range(1, 17) for n in range(1, 16 // k + 1)]
+
+
 class TestEnumerateExact:
+    @pytest.mark.parametrize("k,n", SMALL_SHAPES)
+    def test_equals_the_bit_walk(self, k, n):
+        # levels 0.5, 1.5 and 2.0 are hit exactly by some +/-1 spectra
+        predicates = [side(alpha) for side in (min_below, max_above)
+                      for alpha in (0.5, 1.5, 2.0)]
+        predicates += [zero_count_at_least(l) for l in range(1, k)]
+        exact = [enumerate_exact(k, n, pred) for pred in predicates]
+        assert exact == bit_walk(k, n, predicates)
+
+    def test_memory_stays_within_a_chunk(self, monkeypatch):
+        # 2^19 classes at (20, 1): a table of every class pattern would take
+        # 80 MB; chunked, numpy never holds more than a few chunks' worth
+        monkeypatch.setattr(mclab, "eigvalues_batch", lambda w: np.zeros(w.shape[:-1]))
+        tracemalloc.start()
+        try:
+            enumerate_exact(20, 1, min_below(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * mclab.ENUM_CHUNK_ENTRIES
+
+    @pytest.mark.parametrize("k,n", [(1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (8, 3),
+                                     (12, 2), (24, 1)])
+    def test_counts_cover_every_sign_matrix(self, k, n):
+        total = sum(int(_sign_matrix_counts(rows).sum())
+                    for rows in _multisets(1 << (k - 1), n, 1 << 16))
+        assert total == 1 << (k * n)
+
     def test_k2_n2_zero_event(self):
         assert enumerate_exact(2, 2, zero_count_at_least(1)) == 0.5
 
@@ -162,6 +221,11 @@ class TestSpectrumHistogram:
     def test_bin_gate(self):
         with pytest.raises(DomainError):
             spectrum_histogram(N, 2, 10, 10, 50, 1)
+
+    @pytest.mark.parametrize("chunk", [0, -4])
+    def test_chunk_gate(self, chunk):
+        with pytest.raises(DomainError):
+            spectrum_histogram(N, 2, 10, 100, 10, 1, chunk=chunk)
 
 
 class TestChernoffSideBound:

@@ -48,6 +48,15 @@ def random_bits(rng, k):
     return (rng.integers(0, 2, k) * 2 - 1).astype(float)
 
 
+def chunk_zero_instances(k, n, trials, seed):
+    """(code, bits) of each trial ber_experiment draws in chunk 0."""
+    rng = derive_rng(seed, 0)
+    bits = (rng.integers(0, 2, size=(trials, k)) * 2 - 1).astype(np.float64)
+    rng.integers(0, 2, size=(trials, k))  # the tie-break coins
+    entries = sample_batch(R, rng, trials, k, n)
+    return [(SampleMatrix(R, k, n, entries[t], seed=0), bits[t]) for t in range(trials)]
+
+
 def divergent_instance():
     # +/-1, k=8, n=4: lambda_max = 3.618..., so the recursion overflows
     return sample_matrix(R, 8, 4, 1)
@@ -351,14 +360,26 @@ class TestBerExperiment:
         # one chunk, so every trial comes from derive_rng(seed, 0)
         k, n, trials, seed = 3, 8, 400, 31
         est = ber_experiment(k, n, math.inf, trials=trials, seed=seed)
-        rng = derive_rng(seed, 0)
-        bits = (rng.integers(0, 2, size=(trials, k)) * 2 - 1).astype(np.float64)
-        rng.integers(0, 2, size=(trials, k))  # the tie-break coins
-        entries = sample_batch(R, rng, trials, k, n)
-        capped = sum(not iterate_to_limit(SampleMatrix(R, k, n, entries[t], seed=0), bits[t])[2]
-                     for t in range(trials))
+        capped = sum(not iterate_to_limit(c, b)[2]
+                     for c, b in chunk_zero_instances(k, n, trials, seed))
         assert capped > 0
         assert est.cap_hit_count == capped
+
+    def test_oscillations_match_single_instance_limit_and_spectrum(self):
+        # one chunk: a capped trial oscillates when lambda_max >= 2 or W is singular
+        k, n, trials, seed = 3, 10, 2000, 41
+        est = ber_experiment(k, n, math.inf, trials=trials, seed=seed)
+        oscillating = 0
+        for c, b in chunk_zero_instances(k, n, trials, seed):
+            if iterate_to_limit(c, b)[2]:
+                continue
+            w = covariance(c).values
+            lam = np.linalg.eigvalsh(w)
+            scale = max(1.0, float(np.trace(w)))
+            oscillating += bool(lam[-1] >= sdpic.PING_PONG_LAMBDA - 1e-12
+                                or lam[0] <= sdpic.SINGULAR_TOL * scale)
+        assert 0 < oscillating < est.cap_hit_count
+        assert est.oscillation_count == oscillating
 
     def test_oscillation_ties_do_not_depend_on_round_off(self):
         # at k=3, n=18 some capped trials have lambda_max exactly 2 and two
@@ -384,3 +405,9 @@ class TestBerExperiment:
             ber_experiment(2, 8, 2, trials=0, seed=1)
         with pytest.raises(DomainError):
             ber_experiment(2, 8, 2, trials=10, seed=1, weight=-1.0)
+
+    @pytest.mark.parametrize("chunk", [0, -2])
+    def test_chunk_gate(self, chunk):
+        # a negative chunk once returned 0 errors of the whole budget
+        with pytest.raises(DomainError):
+            ber_experiment(2, 8, 2, trials=10, seed=1, chunk=chunk)
