@@ -1,4 +1,4 @@
-"""Seeded random sample matrices, the covariance transform, and a symmetric eigensolver.
+"""Seeded random sample matrices, the covariance transform, and certified eigenvalues.
 
 Everything here is a pure function of its inputs: matrices are built from an
 explicit 64-bit seed through a counter-based generator (numpy's Philox), so
@@ -18,10 +18,23 @@ from .errors import ConvergenceError, DimensionError, DomainError
 
 SQRT3 = math.sqrt(3.0)
 
-# Off-diagonal Frobenius tolerance (relative to ||W||_F) and sweep cap for
-# the cyclic Jacobi eigensolver.
+# Off-diagonal Frobenius tolerance (relative to ||W||_F) of the certificate
+# that spectrum() checks and the cyclic Jacobi reference converges to, and
+# the Jacobi sweep cap.
 JACOBI_TOL_FACTOR = 1e-12
 JACOBI_MAX_SWEEPS = 100
+
+# An eigenvalue counts as zero when it is at most ZERO_EIG_TOL * max(1, trace),
+# the trace taken as the eigenvalue sum.  For +/-1 entries nW is an integer
+# Gram matrix of trace kn: the product of its r nonzero eigenvalues is a
+# positive integer and each is at most kn, so every nonzero eigenvalue of W
+# is at least 1/(n (kn)^(r-1)), r <= min(k, n), while round-off leaves a
+# zero within a few eps * k.  The threshold, about 1e-9 k, separates the two
+# exactly when (kn)^min(k, n) < 1e9: every shape with k*n <= 24 (all exact
+# enumerations), k = 2 up to n = 15811, k = 3 up to n = 333, k = 4 up to
+# n = 44.  Past those shapes, and for the continuous laws, it is a
+# tolerance, not a proof.
+ZERO_EIG_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +272,25 @@ def covariance(c: SampleMatrix) -> CovMatrix:
 
 
 def spectrum(w: CovMatrix) -> Spectrum:
-    """Full eigendecomposition of W by cyclic Jacobi sweeps.
+    """Full eigendecomposition of W by LAPACK, with a certificate.
 
-    Converged when the off-diagonal Frobenius norm falls below
-    1e-12 * ||W||_F; raises ConvergenceError (with the residual) after
-    100 sweeps otherwise. Eigenvalues come back ascending with matching
+    The certificate is the off-diagonal Frobenius norm of Q^T W Q; above
+    1e-12 * ||W||_F it raises ConvergenceError (with the residual).  LAPACK
+    reads one triangle only, so asymmetric or non-finite W raises
+    DomainError here.  Eigenvalues come back ascending with matching
     eigenvector columns, so W = Q diag(lambda) Q^T.
     """
-    vals, vecs, residual = jacobi_eigh(w.values)
+    a = w.values
+    if not (np.all(np.isfinite(a)) and np.all(np.abs(a - a.T) <= 1e-12)):
+        raise DomainError("spectrum needs a finite symmetric matrix")
+    vals, vecs = np.linalg.eigh(a)
+    residual = _offdiag_norm(vecs.T @ a @ vecs)
+    thresh = JACOBI_TOL_FACTOR * float(np.linalg.norm(a))
+    if residual > thresh:
+        raise ConvergenceError(
+            f"eigendecomposition certificate failed: residual {residual:.3e} > {thresh:.3e}",
+            offdiag_residual=residual,
+        )
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, offdiag_residual=residual)
 
 
@@ -284,6 +308,8 @@ def jacobi_eigh(matrix: np.ndarray,
     """Cyclic Jacobi rotations for a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvector columns, offdiag residual).
+    Pure Python and slow; kept as the reference that spectrum() and
+    eigvalues_batch are tested against.
     """
     a = np.array(matrix, dtype=np.float64)
     k = a.shape[0]
@@ -376,10 +402,10 @@ def mp_edges(beta: float) -> tuple[float, float]:
 # Batched trial-loop helpers
 # ---------------------------------------------------------------------------
 # Monte Carlo experiments draw millions of small matrices; doing that through
-# per-instance objects and Jacobi sweeps would dominate the runtime.  These
-# helpers keep the exact same sampling streams but operate on (m, k, n)
-# stacks, and use closed forms (k <= 2) or LAPACK (k >= 3) for eigenvalues.
-# Tests cross-check them against spectrum()/jacobi_eigh.
+# per-instance objects would dominate the runtime.  These helpers keep the
+# exact same sampling streams but operate on (m, k, n) stacks, and use closed
+# forms (k <= 2) or LAPACK (k >= 3) for eigenvalues, without spectrum()'s
+# eigenvectors or certificate.  Tests cross-check them against jacobi_eigh.
 
 # Entries drawn at a time by gram_batch, which bounds its scratch memory.
 GRAM_BLOCK_ENTRIES = 1 << 20
@@ -448,6 +474,13 @@ def eigvalues_batch(w: np.ndarray) -> np.ndarray:
         radius = np.sqrt(((a - b) / 2.0) ** 2 + c * c)
         return np.stack([mid - radius, mid + radius], axis=-1)
     return np.linalg.eigvalsh(w)
+
+
+def bottom_eigenvalues_vanish(lam: np.ndarray, l: int) -> np.ndarray:
+    """Per row of an (m, k) stack of ascending eigenvalues: are the bottom l
+    at most ZERO_EIG_TOL * max(1, sum(lam))?"""
+    scale = np.maximum(1.0, np.sum(lam, axis=1))
+    return lam[:, l - 1] <= ZERO_EIG_TOL * scale
 
 
 # ---------------------------------------------------------------------------

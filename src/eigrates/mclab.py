@@ -25,6 +25,7 @@ from scipy.stats import beta as beta_dist
 from .core import (
     EntryDistribution,
     _chunks,
+    bottom_eigenvalues_vanish,
     eigvalues_batch,
     gram_batch,
     mp_edges,
@@ -39,11 +40,6 @@ ENUM_MAX_BITS = 24
 # Column and Gram entries (k*(n+k) per multiset) in one enumerate_exact
 # chunk, which bounds its memory.
 ENUM_CHUNK_ENTRIES = 1 << 20
-
-# Eigenvalues below this (relative to the trace scale) count as zero.  The
-# +/-1 spectrum is rational with denominator n, so anything under 1/(2n) is
-# an exact classifier; this is safe out to n ~ 1e6.
-ZERO_EIG_TOL = 1e-9
 
 
 class TailSide(enum.Enum):
@@ -126,11 +122,10 @@ def max_above(alpha: float):
     return pred
 
 
-def zero_count_at_least(l: int, tol: float = ZERO_EIG_TOL):
-    """Event {at least l eigenvalues are zero} via the ascending order."""
+def zero_count_at_least(l: int):
+    """Event {at least l eigenvalues are zero}, by core's ZERO_EIG_TOL rule."""
     def pred(lam: np.ndarray) -> np.ndarray:
-        scale = np.maximum(1.0, np.sum(lam, axis=1))
-        return lam[:, l - 1] <= tol * scale
+        return bottom_eigenvalues_vanish(lam, l)
     return pred
 
 

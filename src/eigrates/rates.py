@@ -245,6 +245,10 @@ def legendre_solve(spec: CgfSpec, alpha: float) -> LegendreSolve:
             "lower-tail transforms need t < 0, unsupported for symmetric-uniform entries"
         )
 
+    if spec.method is CgfMethod.CLOSED_FORM_NORMAL:
+        # S is standard normal along every direction
+        return LegendreSolve(rate_wishart(alpha), wishart_t_star(alpha), False, True)
+
     ess_sup = spec.ess_sup_s2()
     ess_inf = spec.ess_inf_s2()
     if alpha >= 1.0:
@@ -273,17 +277,14 @@ def _solve_transform(spec: CgfSpec, alpha: float, side: int) -> LegendreSolve:
 
     Lambda is convex, so Lambda' - alpha is increasing and its root is the
     optimal tilt.  The bracket grows outward from t = 0 by doubling up to
-    |t| = T_EDGE, or by halving the gap to a finite domain edge; if the
-    derivative never straddles alpha inside that window, the transform is
-    taken just inside the edge and the solve is marked unconverged.
+    |t| = T_EDGE (the laws solved here have no finite domain edge on the
+    searched side); if the derivative never straddles alpha inside that
+    window, the transform is taken just inside the edge and the solve is
+    marked unconverged.
     """
-    end = spec.domain[1] if side > 0 else spec.domain[0]
-    edge = side * min(T_EDGE, side * end)
+    edge = side * T_EDGE
 
     def outward(t: float) -> float | None:
-        if math.isfinite(end):
-            gap = end - t
-            return None if abs(gap) < 1e-15 else end - gap / 2.0
         if t == edge:
             return None
         return side * min(max(2.0 * abs(t), 1.0), T_EDGE)
@@ -439,14 +440,11 @@ def chernoff_squared_entry(dist: EntryDistribution, a: float) -> float:
 
     This is the k = 1 transform, along S = C_1: 0 at a = 1 and infinite
     elsewhere for +/-1 entries, (a - 1 - log a)/2 for normal entries, and a
-    numeric transform on a >= 1 for uniform entries.  Like every transform
-    here, the tilt is searched on |t| <= T_EDGE.  For uniform entries the
-    optimal tilt passes T_EDGE near a = 2.98 (for normal entries, below
-    a = 1/101); beyond, the value is the supremum over the window, finite
-    but below the transform.  At a = 2.975
-    the tilt is about 40 and the transform about 4.476.  Earlier versions
-    returned inf from about a = 2.969 on, where their search stopped at
-    t = 32.
+    numeric transform on a >= 1 for uniform entries.  The numeric tilt is
+    searched on |t| <= T_EDGE; for uniform entries the optimal tilt passes
+    T_EDGE near a = 2.98, and beyond, the value is the supremum over the
+    window, finite but below the transform.  At a = 2.975 the tilt is
+    about 40 and the transform about 4.476.
     """
     return legendre_solve(CgfSpec.for_direction(dist, UnitVector.of([1.0])), a).rate
 
@@ -520,16 +518,21 @@ def mgf_bound_check(dist: EntryDistribution, x: UnitVector, t: float) -> bool:
 # Sphere infimum
 # ---------------------------------------------------------------------------
 
+# Projected-gradient sphere descent: iteration cap, central-difference
+# step of the numerical gradient, the improvement below which a descent
+# counts as converged, and the first line-search step.
+DESCENT_MAX_ITERATIONS = 200
+DESCENT_GRADIENT_STEP = 1e-6
+DESCENT_IMPROVEMENT_TOL = 1e-9
+DESCENT_INITIAL_STEP = 0.25
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs for the multi-start projected-gradient sphere search."""
+    """Restart count and seed of the multi-start sphere search."""
 
     random_restarts: int = 32
     seed: int = 909090
-    max_iterations: int = 200
-    gradient_step: float = 1e-6
-    improvement_tol: float = 1e-9
-    initial_step: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -557,16 +560,16 @@ def _sphere_objective(dist: EntryDistribution, coords: np.ndarray, alpha: float)
     return legendre_solve(CgfSpec.for_direction(dist, x), alpha)
 
 
-def _descend(dist: EntryDistribution, start: np.ndarray, alpha: float,
-             opts: OptimizerSettings) -> tuple[LegendreSolve, np.ndarray, bool]:
+def _descend(dist: EntryDistribution, start: np.ndarray,
+             alpha: float) -> tuple[LegendreSolve, np.ndarray, bool]:
     x = _canonical(start / np.linalg.norm(start))
     best = _sphere_objective(dist, x, alpha)
     if not math.isfinite(best.rate):
         return best, x, True
-    h = opts.gradient_step
-    step = opts.initial_step
+    h = DESCENT_GRADIENT_STEP
+    step = DESCENT_INITIAL_STEP
     converged = False
-    for _ in range(opts.max_iterations):
+    for _ in range(DESCENT_MAX_ITERATIONS):
         grad = np.zeros_like(x)
         for j in range(x.size):
             bump = np.zeros_like(x)
@@ -593,7 +596,7 @@ def _descend(dist: EntryDistribution, start: np.ndarray, alpha: float,
                     x, best = trial, cand
                     step = min(step * 1.5, 1.0)
                     improved = True
-                    if improvement < opts.improvement_tol:
+                    if improvement < DESCENT_IMPROVEMENT_TOL:
                         converged = True
                     break
                 step *= 0.5
@@ -634,7 +637,7 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
     best_x: np.ndarray | None = None
     all_converged = True
     for start in starts:
-        sol, x_end, conv = _descend(dist, start, alpha, opts)
+        sol, x_end, conv = _descend(dist, start, alpha)
         all_converged = all_converged and conv
         if best is None or sol.rate < best.rate or (
             sol.rate == best.rate and tuple(x_end) < tuple(best_x)

@@ -28,6 +28,7 @@ from .core import (
     SampleMatrix,
     Spectrum,
     _chunks,
+    bottom_eigenvalues_vanish,
     covariance,
     derive_rng,
     eigvalues_batch,
@@ -41,9 +42,9 @@ from .mclab import clopper_pearson
 INFTY_TOL = 1e-10
 INFTY_STAGE_CAP = 1000
 
-# Spectrum classification thresholds for capped trials.
+# Capped trials with lambda_max at least this oscillate (so do singular W,
+# by core's zero-eigenvalue rule).
 PING_PONG_LAMBDA = 2.0
-SINGULAR_TOL = 1e-9
 
 # Relative tolerance under which two users' last steps count as a tie when
 # a quiet oscillating trial's error is attributed.
@@ -370,9 +371,8 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
             if capped.size > 0:
                 cap_hits += capped.size
                 lam = eigvalues_batch(w[capped])
-                scale = np.maximum(1.0, np.trace(w[capped], axis1=1, axis2=2))
                 osc = capped[(lam[:, -1] >= PING_PONG_LAMBDA - 1e-12)
-                             | (lam[:, 0] <= SINGULAR_TOL * scale)]
+                             | bottom_eigenvalues_vanish(lam, 1)]
                 oscillations += osc.size
                 marked = wrong[osc] | (np.sign(ahead[osc]) != np.sign(est[osc]))
                 quiet = np.flatnonzero(~np.any(marked, axis=1))

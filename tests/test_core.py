@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from eigrates import (
     trace_stat,
 )
 from eigrates import core
-from eigrates.core import covariance_batch, eigvalues_batch, gram_batch, sample_batch
+from eigrates.core import (
+    bottom_eigenvalues_vanish,
+    covariance_batch,
+    eigvalues_batch,
+    gram_batch,
+    sample_batch,
+)
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -154,6 +161,84 @@ class TestSpectrum:
         with pytest.raises(ConvergenceError) as err:
             jacobi_eigh(np.array([[1.0, 0.5], [0.5, 1.0]]), max_sweeps=0)
         assert err.value.offdiag_residual > 0
+
+
+class TestSpectrumAgainstJacobi:
+    # spectrum() runs LAPACK; the pure-Python Jacobi solver is its reference
+    def assert_matches_jacobi(self, w):
+        sp = spectrum(w)
+        vals, _, _ = jacobi_eigh(w.values)
+        scale = max(1.0, float(np.linalg.norm(w.values)))
+        assert np.max(np.abs(sp.eigenvalues - vals)) <= 1e-12 * scale
+        q = sp.eigenvectors
+        assert np.max(np.abs(q.T @ q - np.eye(w.k))) <= 1e-12
+        assert np.max(np.abs(q @ np.diag(sp.eigenvalues) @ q.T - w.values)) <= 1e-12 * scale
+        assert sp.offdiag_residual <= core.JACOBI_TOL_FACTOR * float(np.linalg.norm(w.values))
+
+    @pytest.mark.parametrize("dist", [R, U, N])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    def test_random_instances(self, dist, k):
+        for seed in range(5):
+            self.assert_matches_jacobi(covariance(sample_matrix(dist, k, 2 * k + seed, seed)))
+
+    @pytest.mark.parametrize("dist", [R, U, N])
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    def test_equal_rows_are_singular(self, dist, k):
+        row = sample_matrix(dist, 1, 12, k).entries[0]
+        c = SampleMatrix(dist, k, 12, np.tile(row, (k, 1)), seed=k)
+        w = covariance(c)
+        self.assert_matches_jacobi(w)
+        assert np.all(np.abs(spectrum(w).eigenvalues[:-1]) <= 1e-12 * k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    def test_zero_and_identity(self, k):
+        for value in (0.0, 1.0):
+            w = CovMatrix(value * np.eye(k), n=4)
+            sp = spectrum(w)
+            assert np.array_equal(sp.eigenvalues, np.full(k, value))
+            assert sp.offdiag_residual == 0.0
+            self.assert_matches_jacobi(w)
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(DomainError):
+            spectrum(CovMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), n=2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # rejected before any arithmetic on it, so without a RuntimeWarning
+        values = np.eye(3)
+        values[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                spectrum(CovMatrix(values, n=3))
+
+    def test_perturbed_eigenvectors_fail_the_certificate(self, monkeypatch):
+        w = covariance(sample_matrix(N, 5, 20, 7))
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            vals, vecs = eigh(a)
+            return vals, vecs + 1e-6 * make_rng(1).standard_normal(vecs.shape)
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceError) as err:
+            spectrum(w)
+        assert err.value.offdiag_residual > core.JACOBI_TOL_FACTOR * float(np.linalg.norm(w.values))
+
+
+class TestZeroEigenvalueRule:
+    def test_bottom_eigenvalues_vanish(self):
+        lam = np.array([[0.0, 0.0, 3.0], [1e-12, 2e-9, 3.0], [0.0, 0.5, 2.5]])
+        assert bottom_eigenvalues_vanish(lam, 1).tolist() == [True, True, True]
+        assert bottom_eigenvalues_vanish(lam, 2).tolist() == [True, True, False]
+
+    def test_scale_is_max_of_one_and_trace(self):
+        # the scale is the eigenvalue sum when it exceeds 1, and 1 otherwise
+        assert bottom_eigenvalues_vanish(np.array([[3e-9, 3.0]]), 1)[0]
+        assert not bottom_eigenvalues_vanish(np.array([[3.1e-9, 3.0]]), 1)[0]
+        assert bottom_eigenvalues_vanish(np.array([[0.9e-9, 0.1]]), 1)[0]
+        assert not bottom_eigenvalues_vanish(np.array([[1.1e-9, 0.1]]), 1)[0]
 
 
 class TestQuadraticForm:

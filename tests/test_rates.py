@@ -217,12 +217,20 @@ class TestLegendre:
         assert (at_atom.newton_steps, at_atom.bisection_steps, at_atom.expansions) == (0, 0, 0)
 
     def test_window_edge_is_reported(self):
-        # the normal lower tail at alpha = 1/200 needs t* = -99.5, beyond T_EDGE
-        sol = legendre_solve(spec_for(N, 2), 0.005)
+        # the uniform upper tail at a = 2.99 needs a tilt beyond T_EDGE
+        spec = spec_for(U, coords=[1.0])
+        sol = legendre_solve(spec, 2.99)
         assert sol.boundary and not sol.converged
-        assert sol.t_star == math.nextafter(-50.0, 0.0)
-        assert sol.rate == pytest.approx(sol.t_star * 0.005 + 0.5 * math.log1p(-2.0 * sol.t_star),
-                                         abs=1e-12)
+        assert sol.t_star == math.nextafter(50.0, 0.0)
+        assert sol.rate == pytest.approx(sol.t_star * 2.99 - cgf(spec, sol.t_star), abs=1e-12)
+
+    def test_normal_is_the_closed_form_beyond_the_window(self):
+        # at alpha = 1/200 the optimal tilt is -99.5, outside |t| <= T_EDGE,
+        # where the window-limited supremum is 2.0576
+        sol = legendre_solve(spec_for(N, 2), 0.005)
+        assert sol.converged and not sol.boundary
+        assert sol.rate == rate_wishart(0.005) == pytest.approx(2.151658683274018, abs=1e-15)
+        assert sol.t_star == wishart_t_star(0.005) == -99.5
 
     def test_matches_grid_supremum(self):
         # direct sup over a dense t grid as an independent oracle

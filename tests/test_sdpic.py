@@ -29,7 +29,7 @@ from eigrates import (
     stage_trace,
     weighted_sdpic,
 )
-from eigrates import sdpic
+from eigrates import core, sdpic
 from eigrates.core import covariance_batch, eigvalues_batch, sample_batch
 
 R = EntryDistribution.RADEMACHER
@@ -377,7 +377,7 @@ class TestBerExperiment:
             lam = np.linalg.eigvalsh(w)
             scale = max(1.0, float(np.trace(w)))
             oscillating += bool(lam[-1] >= sdpic.PING_PONG_LAMBDA - 1e-12
-                                or lam[0] <= sdpic.SINGULAR_TOL * scale)
+                                or lam[0] <= core.ZERO_EIG_TOL * scale)
         assert 0 < oscillating < est.cap_hit_count
         assert est.oscillation_count == oscillating
 
