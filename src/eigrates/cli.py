@@ -273,11 +273,10 @@ def _run_hist(config: ExperimentConfig) -> None:
     dist = EntryDistribution.parse(config.dist)
     hist = spectrum_histogram(dist, config.k, config.n, config.trials, config.bins,
                               config.seed)
-    write_rows(config, ["bin_left", "bin_right", "mass"], hist.rows())
+    write_csv(config.out, config, ["bin_left", "bin_right", "mass"], hist.rows())
     # trailing summary: fraction of eigenvalue mass outside the bulk edges
-    if config.format == "csv":
-        with open(config.out, "a", encoding="utf-8") as fh:
-            fh.write(f"# outside_fraction {hist.outside_fraction!r}\n")
+    with open(config.out, "a", encoding="utf-8") as fh:
+        fh.write(f"# outside_fraction {hist.outside_fraction!r}\n")
 
 
 def run_compare(rates_path: str, mc_path: str):
@@ -337,12 +336,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"eigrates {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, needs_out=True):
+    def add_common(p, formats=("csv", "jsonl")):
+        # only formats the subcommand writes in full; the first is the default
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-        p.add_argument("--format", choices=["csv", "jsonl"], default=None)
-        if needs_out:
-            p.add_argument("--out", required=True, help="output file path")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", required=True, help="output file path")
 
     p = sub.add_parser("rate", help="rate-function curve over an alpha grid")
     p.add_argument("--dist", required=True, choices=["rademacher", "uniform", "normal"])
@@ -362,14 +361,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", required=True)
     p.add_argument("--side", required=True, choices=["min_below", "max_above"])
     p.add_argument("--trials", type=int, required=True)
-    add_common(p)
+    add_common(p, ("jsonl", "csv"))
 
     p = sub.add_parser("zero", help="zero-eigenvalue probability sweep over n")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--n-list", required=True, help="comma-separated n values")
     p.add_argument("--trials", type=int, required=True)
-    add_common(p)
+    add_common(p, ("jsonl", "csv"))
 
     p = sub.add_parser("sdpic", help="SD-PIC bit-error-rate experiment")
     p.add_argument("--k", type=int, required=True)
@@ -379,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--trace", default=None, help="also write a per-stage trace CSV here")
     p.add_argument("--trace-stages", type=int, default=16)
-    add_common(p)
+    add_common(p, ("jsonl",))
 
     p = sub.add_parser("covering", help="sphere covering bounds")
     p.add_argument("--k", type=int, required=True)
@@ -393,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--bins", type=int, required=True)
-    add_common(p)
+    add_common(p, ("csv",))
 
     p = sub.add_parser("compare", help="join a rate curve with MC tail records")
     p.add_argument("--rates", required=True)
@@ -409,9 +408,6 @@ def _default_seed() -> int:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
-    fmt = getattr(args, "format", None)
-    if fmt is None:
-        fmt = "jsonl" if args.subcommand in ("mc", "zero", "sdpic") else "csv"
     return ExperimentConfig(
         subcommand=args.subcommand,
         dist=getattr(args, "dist", None),
@@ -430,7 +426,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         restarts=getattr(args, "restarts", None),
         seed=seed,
         out=getattr(args, "out", None),
-        format=fmt,
+        format=args.format,
     )
 
 

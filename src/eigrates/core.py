@@ -60,8 +60,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 def _chunks(seed: int, trials: int, chunk: int):
     """(generator, size) for each chunk of `trials`; chunk c draws from
     derive_rng(seed, c), so the stream depends on the chunk size."""
-    if chunk < 1:
-        raise DomainError(f"need chunk >= 1, got {chunk}")
     for index, start in enumerate(range(0, trials, chunk)):
         yield derive_rng(seed, index), min(chunk, trials - start)
 

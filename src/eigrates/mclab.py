@@ -5,11 +5,10 @@ matrices, count spectral events, and report -(1/n) log p_hat with a 95%
 Clopper-Pearson interval, or sum over every +/-1 sign matrix outright when
 k*n is small enough for that to be exact.
 
-Trials run in fixed-size chunks whose generators derive from
-(seed, chunk_index), so the hit count does not depend on execution order
-and chunks could run in parallel.  The chunk size is part of the stream:
-another `chunk=` re-rolls the trials, and the counts move within sampling
-error.
+Trials run in chunks of CHUNK_TRIALS whose generators derive from
+(seed, chunk_index), so a count depends only on the seed and the trial
+count, not on execution order, and chunks could run in parallel.  Each
+experiment's fixed chunk size is part of its stream.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .core import (
 from .errors import DomainError
 
 CHUNK_TRIALS = 1 << 16
+CI_LEVEL = 0.95  # two-sided level of every Clopper-Pearson interval
 
 # kn cap for exact enumeration over the 2^(kn) sign matrices.
 ENUM_MAX_BITS = 24
@@ -55,14 +55,30 @@ class TailSide(enum.Enum):
         raise DomainError(f"unknown tail side {name!r}")
 
 
-def clopper_pearson(hits: int, trials: int, conf: float = 0.95) -> tuple[float, float]:
-    """Exact binomial interval; stays honest at zero or full hit counts."""
+def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
+    """Exact CI_LEVEL binomial interval; stays honest at zero or full hit counts."""
     if not (0 <= hits <= trials) or trials < 1:
         raise DomainError(f"need 0 <= hits <= trials, got {hits}/{trials}")
-    tail = (1.0 - conf) / 2.0
+    tail = (1.0 - CI_LEVEL) / 2.0
     lo = 0.0 if hits == 0 else float(beta_dist.ppf(tail, hits, trials - hits + 1))
     hi = 1.0 if hits == trials else float(beta_dist.ppf(1.0 - tail, hits + 1, trials - hits))
     return lo, hi
+
+
+def _rate(p: float, n: int) -> float | None:
+    """Empirical rate -(1/n) log p, None when p is 0."""
+    return None if p == 0.0 else max(0.0, -math.log(p) / n)
+
+
+def _binomial(hits: int, trials: int, n: int) -> tuple[float, float, float, float | None]:
+    """(p_hat, ci_low, ci_high, empirical_rate) of hits out of trials at n."""
+    p_hat = hits / trials
+    return (p_hat, *clopper_pearson(hits, trials), _rate(p_hat, n))
+
+
+def _check_trials(k: int, n: int, trials: int) -> None:
+    if k < 1 or n < 1 or trials < 1:
+        raise DomainError(f"need k, n and trials >= 1, got k={k}, n={n}, trials={trials}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +115,19 @@ class TailEstimate:
         }
 
 
-def _count_event(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
-                 predicate, chunk: int = CHUNK_TRIALS) -> int:
-    hits = 0
-    for rng, size in _chunks(seed, trials, chunk):
-        lam = eigvalues_batch(gram_batch(dist, rng, size, k, n))
-        hits += int(np.count_nonzero(predicate(lam)))
-    return hits
+def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int):
+    """Ascending eigenvalues of `trials` sampled W, one (size, k) array per chunk."""
+    for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
+        yield eigvalues_batch(gram_batch(dist, rng, size, k, n))
+
+
+def _estimate_event(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
+                    predicate) -> tuple[int, float, float, float, float | None]:
+    """(hits, p_hat, ci_low, ci_high, empirical_rate) of the event over `trials` W."""
+    _check_trials(k, n, trials)
+    hits = sum(int(np.count_nonzero(predicate(lam)))
+               for lam in _spectra(dist, k, n, trials, seed))
+    return (hits, *_binomial(hits, trials, n))
 
 
 def min_below(alpha: float):
@@ -130,22 +152,14 @@ def zero_count_at_least(l: int):
 
 
 def estimate_tail(dist: EntryDistribution, k: int, n: int, alpha: float,
-                  side: TailSide, trials: int, seed: int,
-                  chunk: int = CHUNK_TRIALS) -> TailEstimate:
+                  side: TailSide, trials: int, seed: int) -> TailEstimate:
     """Sample `trials` covariance matrices and count the requested tail event.
 
     Deterministic for a fixed seed, and the sample stream does not depend
     on alpha or side, so sweeps over levels share the same matrices.
     """
-    if trials < 1:
-        raise DomainError(f"need trials >= 1, got {trials}")
-    if k < 1 or n < 1:
-        raise DomainError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
     pred = min_below(alpha) if side is TailSide.MIN_BELOW else max_above(alpha)
-    hits = _count_event(dist, k, n, trials, seed, pred, chunk)
-    p_hat = hits / trials
-    lo, hi = clopper_pearson(hits, trials)
-    rate = None if hits == 0 else max(0.0, -math.log(p_hat) / n)
+    hits, p_hat, lo, hi, rate = _estimate_event(dist, k, n, trials, seed, pred)
     return TailEstimate(dist=dist, k=k, n=n, alpha=alpha, side=side, trials=trials,
                         hits=hits, p_hat=p_hat, ci_low=lo, ci_high=hi,
                         empirical_rate=rate, seed=seed)
@@ -247,15 +261,12 @@ def zero_eigen_rate(k: int, l: int, n_list, trials: int, seed: int) -> list[Zero
     for n in n_list:
         if k * n <= ENUM_MAX_BITS:
             p = enumerate_exact(k, n, pred)
-            rate = None if p == 0.0 else max(0.0, -math.log(p) / n)
             points.append(ZeroEigenPoint(k=k, l=l, n=n, method="exact", trials=None,
                                          hits=None, p_hat=p, ci_low=None, ci_high=None,
-                                         empirical_rate=rate, seed=None))
+                                         empirical_rate=_rate(p, n), seed=None))
         else:
-            hits = _count_event(EntryDistribution.RADEMACHER, k, n, trials, seed, pred)
-            p = hits / trials
-            lo, hi = clopper_pearson(hits, trials)
-            rate = None if hits == 0 else max(0.0, -math.log(p) / n)
+            hits, p, lo, hi, rate = _estimate_event(EntryDistribution.RADEMACHER, k, n,
+                                                    trials, seed, pred)
             points.append(ZeroEigenPoint(k=k, l=l, n=n, method="mc", trials=trials,
                                          hits=hits, p_hat=p, ci_low=lo, ci_high=hi,
                                          empirical_rate=rate, seed=seed))
@@ -283,22 +294,16 @@ class SpectrumHistogram:
 
 
 def spectrum_histogram(dist: EntryDistribution, k: int, n: int, trials: int,
-                       bins: int, seed: int, chunk: int = CHUNK_TRIALS) -> SpectrumHistogram:
+                       bins: int, seed: int) -> SpectrumHistogram:
     """Pooled eigenvalue histogram over `trials` matrices, unit total mass.
 
     Also reports the eigenvalue fraction outside the bulk support edges
     for aspect ratio k/n, widened by 0.05 on each side.
     """
-    if trials < 1 or bins < 1:
-        raise DomainError("trials and bins must be positive")
-    if trials * k < 10 * bins:
-        raise DomainError(
-            f"too few eigenvalues for {bins} bins: need trials*k >= {10 * bins}"
-        )
-    pooled = []
-    for rng, size in _chunks(seed, trials, chunk):
-        pooled.append(eigvalues_batch(gram_batch(dist, rng, size, k, n)).ravel())
-    lam = np.concatenate(pooled)
+    _check_trials(k, n, trials)
+    if bins < 1 or 10 * bins > trials * k:
+        raise DomainError(f"need 1 <= bins <= trials*k/10, got bins={bins}, trials*k={trials * k}")
+    lam = np.concatenate([lam.ravel() for lam in _spectra(dist, k, n, trials, seed)])
     counts, edges = np.histogram(lam, bins=bins)
     mass = counts / lam.size
     lo_edge, hi_edge = mp_edges(k / n)

@@ -620,6 +620,8 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
     opts = opts or OptimizerSettings()
     if k < 2:
         raise DomainError(f"sphere infimum needs k >= 2, got k={k}")
+    if opts.random_restarts < 0:
+        raise DomainError(f"need random_restarts >= 0, got {opts.random_restarts}")
     if dist is EntryDistribution.RADEMACHER and k > ENUMERATION_MAX_K:
         raise DomainError(f"exact enumeration supports k <= {ENUMERATION_MAX_K}")
     if alpha <= 0:
@@ -659,11 +661,16 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
 # Strategy phase transition
 # ---------------------------------------------------------------------------
 
-def phase_transition_alpha_star(tol: float = 1e-8) -> float:
+# Width of the final bracket around each phase-transition crossing.
+PHASE_TOL = 1e-8
+PHASE_K_TOL = 1e-7
+
+
+def phase_transition_alpha_star() -> float:
     """Crossing point in (0, 1) of the large-k rate and the two-sparse rate.
 
     Below the crossing the two-coordinate strategy has the smaller rate;
-    above it the all-equal strategy wins.
+    above it the all-equal strategy wins.  Bisected to width PHASE_TOL.
     """
     def gap(a: float) -> float:
         return rate_wishart(a) - rate_two_sparse(a)
@@ -676,7 +683,7 @@ def phase_transition_alpha_star(tol: float = 1e-8) -> float:
             break
     if lo is None:
         raise DomainError("no strategy crossing found on (0, 1)")
-    return _bisect_crossing(gap, lo, hi, tol)
+    return _bisect_crossing(gap, lo, hi, PHASE_TOL)
 
 
 def _bisect_crossing(gap, lo: float, hi: float, tol: float) -> float:
@@ -686,13 +693,13 @@ def _bisect_crossing(gap, lo: float, hi: float, tol: float) -> float:
     return float(0.5 * (root.lo + root.hi))
 
 
-def phase_transition_alpha_star_k(k: int, tol: float = 1e-6) -> float:
+def phase_transition_alpha_star_k(k: int) -> float:
     """Largest alpha in (0, 1) where the all-equal and two-coordinate
     transforms agree for +/-1 entries at this k.
 
     Located by a grid scan for the last sign change of the strategy gap,
-    then bisection.  k = 2 is degenerate (the strategies coincide) and
-    returns the marker 1.0.
+    then bisection to width PHASE_K_TOL = 1e-7.  k = 2 is degenerate (the
+    strategies coincide) and returns the marker 1.0.
     """
     if not (2 <= k <= 12):
         raise DomainError(f"phase-transition scan supports 2 <= k <= 12, got k={k}")
@@ -716,4 +723,4 @@ def phase_transition_alpha_star_k(k: int, tol: float = 1e-6) -> float:
             bracket = (a, b)
     if bracket is None:
         raise DomainError(f"no strategy crossing found on (0, 1) for k={k}")
-    return _bisect_crossing(gap, *bracket, min(tol, 1e-7))
+    return _bisect_crossing(gap, *bracket, PHASE_K_TOL)

@@ -35,7 +35,7 @@ from .core import (
     gram_batch,
 )
 from .errors import DimensionError, DomainError
-from .mclab import clopper_pearson
+from .mclab import _binomial, _check_trials
 
 # s = infinity mode: fixed-point tolerance on the stage-to-stage sup norm,
 # and the stage cap after which the trial is classified by its spectrum.
@@ -50,6 +50,7 @@ PING_PONG_LAMBDA = 2.0
 # a quiet oscillating trial's error is attributed.
 _TIE_RTOL = 1e-9
 
+# Trials per chunk: part of the stream, since chunk c draws from derive_rng(seed, c).
 CHUNK_TRIALS = 1 << 14
 
 
@@ -249,15 +250,13 @@ def run_decode(c: SampleMatrix, z: np.ndarray, s: int, coin_seed: int) -> Decode
                        coin_seed=coin_seed)
 
 
-def iterate_to_limit(c: SampleMatrix, z: np.ndarray,
-                     tol: float = INFTY_TOL,
-                     cap: int = INFTY_STAGE_CAP) -> tuple[np.ndarray, int, bool]:
-    """Run the recursion until the stage difference drops below tol.
+def iterate_to_limit(c: SampleMatrix, z: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Run the recursion until the stage difference drops below INFTY_TOL.
 
     Returns (estimate, stages_run, converged); converged False means the
-    stage cap was hit first.
+    INFTY_STAGE_CAP stage cap was hit first.
     """
-    est, stages, converged, _ = _recursion(*_instance(c, z), cap, tol,
+    est, stages, converged, _ = _recursion(*_instance(c, z), INFTY_STAGE_CAP, INFTY_TOL,
                                             product=_matrix_product)
     return est[0], int(stages[0]), bool(converged[0])
 
@@ -328,8 +327,7 @@ def _decide_batch(est: np.ndarray, coins: np.ndarray) -> np.ndarray:
 
 
 def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
-                   weight: float | None = None,
-                   chunk: int = CHUNK_TRIALS) -> BerEstimate:
+                   weight: float | None = None) -> BerEstimate:
     """Bit-error-rate experiment over random +/-1 codes and fair random bits.
 
     Per trial: draw bits and a fresh code matrix, decode at stage s (or run
@@ -342,10 +340,7 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     never exceeds the per-user sum; users whose last steps agree to a
     relative 1e-9 tie, and the lowest index wins.
     """
-    if trials < 1:
-        raise DomainError(f"need trials >= 1, got {trials}")
-    if k < 1 or n < 1:
-        raise DomainError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    _check_trials(k, n, trials)
     infinite_mode = math.isinf(s)
     if not infinite_mode:
         s = int(s)
@@ -358,7 +353,7 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     per_user = np.zeros(k, dtype=np.int64)
     cap_hits = 0
     oscillations = 0
-    for rng, size in _chunks(seed, trials, chunk):
+    for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
         bits = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
         coins = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
         w = gram_batch(EntryDistribution.RADEMACHER, rng, size, k, n)
@@ -388,9 +383,7 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
         any_errors += int(np.count_nonzero(np.any(wrong, axis=1)))
         per_user += np.count_nonzero(wrong, axis=0)
 
-    p_hat = any_errors / trials
-    lo, hi = clopper_pearson(any_errors, trials)
-    rate = None if any_errors == 0 else max(0.0, -math.log(p_hat) / n)
+    p_hat, lo, hi, rate = _binomial(any_errors, trials, n)
     return BerEstimate(k=k, n=n, s=float(s), weight=weight, trials=trials,
                        any_user_error_count=any_errors,
                        per_user_error_counts=tuple(int(v) for v in per_user),

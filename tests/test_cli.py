@@ -76,6 +76,12 @@ class TestRateCommand:
             run(["rate", "--dist", "lognormal", "--alpha-grid", "1", "--out", "x.csv"])
         assert exc.value.code == 2
 
+    def test_negative_restarts_exit_3(self, tmp_path):
+        out = tmp_path / "rk.csv"
+        assert run(["rate", "--dist", "rademacher", "--k", 3, "--alpha-grid", "0.5",
+                    "--restarts", -1, "--out", out]) == EXIT_DOMAIN
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -148,6 +154,27 @@ class TestMcZeroSdpic:
         _, rows = read_output(out)
         kinds = {r["kind"] for r in rows}
         assert kinds == {"grid", "rogers_log"}
+
+    @pytest.mark.parametrize("args", [
+        ["zero", "--k", 2, "--l", 1, "--n-list", 16, "--trials", 0],
+        ["hist", "--dist", "normal", "--k", 2, "--n", 0, "--trials", 100, "--bins", 10],
+    ])
+    def test_empty_budget_or_shape_exit_3(self, tmp_path, args):
+        out = tmp_path / "out.txt"
+        assert run(args + ["--out", out]) == EXIT_DOMAIN
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["sdpic", "--k", 2, "--n", 8, "--s", 2, "--trials", 10, "--format", "csv"],
+        ["hist", "--dist", "normal", "--k", 2, "--n", 8, "--trials", 100, "--bins", 10,
+         "--format", "jsonl"],
+    ])
+    def test_format_not_written_in_full_is_usage_error(self, tmp_path, args):
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_hist_command(self, tmp_path):
         out = tmp_path / "hist.csv"

@@ -22,7 +22,7 @@ from eigrates import (
     zero_eigen_rate,
 )
 from eigrates import mclab
-from eigrates.core import covariance_batch, eigvalues_batch
+from eigrates.core import covariance_batch, eigvalues_batch, sample_batch
 from eigrates.mclab import _multisets, _sign_matrix_counts
 
 R = EntryDistribution.RADEMACHER
@@ -76,23 +76,28 @@ class TestEstimateTail:
         assert est.hits == 0
         assert est.empirical_rate is None
 
-    def test_determinism_and_chunk_independence(self):
-        a = estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 3000, 5, chunk=256)
-        b = estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 3000, 5, chunk=256)
+    def test_determinism(self):
+        a = estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 3000, 5)
+        b = estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 3000, 5)
         assert a == b
-        # same seed, different chunking still counts the same trial budget
-        c = estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 3000, 5, chunk=1024)
-        assert abs(c.p_hat - a.p_hat) < 0.05
+
+    @pytest.mark.parametrize("dist, k, n", [(R, 3, 16), (U, 2, 3), (N, 2, 3)])
+    def test_stream_layout(self, dist, k, n):
+        # chunk c holds up to CHUNK_TRIALS trials drawn from derive_rng(seed, c)
+        seed = 11
+        sizes = [mclab.CHUNK_TRIALS, 5]
+        lam_min = np.concatenate([
+            eigvalues_batch(covariance_batch(sample_batch(dist, derive_rng(seed, c),
+                                                          size, k, n)))[:, 0]
+            for c, size in enumerate(sizes)])
+        # levels at the last chunk's own eigenvalues: another stream misses them
+        for alpha in lam_min[-sizes[-1]:]:
+            est = estimate_tail(dist, k, n, float(alpha), TailSide.MIN_BELOW, sum(sizes), seed)
+            assert est.hits == int(np.count_nonzero(lam_min <= alpha))
 
     def test_trials_gate(self):
         with pytest.raises(DomainError):
             estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 0, 5)
-
-    @pytest.mark.parametrize("chunk", [0, -4])
-    def test_chunk_gate(self, chunk):
-        # a non-positive chunk once counted 0 hits of the whole budget
-        with pytest.raises(DomainError):
-            estimate_tail(R, 3, 6, 0.5, TailSide.MIN_BELOW, 1000, 1, chunk=chunk)
 
     def test_side_parse(self):
         assert TailSide.parse("min_below") is TailSide.MIN_BELOW
@@ -197,6 +202,15 @@ class TestZeroEigenRate:
         with pytest.raises(DomainError):
             zero_eigen_rate(2, 2, [10], trials=10, seed=0)
 
+    def test_mc_trials_gate(self):
+        # the Monte Carlo branch once divided its hits by zero trials
+        with pytest.raises(DomainError):
+            zero_eigen_rate(2, 1, [6, 16], trials=0, seed=0)
+
+    def test_exact_sweep_needs_no_trials(self):
+        points = zero_eigen_rate(2, 1, [6, 10], trials=0, seed=0)
+        assert [p.method for p in points] == ["exact", "exact"]
+
     def test_rate_trend_toward_log2(self):
         points = zero_eigen_rate(2, 1, [6, 9, 12], trials=10, seed=0)
         rates = [p.empirical_rate for p in points]
@@ -222,10 +236,10 @@ class TestSpectrumHistogram:
         with pytest.raises(DomainError):
             spectrum_histogram(N, 2, 10, 10, 50, 1)
 
-    @pytest.mark.parametrize("chunk", [0, -4])
-    def test_chunk_gate(self, chunk):
+    def test_shape_gate(self):
+        # n = 0 once divided by zero in the bulk edges, then crashed in np.histogram
         with pytest.raises(DomainError):
-            spectrum_histogram(N, 2, 10, 100, 10, 1, chunk=chunk)
+            spectrum_histogram(N, 2, 0, 100, 10, 1)
 
 
 class TestChernoffSideBound:

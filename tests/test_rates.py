@@ -438,6 +438,11 @@ class TestRateK:
         with pytest.raises(DomainError):
             rate_k(N, 3, -1.0, FAST_OPTS)
 
+    def test_negative_restarts_rejected(self):
+        # -1 restarts once ran no random restart and returned a rate
+        with pytest.raises(DomainError):
+            rate_k(R, 3, 0.5, OptimizerSettings(random_restarts=-1, seed=1))
+
 
 class TestPhaseTransition:
     def test_limit_crossing(self):

@@ -405,9 +405,3 @@ class TestBerExperiment:
             ber_experiment(2, 8, 2, trials=0, seed=1)
         with pytest.raises(DomainError):
             ber_experiment(2, 8, 2, trials=10, seed=1, weight=-1.0)
-
-    @pytest.mark.parametrize("chunk", [0, -2])
-    def test_chunk_gate(self, chunk):
-        # a negative chunk once returned 0 errors of the whole budget
-        with pytest.raises(DomainError):
-            ber_experiment(2, 8, 2, trials=10, seed=1, chunk=chunk)
