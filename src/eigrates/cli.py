@@ -3,7 +3,8 @@
 Every subcommand maps onto one library operation, echoes its full config
 (plus the artifact version) into the output file header, and writes either
 CSV (curves) or JSON-lines (Monte Carlo streams).  Outputs carry no
-timestamps or host details, so identical configs give byte-identical files.
+timestamps or host details, so identical configs give byte-identical files,
+and no file is opened until every result of the run is computed.
 
 Exit codes: 0 success, 2 usage error, 3 numeric-domain error.  The default
 seed can be overridden with the EIGRATES_SEED environment variable.
@@ -69,10 +70,7 @@ class ExperimentConfig:
     format: str = "csv"
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["n_list"] = list(self.n_list) if self.n_list is not None else None
-        d["alpha_grid"] = list(self.alpha_grid) if self.alpha_grid is not None else None
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -100,11 +98,6 @@ def parse_alpha_grid(text: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(count))
 
 
-def _config_header_lines(config: ExperimentConfig) -> list[str]:
-    payload = json.dumps(config.to_dict(), sort_keys=True)
-    return [f"# eigrates {__version__}", f"# config {payload}"]
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -115,29 +108,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, config: ExperimentConfig, columns: list[str], rows: list[tuple]) -> None:
+def _cells(record: dict, columns: list[str]) -> str:
+    """A record's CSV row: its values under `columns`, a "ci" pair read as
+    ci_low and ci_high (empty cells when the record has no interval)."""
+    ci_low, ci_high = record.get("ci") or (None, None)
+    flat = {**record, "ci_low": ci_low, "ci_high": ci_high}
+    return ",".join(_fmt(flat[c]) for c in columns)
+
+
+def _write(path: str, config: ExperimentConfig, fmt: str, columns: list[str],
+           records: list[dict], trailer: tuple[str, ...] = ()) -> None:
+    """The one writer: a config header, then one line per record.
+
+    JSON lines hold whole records; CSV projects them onto `columns` and ends
+    with the `trailer` comment lines.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for line in _config_header_lines(config):
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_jsonl(path: str, config: ExperimentConfig, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        head = {"record": "config", "version": __version__, "config": config.to_dict()}
-        fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(json.dumps({"record": "row", **rec}, sort_keys=True) + "\n")
-
-
-def write_rows(config: ExperimentConfig, columns: list[str], rows: list[tuple]) -> None:
-    if config.format == "jsonl":
-        records = [dict(zip(columns, row)) for row in rows]
-        write_jsonl(config.out, config, records)
-    else:
-        write_csv(config.out, config, columns, rows)
+        if fmt == "jsonl":
+            head = {"record": "config", "version": __version__, "config": config.to_dict()}
+            fh.write(json.dumps(head, sort_keys=True) + "\n")
+            for rec in records:
+                fh.write(json.dumps({"record": "row", **rec}, sort_keys=True) + "\n")
+        else:
+            fh.write(f"# eigrates {__version__}\n")
+            fh.write(f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n")
+            fh.write(",".join(columns) + "\n")
+            for rec in records:
+                fh.write(_cells(rec, columns) + "\n")
+            for line in trailer:
+                fh.write(f"# {line}\n")
 
 
 def read_output(path: str) -> tuple[ExperimentConfig, list[dict]]:
@@ -180,83 +179,67 @@ def _parse_cell(text: str):
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
-def _run_rate(config: ExperimentConfig) -> None:
+def _rows(columns: list[str], rows) -> tuple[list[str], list[dict]]:
+    return columns, [dict(zip(columns, row)) for row in rows]
+
+
+def _run_rate(config: ExperimentConfig):
     dist = EntryDistribution.parse(config.dist)
-    alphas = config.alpha_grid
-    for a in alphas:
-        if a <= 0:
-            raise DomainError(f"alpha must be positive, got {a}")
-        if dist is EntryDistribution.UNIFORM_SYM and a < 1:
-            raise DomainError("uniform entries support alpha >= 1 only")
     rows = []
     if config.k is None:
         if dist is not EntryDistribution.STD_NORMAL:
             raise DomainError("--k is required unless --dist normal (k-independent rate)")
         spec = CgfSpec.for_direction(dist, UnitVector.uniform(2))
-        for a in alphas:
+        for a in config.alpha_grid:
             sol = legendre_solve(spec, a)
             rows.append((a, sol.rate, sol.t_star, sol.converged, 0))
     else:
-        opts = OptimizerSettings(seed=config.seed,
-                                 random_restarts=config.restarts
-                                 if config.restarts is not None else 32)
-        for a in alphas:
+        opts = OptimizerSettings(seed=config.seed)
+        if config.restarts is not None:
+            opts = dataclasses.replace(opts, random_restarts=config.restarts)
+        for a in config.alpha_grid:
             res = rate_k(dist, config.k, a, opts)
             rows.append((a, res.rate, res.t_star, res.converged, res.restarts_used))
-    write_rows(config, ["alpha", "rate", "t_star", "converged", "restarts_used"], rows)
+    return _rows(["alpha", "rate", "t_star", "converged", "restarts_used"], rows)
 
 
-def _run_phase(config: ExperimentConfig) -> None:
+def _run_phase(config: ExperimentConfig):
     if config.k is None:
-        value = phase_transition_alpha_star()
-        rows = [("inf", value)]
+        row = ("inf", phase_transition_alpha_star())
     else:
-        rows = [(config.k, phase_transition_alpha_star_k(config.k))]
-    write_rows(config, ["k", "alpha_star"], rows)
+        row = (config.k, phase_transition_alpha_star_k(config.k))
+    return _rows(["k", "alpha_star"], [row])
 
 
-def _run_mc(config: ExperimentConfig) -> None:
+def _run_mc(config: ExperimentConfig):
     dist = EntryDistribution.parse(config.dist)
     side = TailSide.parse(config.side)
-    records = []
-    for a in config.alpha_grid:
-        est = estimate_tail(dist, config.k, config.n, a, side, config.trials, config.seed)
-        records.append(est.record())
-    if config.format == "csv":
-        columns = ["alpha", "trials", "hits", "p_hat", "ci_low", "ci_high", "empirical_rate"]
-        rows = [(r["alpha"], r["trials"], r["hits"], r["p_hat"], r["ci"][0], r["ci"][1],
-                 r["empirical_rate"]) for r in records]
-        write_csv(config.out, config, columns, rows)
-    else:
-        write_jsonl(config.out, config, records)
+    records = [estimate_tail(dist, config.k, config.n, a, side, config.trials,
+                             config.seed).record() for a in config.alpha_grid]
+    return ["alpha", "trials", "hits", "p_hat", "ci_low", "ci_high", "empirical_rate"], records
 
 
-def _run_zero(config: ExperimentConfig) -> None:
+def _run_zero(config: ExperimentConfig):
     points = zero_eigen_rate(config.k, config.l, list(config.n_list), config.trials, config.seed)
-    records = [p.record() for p in points]
-    if config.format == "csv":
-        columns = ["n", "method", "p_hat", "empirical_rate"]
-        rows = [(r["n"], r["method"], r["p_hat"], r["empirical_rate"]) for r in records]
-        write_csv(config.out, config, columns, rows)
-    else:
-        write_jsonl(config.out, config, records)
+    columns = ["n", "method", "trials", "hits", "p_hat", "ci_low", "ci_high", "empirical_rate"]
+    return columns, [p.record() for p in points]
 
 
-def _run_sdpic(config: ExperimentConfig) -> None:
+def _run_sdpic(config: ExperimentConfig):
     s = math.inf if config.s == "inf" else int(config.s)
     est = ber_experiment(config.k, config.n, s, config.trials, config.seed,
                          weight=config.weight)
-    write_jsonl(config.out, config, [est.record()])
+    return [], [est.record()]
 
 
-def _run_sdpic_trace(config: ExperimentConfig, trace_path: str, stages: int) -> None:
+def _run_sdpic_trace(config: ExperimentConfig, stages: int):
     c = sample_matrix(EntryDistribution.RADEMACHER, config.k, config.n, config.seed)
     bits = (derive_rng(config.seed, 1).integers(0, 2, config.k) * 2 - 1).astype(float)
     rows = stage_trace(c, bits, stages, coin_seed=config.seed)
-    write_csv(trace_path, config, ["stage", "deviation_inf", "bit_errors"], rows)
+    return _rows(["stage", "deviation_inf", "bit_errors"], rows)
 
 
-def _run_covering(config: ExperimentConfig) -> None:
+def _run_covering(config: ExperimentConfig):
     rows = []
     if config.grid_l is not None:
         d_bound, count = grid_covering(config.k, config.grid_l)
@@ -266,17 +249,16 @@ def _run_covering(config: ExperimentConfig) -> None:
         rows.append(("rogers_log", config.k, config.radius_ratio, log_count, None))
     if not rows:
         raise DomainError("covering needs --grid-l and/or --radius-ratio")
-    write_rows(config, ["kind", "k", "parameter", "value", "count_bound"], rows)
+    return _rows(["kind", "k", "parameter", "value", "count_bound"], rows)
 
 
-def _run_hist(config: ExperimentConfig) -> None:
+def _run_hist(config: ExperimentConfig):
     dist = EntryDistribution.parse(config.dist)
     hist = spectrum_histogram(dist, config.k, config.n, config.trials, config.bins,
                               config.seed)
-    write_csv(config.out, config, ["bin_left", "bin_right", "mass"], hist.rows())
     # trailing summary: fraction of eigenvalue mass outside the bulk edges
-    with open(config.out, "a", encoding="utf-8") as fh:
-        fh.write(f"# outside_fraction {hist.outside_fraction!r}\n")
+    return (*_rows(["bin_left", "bin_right", "mass"], hist.rows()),
+            (f"outside_fraction {hist.outside_fraction!r}",))
 
 
 def run_compare(rates_path: str, mc_path: str):
@@ -406,28 +388,23 @@ def _default_seed() -> int:
     return int(env) if env else DEFAULT_SEED
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
-    return ExperimentConfig(
-        subcommand=args.subcommand,
-        dist=getattr(args, "dist", None),
-        k=getattr(args, "k", None),
-        l=getattr(args, "l", None),
-        n=getattr(args, "n", None),
-        n_list=tuple(int(v) for v in args.n_list.split(",")) if getattr(args, "n_list", None) else None,
-        alpha_grid=parse_alpha_grid(args.alpha_grid) if getattr(args, "alpha_grid", None) else None,
-        side=getattr(args, "side", None),
-        s=str(getattr(args, "s")) if getattr(args, "s", None) is not None else None,
-        weight=getattr(args, "weight", None),
-        trials=getattr(args, "trials", None),
-        bins=getattr(args, "bins", None),
-        grid_l=getattr(args, "grid_l", None),
-        radius_ratio=getattr(args, "radius_ratio", None),
-        restarts=getattr(args, "restarts", None),
-        seed=seed,
-        out=getattr(args, "out", None),
-        format=args.format,
-    )
+def _config_from_args(args: argparse.Namespace,
+                      parser: argparse.ArgumentParser) -> ExperimentConfig:
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ExperimentConfig)}
+    if values["seed"] is None:
+        values["seed"] = _default_seed()
+    try:
+        if values["n_list"]:
+            values["n_list"] = tuple(int(v) for v in values["n_list"].split(","))
+        if values["alpha_grid"]:
+            values["alpha_grid"] = parse_alpha_grid(values["alpha_grid"])
+        if values["s"] not in (None, "inf"):
+            int(values["s"])  # only to reject a malformed stage count here
+    except DomainError:
+        raise
+    except ValueError as err:  # a malformed number is a usage error, not a domain one
+        parser.error(str(err))
+    return ExperimentConfig(**values)
 
 
 _RUNNERS = {
@@ -441,30 +418,41 @@ _RUNNERS = {
 }
 
 
+def _compare(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """The compare table for stdout, and its output when --out is given."""
+    try:
+        report = run_compare(args.rates, args.mc)
+    except (OSError, json.JSONDecodeError) as err:
+        parser.error(str(err))
+    lines = [f"{r['alpha']}\t{r['rate']}\t{r['empirical_rate']}\t{r['verdict']}"
+             for r in report]
+    text = "alpha\trate\tempirical_rate\tverdict\n" + "\n".join(lines) + "\n"
+    config = ExperimentConfig(subcommand="compare", out=args.out, format="jsonl")
+    return text, ([(args.out, config, "jsonl", [], report)] if args.out else [])
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.subcommand == "compare":
-            report = run_compare(args.rates, args.mc)
-            lines = [
-                f"{r['alpha']}\t{r['rate']}\t{r['empirical_rate']}\t{r['verdict']}"
-                for r in report
-            ]
-            text = "alpha\trate\tempirical_rate\tverdict\n" + "\n".join(lines) + "\n"
-            sys.stdout.write(text)
-            if args.out:
-                config = ExperimentConfig(subcommand="compare", out=args.out, format="jsonl")
-                write_jsonl(args.out, config, report)
-            return EXIT_OK
-        config = _config_from_args(args)
-        if args.subcommand == "sdpic" and args.trace:
-            _run_sdpic_trace(config, args.trace, args.trace_stages)
-        _RUNNERS[args.subcommand](config)
-        return EXIT_OK
+            text, outputs = _compare(args, parser)
+        else:
+            text = ""
+            config = _config_from_args(args, parser)
+            outputs = [(config.out, config, config.format,
+                        *_RUNNERS[args.subcommand](config))]
+            if args.subcommand == "sdpic" and args.trace:
+                outputs.append((args.trace, config, "csv",
+                                *_run_sdpic_trace(config, args.trace_stages)))
     except DomainError as err:
         sys.stderr.write(json.dumps({"error": "domain", "message": str(err)}) + "\n")
         return EXIT_DOMAIN
+    # every result is in: only now is any file written
+    sys.stdout.write(text)
+    for output in outputs:
+        _write(*output)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -16,10 +16,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .core import (
     EntryDistribution,
@@ -60,8 +60,8 @@ def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
     if not (0 <= hits <= trials) or trials < 1:
         raise DomainError(f"need 0 <= hits <= trials, got {hits}/{trials}")
     tail = (1.0 - CI_LEVEL) / 2.0
-    lo = 0.0 if hits == 0 else float(beta_dist.ppf(tail, hits, trials - hits + 1))
-    hi = 1.0 if hits == trials else float(beta_dist.ppf(1.0 - tail, hits + 1, trials - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, tail))
+    hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 1.0 - tail))
     return lo, hi
 
 
@@ -74,6 +74,23 @@ def _binomial(hits: int, trials: int, n: int) -> tuple[float, float, float, floa
     """(p_hat, ci_low, ci_high, empirical_rate) of hits out of trials at n."""
     p_hat = hits / trials
     return (p_hat, *clopper_pearson(hits, trials), _rate(p_hat, n))
+
+
+def _record(result, experiment: str) -> dict:
+    """The JSON record of a result dataclass: every field under its own name,
+    enums by value, tuples as lists, and (ci_low, ci_high) as one "ci" pair,
+    None when the result has no interval."""
+    rec = {"experiment": experiment}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        rec[f.name] = value
+    lo, hi = rec.pop("ci_low"), rec.pop("ci_high")
+    rec["ci"] = None if lo is None else [lo, hi]
+    return rec
 
 
 def _check_trials(k: int, n: int, trials: int) -> None:
@@ -99,20 +116,7 @@ class TailEstimate:
     seed: int
 
     def record(self) -> dict:
-        return {
-            "experiment": "tail",
-            "dist": self.dist.value,
-            "k": self.k,
-            "n": self.n,
-            "alpha": self.alpha,
-            "side": self.side.value,
-            "trials": self.trials,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "ci": [self.ci_low, self.ci_high],
-            "empirical_rate": self.empirical_rate,
-            "seed": self.seed,
-        }
+        return _record(self, "tail")
 
 
 def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int):
@@ -233,19 +237,7 @@ class ZeroEigenPoint:
     seed: int | None
 
     def record(self) -> dict:
-        return {
-            "experiment": "zero_eigen",
-            "k": self.k,
-            "l": self.l,
-            "n": self.n,
-            "method": self.method,
-            "trials": self.trials,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "ci": None if self.ci_low is None else [self.ci_low, self.ci_high],
-            "empirical_rate": self.empirical_rate,
-            "seed": self.seed,
-        }
+        return _record(self, "zero_eigen")
 
 
 def zero_eigen_rate(k: int, l: int, n_list, trials: int, seed: int) -> list[ZeroEigenPoint]:

@@ -35,7 +35,7 @@ from .core import (
     gram_batch,
 )
 from .errors import DimensionError, DomainError
-from .mclab import _binomial, _check_trials
+from .mclab import _binomial, _check_trials, _record
 
 # s = infinity mode: fixed-point tolerance on the stage-to-stage sup norm,
 # and the stage cap after which the trial is classified by its spectrum.
@@ -299,22 +299,7 @@ class BerEstimate:
     oscillation_count: int
 
     def record(self) -> dict:
-        return {
-            "experiment": "sdpic_ber",
-            "k": self.k,
-            "n": self.n,
-            "s": "inf" if math.isinf(self.s) else int(self.s),
-            "weight": self.weight,
-            "trials": self.trials,
-            "any_user_error_count": self.any_user_error_count,
-            "per_user_error_counts": list(self.per_user_error_counts),
-            "p_hat": self.p_hat,
-            "ci": [self.ci_low, self.ci_high],
-            "empirical_rate": self.empirical_rate,
-            "seed": self.seed,
-            "cap_hit_count": self.cap_hit_count,
-            "oscillation_count": self.oscillation_count,
-        }
+        return {**_record(self, "sdpic_ber"), "s": "inf" if math.isinf(self.s) else int(self.s)}
 
 
 def _decide_batch(est: np.ndarray, coins: np.ndarray) -> np.ndarray:

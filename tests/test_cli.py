@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eigrates
 from eigrates import rate_wishart, wishart_t_star
 from eigrates.cli import (
     EXIT_DOMAIN,
@@ -76,6 +80,23 @@ class TestRateCommand:
             run(["rate", "--dist", "lognormal", "--alpha-grid", "1", "--out", "x.csv"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["zero", "--k", 2, "--l", 1, "--n-list", "6,x", "--trials", 10, "--out", "o.jsonl"],
+        ["rate", "--dist", "normal", "--alpha-grid", "abc", "--out", "o.csv"],
+        ["mc", "--dist", "normal", "--k", 2, "--n", 8, "--alpha-grid", "1:x:0.1",
+         "--side", "max_above", "--trials", 10, "--out", "o.jsonl"],
+        ["sdpic", "--k", 2, "--n", 8, "--s", "x", "--trials", 10, "--out", "o.jsonl"],
+        ["compare", "--rates", "missing.csv", "--mc", "missing.jsonl"],
+        ["compare", "--rates", "bad.jsonl", "--mc", "bad.jsonl"],
+    ])
+    def test_malformed_input_exit_2(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.jsonl").write_text("{not json\n")
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
+
     def test_negative_restarts_exit_3(self, tmp_path):
         out = tmp_path / "rk.csv"
         assert run(["rate", "--dist", "rademacher", "--k", 3, "--alpha-grid", "0.5",
@@ -146,6 +167,29 @@ class TestMcZeroSdpic:
         row = json.loads(out.read_text().splitlines()[1])
         assert row["s"] == "inf"
         assert len(trace.read_text().splitlines()) == 3 + 6  # header lines + rows
+
+    @pytest.mark.parametrize("s, trials", [(0, 100), (2, 0)])
+    def test_sdpic_domain_error_writes_no_trace(self, tmp_path, s, trials):
+        out = tmp_path / "ber.jsonl"
+        trace = tmp_path / "trace.csv"
+        assert run(["sdpic", "--k", 3, "--n", 16, "--s", s, "--trials", trials,
+                    "--out", out, "--trace", trace]) == EXIT_DOMAIN
+        assert not out.exists() and not trace.exists()
+
+    def test_zero_csv_reads_back_as_the_jsonl_record(self, tmp_path):
+        args = ["zero", "--k", 2, "--l", 1, "--n-list", "6,14", "--trials", 1000, "--seed", 1]
+        csv_out, jsonl_out = tmp_path / "zero.csv", tmp_path / "zero.jsonl"
+        assert run(args + ["--format", "csv", "--out", csv_out]) == EXIT_OK
+        assert run(args + ["--out", jsonl_out]) == EXIT_OK
+        _, csv_rows = read_output(csv_out)
+        _, records = read_output(jsonl_out)
+        assert [r["method"] for r in records] == ["exact", "mc"]
+        assert records[1]["hits"] == 0 and records[1]["ci"][1] > 0
+        for row, rec in zip(csv_rows, records, strict=True):
+            ci_low, ci_high = rec["ci"] or (None, None)
+            assert row == {"n": rec["n"], "method": rec["method"], "trials": rec["trials"],
+                           "hits": rec["hits"], "p_hat": rec["p_hat"], "ci_low": ci_low,
+                           "ci_high": ci_high, "empirical_rate": rec["empirical_rate"]}
 
     def test_covering_command(self, tmp_path):
         out = tmp_path / "cov.csv"
@@ -227,3 +271,10 @@ class TestCompare:
         assert run(["rate", "--dist", "normal", "--alpha-grid", "3.0",
                     "--out", other_rates]) == EXIT_OK
         assert run(["compare", "--rates", other_rates, "--mc", mc_file]) == EXIT_DOMAIN
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(eigrates.__file__))
+    code = "import sys, eigrates.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -21,7 +21,7 @@ from eigrates import (
     zero_count_at_least,
     zero_eigen_rate,
 )
-from eigrates import mclab
+from eigrates import mclab, ber_experiment
 from eigrates.core import covariance_batch, eigvalues_batch, sample_batch
 from eigrates.mclab import _multisets, _sign_matrix_counts
 
@@ -44,6 +44,19 @@ class TestClopperPearson:
     def test_rejects_bad_counts(self):
         with pytest.raises(DomainError):
             clopper_pearson(5, 4)
+
+    def test_matches_scipy_beta_quantile(self):
+        # scipy.stats is the oracle here only; the package uses scipy.special
+        from scipy.stats import beta
+
+        pairs = [(h, t) for t in range(1, 41) for h in range(t + 1)]
+        for t in (10**3, 10**4, 10**5, 10**6, 7 * 10**7):
+            pairs += [(h, t) for h in (0, 1, 2, 3, 17, t // 3, t // 2, t - 2, t - 1, t)]
+        tail = (1.0 - mclab.CI_LEVEL) / 2.0
+        for hits, trials in pairs:
+            lo = 0.0 if hits == 0 else float(beta.ppf(tail, hits, trials - hits + 1))
+            hi = 1.0 if hits == trials else float(beta.ppf(1.0 - tail, hits + 1, trials - hits))
+            assert clopper_pearson(hits, trials) == (lo, hi), (hits, trials)
 
 
 class TestEstimateTail:
@@ -260,3 +273,45 @@ class TestChernoffSideBound:
             hits += int(np.count_nonzero(qf <= alpha))
         lo, _ = clopper_pearson(hits, trials)
         assert lo <= math.exp(-n * rate) + 1e-12
+
+
+class TestRecords:
+    """The JSON records of the result types, pinned field by field."""
+
+    def test_tail_estimate(self):
+        est = estimate_tail(N, 2, 20, 1.3, TailSide.MAX_ABOVE, 500, 3)
+        assert est.record() == {
+            "experiment": "tail", "dist": "normal", "k": 2, "n": 20, "alpha": 1.3,
+            "side": "max_above", "trials": 500, "hits": 221, "p_hat": 0.442,
+            "ci": [0.3979247882927269, 0.4867648920514432],
+            "empirical_rate": 0.04082226984522195, "seed": 3,
+        }
+
+    def test_zero_eigen_points(self):
+        exact, mc = zero_eigen_rate(2, 1, [6, 14], 1000, 1)
+        assert exact.record() == {
+            "experiment": "zero_eigen", "k": 2, "l": 1, "n": 6, "method": "exact",
+            "trials": None, "hits": None, "p_hat": 0.03125, "ci": None,
+            "empirical_rate": 0.5776226504666211, "seed": None,
+        }
+        assert mc.record() == {
+            "experiment": "zero_eigen", "k": 2, "l": 1, "n": 14, "method": "mc",
+            "trials": 1000, "hits": 0, "p_hat": 0.0, "ci": [0.0, 0.003682083896865671],
+            "empirical_rate": None, "seed": 1,
+        }
+
+    def test_ber_estimates(self):
+        assert ber_experiment(3, 8, 3, 400, 2, weight=0.8).record() == {
+            "experiment": "sdpic_ber", "k": 3, "n": 8, "s": 3, "weight": 0.8,
+            "trials": 400, "any_user_error_count": 22, "per_user_error_counts": [6, 9, 7],
+            "p_hat": 0.055, "ci": [0.03478548020372223, 0.08208923736452577],
+            "empirical_rate": 0.36255276171870826, "seed": 2,
+            "cap_hit_count": 0, "oscillation_count": 0,
+        }
+        assert ber_experiment(3, 8, math.inf, 400, 4).record() == {
+            "experiment": "sdpic_ber", "k": 3, "n": 8, "s": "inf", "weight": None,
+            "trials": 400, "any_user_error_count": 46, "per_user_error_counts": [46, 40, 41],
+            "p_hat": 0.115, "ci": [0.08543574724338862, 0.15040266262311575],
+            "empirical_rate": 0.2703528938273609, "seed": 4,
+            "cap_hit_count": 45, "oscillation_count": 45,
+        }
