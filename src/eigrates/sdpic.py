@@ -18,6 +18,7 @@ to the extreme-eigenvalue deviations quantified elsewhere in this package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,18 @@ PING_PONG_LAMBDA = 2.0
 # Relative tolerance under which two users' last steps count as a tie when
 # a quiet oscillating trial's error is attributed.
 _TIE_RTOL = 1e-9
+
+# s = infinity screen.  With e_s = est(s) - Z and q = ||I - W||_inf (for
+# +/-1 codes W_ii = 1, so q is the largest off-diagonal absolute row sum),
+# Z = W Z - (W - I) Z gives e_s = (I - W) e_{s-1}, and |e_1|_inf <= q for
+# +/-1 bits.  The stage-s change e_s - e_{s-1} then has sup norm at most
+# (1 + q) q^(s-1), below INFTY_TOL by stage 226 when q <= 0.9, far under
+# the cap; rounding moves the computed change by about 1e-14.  At the stop
+# the change d bounds the error: |e_{s-1}| <= |d| + q |e_{s-1}|, so
+# |est - Z|_inf <= INFTY_TOL / (1 - q) = 1e-9 and every sign is right.  A
+# trial with q <= CONTRACTION_SCREEN therefore converges without error and
+# adds nothing to any count, and ber_experiment does not run it.
+CONTRACTION_SCREEN = 0.9
 
 # Trials per chunk: part of the stream, since chunk c draws from derive_rng(seed, c).
 CHUNK_TRIALS = 1 << 14
@@ -131,6 +144,15 @@ def _matrix_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(w, x[..., None])[..., 0]
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Max of each row of a (t, k) array, taken over its k columns.
+
+    Exact and NaN-propagating like a.max(axis=1), and much cheaper at small
+    k, where numpy's per-row reduction costs more than the k maxima.
+    """
+    return functools.reduce(np.maximum, a.T)
+
+
 # The BER paths multiply a stack in one call; a single instance keeps the
 # bits of w @ x, which einsum does not reproduce in the last place.
 def _partial_sum(w: np.ndarray, z: np.ndarray, s: int, weight: float = 1.0,
@@ -152,8 +174,11 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     """est(s) = est(1) - (W - I) est(s-1) over a (t, k, k) stack, s <= cap.
 
     With tol, a trial stops at the first stage whose sup-norm change is
-    below tol (NaN changes compare False and run on); converged trials
-    leave the working set only in stages where some trial converges.
+    below tol (NaN changes compare False and run on).  A stopped trial's
+    result is recorded at once, but its row stays in the working stack,
+    no longer live, until a quarter of the stack has stopped; only then is
+    the stack compacted.  Each row's arithmetic is independent of the
+    others, so the results do not depend on when compaction happens.
     Without tol, visit(stage, est) sees every stage.  Returns (est, stages,
     converged, ahead): each trial's last estimate and stage, whether it
     stopped early, and est(cap + 1) on the rows that did not (NaN elsewhere).
@@ -163,23 +188,33 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     stages = np.full(len(z), cap)
     converged = np.zeros(len(z), dtype=bool)
     rows, wa, e1a, ea = np.arange(len(z)), w, est1, est1
+    live = np.ones(len(z), dtype=bool)
+    stopped = 0  # rows of the working stack that are no longer live
     with np.errstate(over="ignore", invalid="ignore"):
         if visit is not None:
             visit(1, ea)
         for stage in range(2, cap + 1):
+            if stopped == len(rows):  # every trial has stopped (or there are none)
+                break
             nxt = e1a - (product(wa, ea) - ea)
-            done = None if tol is None else np.max(np.abs(nxt - ea), axis=1) < tol
-            ea = nxt
             if visit is not None:
-                visit(stage, ea)
-            if done is not None and np.any(done):
-                est[rows[done]] = ea[done]
-                stages[rows[done]] = stage
-                converged[rows[done]] = True
-                keep = ~done
-                rows, wa, e1a, ea = rows[keep], wa[keep], e1a[keep], ea[keep]
-                if rows.size == 0:
-                    break
+                visit(stage, nxt)
+            if tol is not None:
+                change = _row_max(np.abs(nxt - ea))
+                done = np.flatnonzero((change < tol) & live)
+                if done.size:
+                    est[rows[done]] = nxt[done]
+                    stages[rows[done]] = stage
+                    converged[rows[done]] = True
+                    live[done] = False
+                    stopped += done.size
+                    if 4 * stopped >= len(rows):
+                        rows, wa, e1a, nxt, live = (rows[live], wa[live], e1a[live],
+                                                    nxt[live], live[live])
+                        stopped = 0
+            ea = nxt
+        if stopped:
+            rows, wa, e1a, ea = rows[live], wa[live], e1a[live], ea[live]
         est[rows] = ea
         ahead = np.full_like(est, np.nan)
         ahead[rows] = e1a - (product(wa, ea) - ea)
@@ -324,6 +359,13 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     the cap, falling back to the least-converged user so the any-user count
     never exceeds the per-user sum; users whose last steps agree to a
     relative 1e-9 tie, and the lowest index wins.
+
+    The infinite mode decodes only the trials that CONTRACTION_SCREEN does
+    not settle, pooled across chunks into stacks of at least CHUNK_TRIALS
+    rows (or all that remain).  The screened trials are provably
+    error-free, and each trial's arithmetic does not depend on its stack,
+    so the counts equal those of decoding every trial.  weight applies to
+    finite stages only.
     """
     _check_trials(k, n, trials)
     infinite_mode = math.isinf(s)
@@ -331,21 +373,38 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
         s = int(s)
         if s < 1:
             raise DomainError(f"stage must be >= 1, got {s}")
-    if weight is not None and weight <= 0:
-        raise DomainError(f"weight must be positive, got {weight}")
+    if weight is not None:
+        if infinite_mode:
+            raise DomainError("weight applies only at a finite stage, not at s=inf")
+        if weight <= 0:
+            raise DomainError(f"weight must be positive, got {weight}")
 
     any_errors = 0
     per_user = np.zeros(k, dtype=np.int64)
     cap_hits = 0
     oscillations = 0
+    drawn = 0
+    # s=inf: unscreened trials wait here until a chunk's worth is in, since
+    # a small stack spends its 1,000 stages on call overhead, not arithmetic
+    pending = []
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
         bits = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
         coins = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
         w = gram_batch(EntryDistribution.RADEMACHER, rng, size, k, n)
         z = bits  # equal unit powers
+        drawn += size
 
         if infinite_mode:
-            est, _, converged, ahead = _recursion(w, z, INFTY_STAGE_CAP, INFTY_TOL)
+            # only trials the contraction screen does not settle can err
+            eye = np.eye(k)
+            q = _row_max(sum(np.abs(w[:, :, j] - eye[j]) for j in range(k)))  # ||I - W||_inf
+            rest = q > CONTRACTION_SCREEN
+            pending.append((w[rest], bits[rest], coins[rest]))
+            if sum(len(b) for _, b, _ in pending) < CHUNK_TRIALS and drawn < trials:
+                continue
+            w, bits, coins = (np.concatenate(part) for part in zip(*pending))
+            pending = []
+            est, _, converged, ahead = _recursion(w, bits, INFTY_STAGE_CAP, INFTY_TOL)
             wrong = _decide_batch(est, coins) != bits
             capped = np.flatnonzero(~converged)
             if capped.size > 0:

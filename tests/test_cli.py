@@ -176,6 +176,12 @@ class TestMcZeroSdpic:
                     "--out", out, "--trace", trace]) == EXIT_DOMAIN
         assert not out.exists() and not trace.exists()
 
+    def test_sdpic_weight_at_infinite_stage_is_rejected(self, tmp_path):
+        out = tmp_path / "ber.jsonl"
+        assert run(["sdpic", "--k", 3, "--n", 16, "--s", "inf", "--weight", 1.5,
+                    "--trials", 2000, "--seed", 5, "--out", out]) == EXIT_DOMAIN
+        assert not out.exists()
+
     def test_zero_csv_reads_back_as_the_jsonl_record(self, tmp_path):
         args = ["zero", "--k", 2, "--l", 1, "--n-list", "6,14", "--trials", 1000, "--seed", 1]
         csv_out, jsonl_out = tmp_path / "zero.csv", tmp_path / "zero.jsonl"

@@ -62,6 +62,86 @@ def divergent_instance():
     return sample_matrix(R, 8, 4, 1)
 
 
+def chunk_zero_stack(k, n, trials, seed):
+    """(W stack, bits) of the trials ber_experiment draws in chunk 0."""
+    rng = derive_rng(seed, 0)
+    bits = (rng.integers(0, 2, size=(trials, k)) * 2 - 1).astype(np.float64)
+    rng.integers(0, 2, size=(trials, k))  # the tie-break coins
+    return core.gram_batch(R, rng, trials, k, n), bits
+
+
+def eager_recursion(w, z, cap, tol=None, visit=None, product=sdpic._stack_product):
+    """The recursion compacting its stack in every stage where a trial
+    converges: the reference that sdpic._recursion must match bit for bit."""
+    est1 = product(w, z)
+    est = est1.copy()
+    stages = np.full(len(z), cap)
+    converged = np.zeros(len(z), dtype=bool)
+    rows, wa, e1a, ea = np.arange(len(z)), w, est1, est1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if visit is not None:
+            visit(1, ea)
+        for stage in range(2, cap + 1):
+            nxt = e1a - (product(wa, ea) - ea)
+            done = None if tol is None else np.max(np.abs(nxt - ea), axis=1) < tol
+            ea = nxt
+            if visit is not None:
+                visit(stage, ea)
+            if done is not None and np.any(done):
+                est[rows[done]] = ea[done]
+                stages[rows[done]] = stage
+                converged[rows[done]] = True
+                keep = ~done
+                rows, wa, e1a, ea = rows[keep], wa[keep], e1a[keep], ea[keep]
+                if rows.size == 0:
+                    break
+        est[rows] = ea
+        ahead = np.full_like(est, np.nan)
+        ahead[rows] = e1a - (product(wa, ea) - ea)
+    return est, stages, converged, ahead
+
+
+def mixed_stack(k, t, seed):
+    """W stack whose trials converge at many stages, hit the cap, or overflow."""
+    rng = make_rng(seed)
+    w = covariance_batch(sample_batch(EntryDistribution.STD_NORMAL, rng, t, k, 4 * k))
+    w *= rng.uniform(0.2, 1.6, size=(t, 1, 1))
+    w[: t // 8] = core.gram_batch(R, rng, t // 8, k, 2 * k)  # singular and lambda_max >= 2
+    z = (rng.integers(0, 2, size=(t, k)) * 2 - 1).astype(np.float64)
+    return w, z
+
+
+def assert_same_results(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+# ber_experiment(3, n, inf, 10**5, 909) for n = 8, 10, ..., 24: any-user,
+# per-user, cap-hit and oscillation counts, p_hat, empirical rate and the
+# Clopper-Pearson interval.
+PINNED_INFINITE_MODE = {
+    8: (11415, (11185, 9682, 9715), 11172, 11172, 0.11415, 0.27128023825079156,
+         (0.11218530318217708, 0.11613710695616686)),
+    10: (1775, (1720, 1715, 1713), 3678, 1718, 0.01775, 0.4031369763060712,
+         (0.01694062340488013, 0.018587517363533777)),
+    12: (1196, (1187, 1184, 1186), 1183, 1183, 0.01196, 0.3688489608716376,
+         (0.011295430523228235, 0.012653096905916275)),
+    14: (894, (891, 890, 894), 892, 892, 0.00894, 0.33694426355690815,
+         (0.008365877090029391, 0.009542869829641924)),
+    16: (688, (685, 628, 628), 685, 685, 0.00688, 0.3111960391898053,
+         (0.0063770218726447525, 0.0074118902097408115)),
+    18: (172, (166, 149, 143), 265, 172, 0.00172, 0.3536350548975986,
+         (0.0014727265799496698, 0.0019968531865285563)),
+    20: (68, (68, 68, 68), 86, 68, 0.00068, 0.3646708879897061,
+         (0.000528084094878771, 0.000861983549085098)),
+    22: (49, (49, 49, 49), 49, 49, 0.00049, 0.346413871220891,
+         (0.00036252599732335773, 0.0006477548687888402)),
+    24: (35, (35, 33, 33), 35, 35, 0.00035, 0.33156572514503396,
+         (0.00024379955314601253, 0.0004867319861444924)),
+}
+
+
 class TestTransmission:
     def test_signal(self):
         tx = make_transmission([1, -1, 1], [4.0, 1.0, 9.0])
@@ -393,6 +473,17 @@ class TestBerExperiment:
         assert stacked.oscillation_count > 0
         assert stacked.per_user_error_counts == per_matrix.per_user_error_counts
 
+    def test_infinite_mode_records_are_pinned(self):
+        for n, (hits, per_user, caps, osc, p_hat, rate, ci) in PINNED_INFINITE_MODE.items():
+            record = ber_experiment(3, n, math.inf, 10**5, 909).record()
+            assert record == {
+                "experiment": "sdpic_ber", "k": 3, "n": n, "s": "inf", "weight": None,
+                "trials": 10**5, "any_user_error_count": hits,
+                "per_user_error_counts": list(per_user), "p_hat": p_hat,
+                "empirical_rate": rate, "seed": 909, "cap_hit_count": caps,
+                "oscillation_count": osc, "ci": list(ci),
+            }
+
     def test_weighted_mode_runs(self):
         est = ber_experiment(3, 16, 4, trials=5000, seed=3, weight=4.0)
         assert est.weight == 4.0
@@ -405,3 +496,59 @@ class TestBerExperiment:
             ber_experiment(2, 8, 2, trials=0, seed=1)
         with pytest.raises(DomainError):
             ber_experiment(2, 8, 2, trials=10, seed=1, weight=-1.0)
+
+    def test_weight_rejected_at_infinite_stage(self):
+        # the infinite mode runs the unweighted recursion, so a weight
+        # would be recorded without having been used
+        with pytest.raises(DomainError):
+            ber_experiment(3, 16, math.inf, 2000, 5, weight=1.5)
+
+
+class TestContractionScreen:
+    @pytest.mark.parametrize("k, n", [(3, 8), (3, 12), (3, 18), (3, 24), (4, 16)])
+    def test_screened_trials_converge_without_error(self, k, n):
+        trials, seed = sdpic.CHUNK_TRIALS, 909
+        w, bits = chunk_zero_stack(k, n, trials, seed)
+        est, _, converged, _ = sdpic._recursion(w, bits, sdpic.INFTY_STAGE_CAP,
+                                                sdpic.INFTY_TOL)
+        q = np.max(np.sum(np.abs(np.eye(k) - w), axis=2), axis=1)
+        screened = q <= sdpic.CONTRACTION_SCREEN
+        assert np.count_nonzero(screened) > trials // 2
+        assert np.all(converged[screened])
+        assert np.max(np.abs(est[screened] - bits[screened])) <= 1e-9
+        assert np.array_equal(np.sign(est[screened]), bits[screened])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdpic, "CONTRACTION_SCREEN", -1.0)  # screens nothing
+            unscreened = ber_experiment(k, n, math.inf, trials, seed)
+        assert ber_experiment(k, n, math.inf, trials, seed) == unscreened
+
+
+class TestRecursionKeepsItsBits:
+    @pytest.mark.parametrize("product", [sdpic._stack_product, sdpic._matrix_product])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("cap", [40, 1000])
+    def test_mixed_stacks(self, k, cap, product):
+        w, z = mixed_stack(k, 1500, seed=k)
+        expected = eager_recursion(w, z, cap, sdpic.INFTY_TOL, product=product)
+        assert 0 < np.count_nonzero(expected[2]) < len(z)  # some converge, some do not
+        assert_same_results(sdpic._recursion(w, z, cap, sdpic.INFTY_TOL, product=product),
+                            expected)
+
+    @pytest.mark.parametrize("product", [sdpic._stack_product, sdpic._matrix_product])
+    def test_divergent_instance(self, product):
+        w, z = sdpic._instance(divergent_instance(), np.ones(8))
+        expected = eager_recursion(w, z, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL,
+                                   product=product)
+        assert not np.all(np.isfinite(expected[0]))
+        assert_same_results(sdpic._recursion(w, z, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL,
+                                             product=product), expected)
+
+    def test_visit_without_tolerance(self):
+        w, z = mixed_stack(3, 200, seed=5)
+        seen, seen_eager = [], []
+        got = sdpic._recursion(w, z, 60, visit=lambda s, e: seen.append((s, e.copy())))
+        expected = eager_recursion(w, z, 60, visit=lambda s, e: seen_eager.append((s, e.copy())))
+        assert_same_results(got, expected)
+        assert [s for s, _ in seen] == list(range(1, 61))
+        for (sa, a), (sb, b) in zip(seen, seen_eager, strict=True):
+            assert sa == sb and np.array_equal(a, b, equal_nan=True)
