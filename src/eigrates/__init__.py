@@ -45,6 +45,7 @@ from .mclab import (
 from .rates import (
     CgfMethod,
     CgfSpec,
+    Descent,
     OptimizerSettings,
     RateResult,
     cgf,

@@ -8,11 +8,13 @@ eigenvalues is the infimum of that transform over the unit sphere.  This
 module evaluates the CGF and its first two derivatives, the mean and
 variance of S^2 under the tilted law, in one pass per entry law (sign
 enumeration for +/-1 entries, a closed form for normal entries,
-Gaussian-mixture quadrature for symmetric uniform entries).  It solves the
-transform by safeguarded Newton on the analytic CGF derivative inside a
-certified bracket, with the one bracketed root solver that also locates
-the phase transitions, and minimizes over the sphere by multi-start
-projected gradient descent.
+Gaussian-mixture quadrature centred on the tilted peak for symmetric
+uniform entries).  It solves the transform by safeguarded Newton on the
+analytic CGF derivative inside a certified bracket, with the one bracketed
+root solver that also locates the phase transitions, and minimizes over the
+sphere by multi-start projected gradient descent.  By the envelope theorem
+the rate's gradient in x is -d Lambda_x/dx at the optimal tilt, so each
+descent step takes its gradient from the solve it has already done.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import log_ndtr, logsumexp
 
-from .core import SQRT3, EntryDistribution, UnitVector, derive_rng
+from .core import EntryDistribution, UnitVector, derive_rng
 from .errors import DomainError, UnsupportedDomainError
 
 LOG2 = math.log(2.0)
@@ -60,15 +63,16 @@ def _hermgauss(nodes: int):
 class CgfSpec:
     """Evaluation recipe for Lambda(t) = log E[exp(t S^2)] along a direction.
 
-    domain is the half-open interval of admissible t.  The enumerated S^2
-    support is cached on the spec, so repeated t-evaluations inside one
-    transform solve reuse it.
+    domain is the half-open interval of admissible t.  The enumerated S
+    support and its square are cached on the spec, so repeated evaluations
+    inside one transform solve, and the gradient after it, reuse them.
     """
 
     dist: EntryDistribution
     x: UnitVector
     method: CgfMethod
     domain: tuple[float, float]
+    _s: np.ndarray | None = field(default=None, repr=False, compare=False)
     _s2: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -85,18 +89,28 @@ class CgfSpec:
 
     # -- exact enumeration ---------------------------------------------------
 
-    def squared_support(self) -> np.ndarray:
-        """All values of S^2 over sign patterns with the first sign fixed.
+    def signed_support(self) -> np.ndarray:
+        """All values of S over sign patterns with the first sign fixed.
 
         Global sign flips leave S^2 invariant, so the 2^(k-1) half-space
-        patterns carry the full distribution with uniform weight.
+        patterns carry its full distribution with uniform weight.  The
+        array is built by doubling: coordinate j >= 1 is added on the
+        first half and subtracted on the second half of each block of
+        2^j entries.
         """
-        if self._s2 is None:
+        if self._s is None:
             coords = self.x.coords
             values = np.array([coords[0]])
             for xj in coords[1:]:
                 values = np.concatenate([values + xj, values - xj])
-            self._s2 = values * values
+            self._s = values
+        return self._s
+
+    def squared_support(self) -> np.ndarray:
+        """All values of S^2 over the sign patterns of signed_support."""
+        if self._s2 is None:
+            s = self.signed_support()
+            self._s2 = s * s
         return self._s2
 
     def ess_sup_s2(self) -> float:
@@ -136,7 +150,7 @@ def _tilted(spec: CgfSpec, t: float) -> tuple[float, float, float]:
 
     The derivatives are the mean and variance of S^2 under the exponentially
     tilted law.  For uniform entries, E[exp(t S^2)] = E_Z[prod_j sinhc(v_j)]
-    with v_j = sqrt(6t) Z x_j and Z standard normal (Gauss-Hermite), and
+    with v_j = sqrt(6t) Z x_j and Z standard normal (_uniform_rule), and
     d/dt log sinhc(v_j) = 3 Z^2 x_j^2 q(v_j) with q(v) = (v coth v - 1)/v^2;
     Lambda'' adds the tilted mean of 9 Z^4 sum_j x_j^4 q'(v_j)/v_j to the
     tilted variance of the sum.
@@ -153,19 +167,14 @@ def _tilted(spec: CgfSpec, t: float) -> tuple[float, float, float]:
         return -0.5 * math.log1p(-2.0 * t), d, 2.0 * d * d
     if spec.method is CgfMethod.EXACT_ENUMERATION:
         s2 = spec.squared_support()
-        z = t * s2
-        m = float(np.max(z))
-        w = np.exp(z - m)
+        w, m = _sign_weights(spec, t)
         tot = float(np.sum(w))
         lam = m + math.log(tot) - (spec.x.k - 1) * LOG2
         mean = float(np.dot(w, s2)) / tot
-        centered = s2 - mean
-        return lam, mean, float(np.dot(w, centered * centered)) / tot
-    z, log_w = _hermgauss(_QUAD_NODES)
-    v = math.sqrt(2.0 * t) * np.outer(z, spec.x.coords) * SQRT3
-    log_node = log_w + np.sum(_log_sinhc(v), axis=1)
-    lam = 0.0 if t == 0.0 else float(logsumexp(log_node))
-    p = np.exp(log_node - lam)  # tilted node weights
+        sq_dev = s2 - mean
+        sq_dev *= sq_dev
+        return lam, mean, float(np.dot(w, sq_dev)) / tot
+    z, v, lam, p = _uniform_rule(spec, t)
     q, dq = _coth_terms(v)
     zx2 = 3.0 * np.outer(z * z, spec.x.coords ** 2)
     g = np.sum(zx2 * q, axis=1)
@@ -175,12 +184,72 @@ def _tilted(spec: CgfSpec, t: float) -> tuple[float, float, float]:
     return lam, mean, float(curv)
 
 
+def _sign_weights(spec: CgfSpec, t: float) -> tuple[np.ndarray, float]:
+    """(exp(t S^2 - m) over the sign patterns, m = max t S^2), in one array."""
+    w = t * spec.squared_support()
+    m = float(np.max(w))
+    w -= m
+    np.exp(w, out=w)
+    return w, m
+
+
+def _uniform_rule(spec: CgfSpec, t: float):
+    """(Z nodes, v = sqrt(6t) Z x, Lambda(t), tilted node weights) for
+    uniform entries.
+
+    The integrand f(z) = prod_j sinhc(v_j) is even, so E f(Z) equals
+    E[2 Phi(Z) f(Z)] (Phi the normal CDF), whose mass sits in one peak near
+    mu = sqrt(6t) sum_j |x_j| instead of two at +/-mu.  The Gauss-Hermite
+    rule is shifted onto N(mu, 1) through the likelihood ratio
+    exp(mu^2/2 - mu z).  Both factors are entire, so the shifted rule keeps
+    its accuracy at every t; centred at 0 it lost the peak once mu neared
+    its largest node, 27.4.
+    """
+    z, log_w = _hermgauss(_QUAD_NODES)
+    root = math.sqrt(6.0 * t)
+    mu = root * float(np.sum(np.abs(spec.x.coords)))
+    z = z + mu
+    v = root * np.outer(z, spec.x.coords)
+    log_node = (log_w + LOG2 + log_ndtr(z) + mu * (0.5 * mu - z)
+                + np.sum(_log_sinhc(v), axis=1))
+    lam = 0.0 if t == 0.0 else float(logsumexp(log_node))
+    return z, v, lam, np.exp(log_node - lam)
+
+
+def _cgf_gradient(spec: CgfSpec, t: float) -> np.ndarray:
+    """d/dx_j log E[exp(t S^2)] at fixed t: the tilted mean of 2 t S dS/dx_j.
+
+    At the optimal tilt t* of a transform solve this is minus the gradient
+    of the rate in x (envelope theorem); t* itself is not differentiated.
+    For +/-1 entries it is 2t sum_i w_i S_i sigma_ij over the sign patterns
+    with the normalized tilted weights w, and coordinate j's sum is a
+    +/- split of w * S along the doubling axis of j.  For uniform entries
+    it is the tilted mean of 6 t Z^2 x_j q(v_j), on the rule of _tilted.
+    Normal entries have S standard normal along every direction: 0.
+    """
+    if spec.method is CgfMethod.CLOSED_FORM_NORMAL:
+        return np.zeros(spec.x.k)
+    if spec.method is CgfMethod.GAUSSIAN_MIXTURE_QUADRATURE:
+        z, v, _, p = _uniform_rule(spec, t)
+        return 6.0 * t * spec.x.coords * ((p * z * z) @ _coth_terms(v)[0])
+    ws = _sign_weights(spec, t)[0]
+    ws /= np.sum(ws)
+    ws *= spec.signed_support()
+    grad = np.empty(spec.x.k)
+    for j in range(spec.x.k - 1, 0, -1):
+        plus, minus = ws.reshape(2, -1)  # the sign of x_j splits the halves
+        grad[j] = np.sum(plus) - np.sum(minus)
+        ws = plus + minus
+    grad[0] = ws[0]
+    return 2.0 * t * grad
+
+
 def _log_sinhc(v: np.ndarray) -> np.ndarray:
-    """log(sinh(v)/v), even in v, stable at 0 and for large |v|."""
+    """log(sinh(v)/v), even in v, to round-off in absolute terms at every |v|."""
     a = np.abs(v)
     small = a < 1e-6
     safe = np.where(small, 1.0, a)
-    big = safe + np.log1p(-np.exp(-2.0 * safe)) - LOG2 - np.log(safe)
+    big = safe + np.log(-np.expm1(-2.0 * safe) / (2.0 * safe))
     return np.where(small, a * a / 6.0, big)
 
 
@@ -518,11 +587,10 @@ def mgf_bound_check(dist: EntryDistribution, x: UnitVector, t: float) -> bool:
 # Sphere infimum
 # ---------------------------------------------------------------------------
 
-# Projected-gradient sphere descent: iteration cap, central-difference
-# step of the numerical gradient, the improvement below which a descent
-# counts as converged, and the first line-search step.
+# Projected-gradient sphere descent: iteration cap, the improvement below
+# which a descent counts as converged, and the first line-search step.  The
+# gradient is analytic (_cgf_gradient at the solve's optimal tilt).
 DESCENT_MAX_ITERATIONS = 200
-DESCENT_GRADIENT_STEP = 1e-6
 DESCENT_IMPROVEMENT_TOL = 1e-9
 DESCENT_INITIAL_STEP = 0.25
 
@@ -535,9 +603,22 @@ class OptimizerSettings:
     seed: int = 909090
 
 
+class Descent(NamedTuple):
+    """How one start of the sphere search ended: its rate, the descent
+    steps it accepted, and whether it converged."""
+
+    rate: float
+    steps: int
+    converged: bool
+
+
 @dataclass(frozen=True)
 class RateResult:
-    """Sphere-infimum transform value with its optimizer provenance."""
+    """Sphere-infimum transform value with its optimizer provenance.
+
+    descents holds one Descent per start, in start order: the all-equal
+    direction, the two-coordinate direction, then the random restarts.
+    """
 
     alpha: float
     rate: float
@@ -547,6 +628,7 @@ class RateResult:
     x_star: UnitVector
     restarts_used: int
     converged: bool
+    descents: tuple[Descent, ...]
 
 
 def _canonical(coords: np.ndarray) -> np.ndarray:
@@ -555,57 +637,50 @@ def _canonical(coords: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(coords))[::-1]
 
 
-def _sphere_objective(dist: EntryDistribution, coords: np.ndarray, alpha: float) -> LegendreSolve:
-    x = UnitVector(coords / np.linalg.norm(coords))
-    return legendre_solve(CgfSpec.for_direction(dist, x), alpha)
+def _sphere_objective(dist: EntryDistribution, coords: np.ndarray,
+                      alpha: float) -> tuple[CgfSpec, LegendreSolve]:
+    spec = CgfSpec.for_direction(dist, UnitVector(coords / np.linalg.norm(coords)))
+    return spec, legendre_solve(spec, alpha)
 
 
 def _descend(dist: EntryDistribution, start: np.ndarray,
-             alpha: float) -> tuple[LegendreSolve, np.ndarray, bool]:
+             alpha: float) -> tuple[LegendreSolve, np.ndarray, Descent]:
+    """Armijo line search along the projected gradient -dLambda_x/dx (t*).
+
+    A solve whose optimal tilt is infinite (an atom, or a level beyond the
+    support) has no gradient: the descent ends there, converged.
+    """
     x = _canonical(start / np.linalg.norm(start))
-    best = _sphere_objective(dist, x, alpha)
-    if not math.isfinite(best.rate):
-        return best, x, True
-    h = DESCENT_GRADIENT_STEP
+    spec, best = _sphere_objective(dist, x, alpha)
     step = DESCENT_INITIAL_STEP
+    steps = 0
     converged = False
     for _ in range(DESCENT_MAX_ITERATIONS):
-        grad = np.zeros_like(x)
-        for j in range(x.size):
-            bump = np.zeros_like(x)
-            bump[j] = h
-            up = _sphere_objective(dist, x + bump, alpha).rate
-            dn = _sphere_objective(dist, x - bump, alpha).rate
-            if not (math.isfinite(up) and math.isfinite(dn)):
-                converged = True
+        if not math.isfinite(best.t_star):
+            converged = True
+            break
+        grad = -_cgf_gradient(spec, best.t_star)
+        tangent = grad - np.dot(grad, x) * x
+        gnorm = float(np.linalg.norm(tangent))
+        if gnorm < 1e-12:
+            converged = True
+            break
+        improvement = 0.0
+        while step > 1e-13:
+            trial = x - step * tangent
+            trial = _canonical(trial / np.linalg.norm(trial))
+            cand_spec, cand = _sphere_objective(dist, trial, alpha)
+            if cand.rate < best.rate - 1e-4 * step * gnorm * gnorm:
+                improvement = best.rate - cand.rate
+                x, spec, best = trial, cand_spec, cand
+                steps += 1
+                step = min(step * 1.5, 1.0)
                 break
-            grad[j] = (up - dn) / (2.0 * h)
-        else:
-            tangent = grad - np.dot(grad, x) * x
-            gnorm = float(np.linalg.norm(tangent))
-            if gnorm < 1e-12:
-                converged = True
-                break
-            improved = False
-            while step > 1e-13:
-                trial = x - step * tangent
-                trial = _canonical(trial / np.linalg.norm(trial))
-                cand = _sphere_objective(dist, trial, alpha)
-                if cand.rate < best.rate - 1e-4 * step * gnorm * gnorm:
-                    improvement = best.rate - cand.rate
-                    x, best = trial, cand
-                    step = min(step * 1.5, 1.0)
-                    improved = True
-                    if improvement < DESCENT_IMPROVEMENT_TOL:
-                        converged = True
-                    break
-                step *= 0.5
-            if not improved or converged:
-                converged = True
-                break
-            continue
-        break
-    return best, x, converged
+            step *= 0.5
+        if improvement < DESCENT_IMPROVEMENT_TOL:
+            converged = True
+            break
+    return best, x, Descent(best.rate, steps, converged)
 
 
 def rate_k(dist: EntryDistribution, k: int, alpha: float,
@@ -614,8 +689,9 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
 
     Starts from the all-equal and two-coordinate directions (the two
     candidate optima) plus seeded random restarts, descending each with
-    projected numerical gradients; ties break toward the lexicographically
-    smallest canonical direction.
+    the projected analytic gradient of the rate (one transform solve per
+    line-search trial, none for the gradient); ties break toward the
+    lexicographically smallest canonical direction.
     """
     opts = opts or OptimizerSettings()
     if k < 2:
@@ -637,10 +713,10 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
 
     best: LegendreSolve | None = None
     best_x: np.ndarray | None = None
-    all_converged = True
+    descents = []
     for start in starts:
-        sol, x_end, conv = _descend(dist, start, alpha)
-        all_converged = all_converged and conv
+        sol, x_end, descent = _descend(dist, start, alpha)
+        descents.append(descent)
         if best is None or sol.rate < best.rate or (
             sol.rate == best.rate and tuple(x_end) < tuple(best_x)
         ):
@@ -653,7 +729,8 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
         t_star_at_boundary=best.boundary,
         x_star=UnitVector(best_x / np.linalg.norm(best_x)),
         restarts_used=len(starts),
-        converged=all_converged,
+        converged=all(d.converged for d in descents),
+        descents=tuple(descents),
     )
 
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from eigrates import (
     rogers_covering,
     wishart_t_star,
 )
-from eigrates.rates import _tilted
+from eigrates.rates import _cgf_gradient, _descend, _tilted
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -156,6 +158,48 @@ class TestTilted:
             cgf_derivative(spec_for(N, 2), 0.5)
         with pytest.raises(UnsupportedDomainError):
             cgf_derivative(spec_for(U, 2), -0.1)
+
+
+def graded_gauss_legendre(levels=12, nodes=8):
+    """Composite Gauss-Legendre rule on [0, 1], panels halving toward 1."""
+    g, w = np.polynomial.legendre.leggauss(nodes)
+    cuts = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, levels + 1), [1.0]])
+    a, b = cuts[:-1], cuts[1:]
+    return ((0.5 * (b - a)[:, None] * (g + 1.0) + a[:, None]).ravel(),
+            (0.5 * (b - a)[:, None] * w).ravel())
+
+
+def cube_moments(x, t):
+    """(Lambda, Lambda', Lambda'') for uniform entries along a 3-d direction,
+    by a tensor rule over the cube graded toward its faces, where the
+    tilted mass of a large t sits."""
+    u, w = graded_gauss_legendre()
+    u, w = np.concatenate([-u[::-1], u]), np.concatenate([w[::-1], w])
+    a = math.sqrt(3.0) * np.asarray(x)
+    peak = 3.0 * t * float(np.sum(np.abs(x))) ** 2  # t S^2 at the corner
+    pair = (a[1] * u)[:, None] + (a[2] * u)[None, :]
+    wpair = np.outer(w, w)
+    tot = m1 = m2 = 0.0
+    for ui, wi in zip(u, w):
+        s2 = (a[0] * ui + pair) ** 2
+        e = wi * wpair * np.exp(t * s2 - peak)
+        tot, m1, m2 = tot + e.sum(), m1 + (e * s2).sum(), m2 + (e * s2 * s2).sum()
+    mean = m1 / tot
+    return peak + math.log(tot / 8.0), mean, m2 / tot - mean * mean
+
+
+class TestUniformRule:
+    @pytest.mark.parametrize("t", [20.0, 30.0, 49.0])
+    def test_large_tilt_against_cube_rule(self, t):
+        # at t = 49, sqrt(6t) sum|x| = 26.2 sits at the largest node of a rule
+        # centred at 0, which was off by 0.030 in Lambda with Lambda'' < 0
+        spec = spec_for(U, 3, coords=[2.0, -1.0, 0.5])
+        lam, slope, curv = _tilted(spec, t)
+        want = cube_moments(spec.x.coords, t)
+        assert lam == pytest.approx(want[0], abs=1e-10)
+        assert slope == pytest.approx(want[1], abs=1e-10)
+        assert curv == pytest.approx(want[2], abs=1e-10)
+        assert curv > 0.0
 
 
 class TestLegendre:
@@ -444,6 +488,102 @@ class TestRateK:
             rate_k(R, 3, 0.5, OptimizerSettings(random_restarts=-1, seed=1))
 
 
+def rate_solve(dist, coords, alpha):
+    return legendre_solve(CgfSpec.for_direction(dist, UnitVector.of(coords)), alpha)
+
+
+def tangent_pair(dist, x, alpha, h=1e-6):
+    """(analytic, central-difference) tangential gradients of the rate at the
+    unit vector x, or None where a tilt on the stencil is infinite."""
+    sol = rate_solve(dist, x, alpha)
+    if not math.isfinite(sol.t_star):
+        return None
+    grad = -_cgf_gradient(CgfSpec.for_direction(dist, UnitVector(x)), sol.t_star)
+    diff = np.empty_like(x)
+    for j in range(x.size):
+        bump = np.zeros_like(x)
+        bump[j] = h
+        up, dn = rate_solve(dist, x + bump, alpha), rate_solve(dist, x - bump, alpha)
+        if not (math.isfinite(up.t_star) and math.isfinite(dn.t_star)):
+            return None
+        diff[j] = (up.rate - dn.rate) / (2.0 * h)
+    return grad - np.dot(grad, x) * x, diff - np.dot(diff, x) * x
+
+
+class TestCgfGradient:
+    @pytest.mark.parametrize("dist, ks, alphas", [
+        (R, range(2, 11), (0.5, 0.75, 1.5, 2.0)),
+        (U, range(2, 5), (1.5, 2.0, 2.5)),
+    ])
+    def test_matches_central_differences(self, dist, ks, alphas):
+        rng = make_rng(41)
+        checked = 0
+        for k in ks:
+            for alpha in alphas:
+                for _ in range(3):
+                    pair = tangent_pair(dist, UnitVector.random(k, rng).coords, alpha)
+                    if pair is None:
+                        continue
+                    analytic, diff = pair
+                    assert np.max(np.abs(analytic - diff)) <= 1e-8, (k, alpha)
+                    checked += 1
+        assert checked >= 2 * len(ks) * len(alphas)
+
+    def test_normal_is_zero(self):
+        spec = CgfSpec.for_direction(N, UnitVector.random(5, make_rng(3)))
+        assert np.array_equal(_cgf_gradient(spec, 0.3), np.zeros(5))
+        res = rate_k(N, 5, 2.0, FAST_OPTS)
+        assert all(d.steps == 0 and d.converged for d in res.descents)
+
+    def test_k24_needs_no_pattern_matrix(self):
+        # a 2^23 x 24 sign-pattern matrix would take 1.5 GiB; the gradient's
+        # scratch is the tilted weights and the halves it folds them into
+        x = UnitVector.random(24, make_rng(9))
+        spec = CgfSpec.for_direction(R, x)
+        sol = legendre_solve(spec, 1.5)
+        tracemalloc.start()
+        try:
+            grad = _cgf_gradient(spec, sol.t_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 2 ** 23
+        # the directional derivative along a tangent agrees with a central
+        # difference of the rate
+        d = make_rng(10).standard_normal(24)
+        d -= np.dot(d, x.coords) * x.coords
+        d /= np.linalg.norm(d)
+        h = 1e-6
+        up = rate_solve(R, x.coords + h * d, 1.5).rate
+        dn = rate_solve(R, x.coords - h * d, 1.5).rate
+        assert -np.dot(grad, d) == pytest.approx((up - dn) / (2.0 * h), abs=1e-8)
+
+
+class TestDescent:
+    def test_two_sparse_start_ends_on_its_atom(self):
+        # (1, 1, 0, ...)/sqrt(2) gives S^2 = 2 on half the sign patterns; no
+        # gradient is taken at the infinite tilt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, x, descent = _descend(R, UnitVector.two_sparse(9).coords, 2.0)
+        assert sol.t_star == math.inf
+        assert abs(sol.rate - math.log(2.0)) <= math.ulp(math.log(2.0))
+        assert descent == (sol.rate, 0, True)
+        assert np.allclose(x, UnitVector.two_sparse(9).coords, rtol=0.0, atol=1e-15)
+
+    def test_descents_report_every_start(self):
+        res = rate_k(R, 6, 1.5, FAST_OPTS)
+        assert len(res.descents) == res.restarts_used
+        assert res.rate == min(d.rate for d in res.descents)
+        assert res.converged == all(d.converged for d in res.descents)
+        assert all(d.steps >= 0 for d in res.descents)
+
+    def test_infinite_start_takes_no_step(self):
+        # beyond the +/-1 spectrum every start has an infinite rate
+        res = rate_k(R, 3, 3.5, FAST_OPTS)
+        assert all(d == (math.inf, 0, True) for d in res.descents)
+
+
 class TestPhaseTransition:
     def test_limit_crossing(self):
         star = phase_transition_alpha_star()
@@ -472,3 +612,121 @@ class TestPhaseTransition:
         seq = {k: round(phase_transition_alpha_star_k(k), 4) for k in (3, 4, 5, 6)}
         print(f"alpha*_k sequence: {seq}")
         assert set(seq) == {3, 4, 5, 6}
+
+
+# rate_k(R, k, alpha, OptimizerSettings(4, 404)) on the c04 acceptance grid
+# and rate_k(dist, k, alpha, OptimizerSettings(1, 404)) on the nine perfbench
+# rate_sweep points, as the finite-difference descent computed them:
+# (k, alpha, rate, converged, x_star) and (dist, k, alpha, ...).
+C04_PINS = (
+    (2, 0.5, 0.13081203594113705, True,
+     (0.70710678119, 0.70710678119)),
+    (3, 0.5, 0.12255368178707837, True,
+     (0.57735026919, 0.57735026919, 0.57735026919)),
+    (4, 0.5, 0.11466396905885523, True,
+     (0.50000000001, 0.5, 0.5, 0.5)),
+    (5, 0.5, 0.11065053805868807, True,
+     (0.44721359552, 0.44721359551, 0.4472135955, 0.44721359549, 0.44721359549)),
+    (6, 0.5, 0.10807181607266958, True,
+     (0.40824829047, 0.40824829047, 0.40824829046, 0.40824829046, 0.40824829046, 0.40824829046)),
+    (7, 0.5, 0.10629014128067943, True,
+     (0.37796447301, 0.37796447301, 0.37796447301, 0.37796447301, 0.37796447301, 0.37796447301, 0.37796447301)),
+    (8, 0.5, 0.10498540342037965, True,
+     (0.35355339061, 0.35355339061, 0.35355339061, 0.35355339058, 0.35355339058, 0.35355339058, 0.35355339058, 0.35355339058)),
+    (9, 0.5, 0.10398907233804555, True,
+     (0.33333333337, 0.33333333337, 0.33333333337, 0.33333333333, 0.33333333333, 0.33333333332, 0.33333333332, 0.33333333332, 0.33333333327)),
+    (10, 0.5, 0.10320349260090456, True,
+     (0.31622776604, 0.31622776603, 0.31622776603, 0.31622776603, 0.31622776603, 0.31622776603, 0.31622776603, 0.31622776603, 0.31622776596, 0.31622776595)),
+    (2, 0.75, 0.03158394240196327, True,
+     (0.70710678119, 0.70710678119)),
+    (3, 0.75, 0.025941369265427394, True,
+     (0.57735026921, 0.5773502692, 0.57735026917)),
+    (4, 0.75, 0.023730335164223904, False,
+     (0.50000000001, 0.5, 0.5, 0.5)),
+    (5, 0.75, 0.022567030006872935, False,
+     (0.4472135955, 0.4472135955, 0.4472135955, 0.4472135955, 0.4472135955)),
+    (6, 0.75, 0.021850341853523386, False,
+     (0.40824829048, 0.40824829047, 0.40824829047, 0.40824829046, 0.40824829046, 0.40824829045)),
+    (7, 0.75, 0.02136469991075257, False,
+     (0.37796447302, 0.37796447302, 0.37796447301, 0.37796447301, 0.37796447301, 0.37796447299, 0.37796447299)),
+    (8, 0.75, 0.021013947850359566, False,
+     (0.35355339061, 0.3535533906, 0.3535533906, 0.3535533906, 0.35355339059, 0.35355339059, 0.35355339059, 0.35355339058)),
+    (9, 0.75, 0.020748761828305068, False,
+     (0.33333333335, 0.33333333334, 0.33333333334, 0.33333333334, 0.33333333333, 0.33333333333, 0.33333333333, 0.33333333332, 0.33333333331)),
+    (10, 0.75, 0.020541244718744356, False,
+     (0.31622776609, 0.31622776608, 0.31622776608, 0.31622776608, 0.31622776598, 0.31622776598, 0.31622776598, 0.31622776597, 0.31622776597, 0.31622776596)),
+    (2, 1.5, 0.13081203594113677, True,
+     (0.70710678119, 0.70710678119)),
+    (3, 1.5, 0.08301074146762022, True,
+     (0.57735026919, 0.57735026919, 0.57735026919)),
+    (4, 1.5, 0.07000845717083837, True,
+     (0.50000000001, 0.50000000001, 0.5, 0.49999999999)),
+    (5, 1.5, 0.06394169579198627, True,
+     (0.44721359551, 0.44721359551, 0.4472135955, 0.44721359549, 0.44721359549)),
+    (6, 1.5, 0.06042994930503842, True,
+     (0.40824829047, 0.40824829046, 0.40824829046, 0.40824829046, 0.40824829046, 0.40824829046)),
+    (7, 1.5, 0.058140015895473685, True,
+     (0.37796447312, 0.37796447302, 0.377964473, 0.37796447299, 0.37796447298, 0.37796447298, 0.37796447298)),
+    (8, 1.5, 0.05652877146647084, True,
+     (0.35355339061, 0.3535533906, 0.3535533906, 0.3535533906, 0.35355339059, 0.35355339059, 0.35355339058, 0.35355339057)),
+    (9, 1.5, 0.05533344339855084, True,
+     (0.33333333344, 0.33333333336, 0.33333333334, 0.33333333334, 0.33333333332, 0.33333333332, 0.3333333333, 0.33333333329, 0.33333333329)),
+    (10, 1.5, 0.054411401098330814, True,
+     (0.31622776607, 0.31622776604, 0.31622776603, 0.31622776603, 0.31622776602, 0.31622776602, 0.31622776599, 0.31622776599, 0.31622776598, 0.31622776598)),
+    (2, 2.0, 0.6931471805599453, True,
+     (0.70710678119, 0.70710678119)),
+    (3, 2.0, 0.31275151471136664, True,
+     (0.57735026919, 0.57735026919, 0.57735026919)),
+    (4, 2.0, 0.2501165830054991, True,
+     (0.50000000002, 0.50000000002, 0.49999999999, 0.49999999997)),
+    (5, 2.0, 0.22295685885636163, True,
+     (0.44721359551, 0.44721359551, 0.4472135955, 0.44721359549, 0.44721359549)),
+    (6, 2.0, 0.20774057463674322, True,
+     (0.40824829047, 0.40824829047, 0.40824829047, 0.40824829046, 0.40824829046, 0.40824829046)),
+    (7, 2.0, 0.19800082383512974, True,
+     (0.37796447305, 0.37796447305, 0.37796447302, 0.37796447302, 0.37796447299, 0.37796447298, 0.37796447296)),
+    (8, 2.0, 0.19122902800439023, True,
+     (0.35355339066, 0.35355339066, 0.35355339064, 0.35355339059, 0.35355339057, 0.35355339056, 0.35355339054, 0.35355339053)),
+    (9, 2.0, 0.18624670323785697, True,
+     (0.33333333337, 0.33333333337, 0.33333333336, 0.33333333334, 0.33333333334, 0.33333333334, 0.33333333332, 0.33333333329, 0.33333333328)),
+    (10, 2.0, 0.1824267064154933, True,
+     (0.31622776605, 0.31622776603, 0.31622776602, 0.31622776602, 0.31622776602, 0.31622776602, 0.31622776601, 0.31622776601, 0.31622776601, 0.31622776599)),
+)
+SWEEP_PINS = (
+    (R, 3, 0.75, 0.025941369265427394, True,
+     (0.57735026921, 0.5773502692, 0.57735026917)),
+    (R, 4, 0.75, 0.023730335164223904, True,
+     (0.50000000001, 0.5, 0.5, 0.5)),
+    (R, 5, 0.5, 0.11065053805868807, True,
+     (0.44721359552, 0.44721359551, 0.4472135955, 0.44721359549, 0.44721359549)),
+    (R, 6, 0.5, 0.10807181607266958, True,
+     (0.40824829047, 0.40824829047, 0.40824829046, 0.40824829046, 0.40824829046, 0.40824829046)),
+    (R, 7, 1.5, 0.058140015895473685, True,
+     (0.37796447312, 0.37796447302, 0.377964473, 0.37796447299, 0.37796447298, 0.37796447298, 0.37796447298)),
+    (R, 8, 1.5, 0.05652877146647084, True,
+     (0.35355339061, 0.3535533906, 0.3535533906, 0.3535533906, 0.35355339059, 0.35355339059, 0.35355339058, 0.35355339057)),
+    (R, 9, 2.0, 0.18624670323785697, True,
+     (0.33333333337, 0.33333333337, 0.33333333336, 0.33333333334, 0.33333333334, 0.33333333334, 0.33333333332, 0.33333333329, 0.33333333328)),
+    (R, 10, 2.0, 0.1824267064154933, True,
+     (0.31622776605, 0.31622776603, 0.31622776602, 0.31622776602, 0.31622776602, 0.31622776602, 0.31622776601, 0.31622776601, 0.31622776601, 0.31622776599)),
+    (U, 2, 2.0, 0.266933410761495, True,
+     (0.70710678119, 0.70710678119)),
+)
+
+
+class TestPinnedRates:
+    def test_c04_grid(self):
+        opts = OptimizerSettings(random_restarts=4, seed=404)
+        for k, alpha, rate, converged, x_star in C04_PINS:
+            res = rate_k(R, k, alpha, opts)
+            assert abs(res.rate - rate) <= 1e-12, (k, alpha, res.rate)
+            assert res.converged == converged, (k, alpha)
+            assert np.max(np.abs(res.x_star.coords - x_star)) <= 1e-8, (k, alpha)
+
+    def test_rate_sweep_points(self):
+        opts = OptimizerSettings(random_restarts=1, seed=404)
+        for dist, k, alpha, rate, converged, x_star in SWEEP_PINS:
+            res = rate_k(dist, k, alpha, opts)
+            assert abs(res.rate - rate) <= 1e-12, (dist, k, alpha, res.rate)
+            assert res.converged == converged, (dist, k, alpha)
+            assert np.max(np.abs(res.x_star.coords - x_star)) <= 1e-8, (dist, k, alpha)
