@@ -234,7 +234,7 @@ def _run_sdpic(config: ExperimentConfig):
 
 def _run_sdpic_trace(config: ExperimentConfig, stages: int):
     c = sample_matrix(EntryDistribution.RADEMACHER, config.k, config.n, config.seed)
-    bits = (derive_rng(config.seed, 1).integers(0, 2, config.k) * 2 - 1).astype(float)
+    bits = EntryDistribution.RADEMACHER.sample(derive_rng(config.seed, 1), config.k)
     rows = stage_trace(c, bits, stages, coin_seed=config.seed)
     return _rows(["stage", "deviation_inf", "bit_errors"], rows)
 

@@ -64,6 +64,38 @@ def _chunks(seed: int, trials: int, chunk: int):
         yield derive_rng(seed, index), min(chunk, trials - start)
 
 
+def random_bits(rng: np.random.Generator, size) -> np.ndarray:
+    """Generator.integers(0, 2, size) as booleans, read from raw Philox words.
+
+    numpy draws each of these bits as the top bit of a 32-bit half of a
+    64-bit word, low half first (Lemire's bounded draw for a range of 2),
+    and buffers an unused high half for the next 32-bit draw.  This reads
+    the same bits from random_raw and leaves the generator as integers
+    would: a buffered half (has_uint32) goes first, an odd remainder
+    buffers the last word's high half, and uinteger holds that half even
+    when it was used.
+    """
+    out = np.empty(size, dtype=bool)
+    flat = out.reshape(-1)
+    if flat.size == 0:
+        return out
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    if buffered:
+        flat[0] = state["uinteger"] >> 31
+    rest = flat.size - buffered
+    if rest:
+        raw = bitgen.random_raw(-(-rest // 2))
+        # little-endian 32-bit halves, low half first; the top bit is the sign
+        np.less(raw.astype("<u8", copy=False).view("<i4")[:rest], 0, out=flat[buffered:])
+        state = bitgen.state
+        state["uinteger"] = int(raw[-1] >> 32)
+    state["has_uint32"] = rest % 2
+    bitgen.state = state
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Entry distributions
 # ---------------------------------------------------------------------------
@@ -99,7 +131,7 @@ class EntryDistribution(enum.Enum):
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self is EntryDistribution.RADEMACHER:
-            return (rng.integers(0, 2, size=size) * 2 - 1).astype(np.float64)
+            return np.where(random_bits(rng, size), 1.0, -1.0)
         if self is EntryDistribution.UNIFORM_SYM:
             return rng.uniform(-SQRT3, SQRT3, size=size)
         return rng.standard_normal(size=size)
@@ -444,19 +476,24 @@ def gram_batch(dist: EntryDistribution, rng: np.random.Generator,
 def _sign_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:
     """W for m +/-1 matrices from the bits EntryDistribution.sample draws.
 
-    Row i is packed into the words b_i (bit 1 is the entry +1), and
-    n W_ij = n - 2 popcount(b_i XOR b_j) is an integer, so W = (nW)/n is
-    the correctly rounded quotient that the exact float sums of
+    The bits (1 is the entry +1) go into rows zero-padded to whole words
+    of 1, 2, 4 or 8 bytes (the smallest that holds a row, else 8), and one
+    flat packbits turns row i into the words b_i.  n W_ij = n - 2d with
+    d = popcount(b_i XOR b_j) is an integer, so W = (nW)/n is the
+    correctly rounded quotient that the exact float sums of
     covariance_batch give too.
     """
-    bits = rng.integers(0, 2, size=(m, k, n))
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    width = -(-n // 64) * 8
-    if packed.shape[-1] != width:  # zero bytes up to whole 64-bit words
-        packed = np.pad(packed, ((0, 0), (0, 0), (0, width - packed.shape[-1])))
-    words = packed.view(np.uint64)
-    differ = np.bitwise_count(words[:, :, None, :] ^ words[:, None, :, :])
-    return (n - 2 * differ.sum(axis=-1, dtype=np.int64)) / n
+    row_bytes = -(-n // 8)
+    word = min(8, 1 << (row_bytes - 1).bit_length())  # bytes
+    width = -(-row_bytes // word) * word * 8  # padded bits per row
+    bits = np.zeros((m, k, width), dtype=bool)
+    bits[..., :n] = random_bits(rng, (m, k, n))
+    words = np.packbits(bits, bitorder="little").view(f"u{word}").reshape(m, k, -1)
+    # trials last, so each XOR and popcount runs along all m trials at once
+    words = np.ascontiguousarray(words.transpose(1, 2, 0))
+    differ = np.bitwise_count(words[:, None] ^ words[None, :]).sum(axis=2, dtype=np.intp)
+    # the n + 1 possible quotients (n - 2d)/n, looked up by d
+    return ((n - 2 * np.arange(n + 1)) / n)[differ.transpose(2, 0, 1)]
 
 
 def eigvalues_batch(w: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ experiment's fixed chunk size is part of its stream.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -120,9 +121,47 @@ class TailEstimate:
 
 
 def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int):
-    """Ascending eigenvalues of `trials` sampled W, one (size, k) array per chunk."""
+    """Ascending eigenvalues of `trials` sampled W, one (size, k) array per chunk.
+
+    +/-1 W take at most comb(2^(k-1) + n - 1, n) values (one per multiset
+    of column classes, as in enumerate_exact).  When that is at most
+    CHUNK_TRIALS and LAPACK is called (k >= 3), a chunk solves each
+    distinct W once; eigvalsh treats each matrix of a stack alone, so the
+    eigenvalues are bit for bit the same.
+    """
+    classes = 1 << (k - 1)
+    if (dist is EntryDistribution.RADEMACHER and k >= 3 and classes <= CHUNK_TRIALS
+            and math.comb(classes + n - 1, n) <= CHUNK_TRIALS):
+        eigvalues = functools.partial(_distinct_sign_eigvalues, n=n)
+    else:
+        eigvalues = eigvalues_batch
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
-        yield eigvalues_batch(gram_batch(dist, rng, size, k, n))
+        yield eigvalues(gram_batch(dist, rng, size, k, n))
+
+
+def _distinct_sign_eigvalues(w: np.ndarray, n: int) -> np.ndarray:
+    """eigvalues_batch(w) for an (m, k, k) stack of +/-1 W, solving each
+    distinct matrix once and scattering its eigenvalues back.
+
+    The key is exact, with no hashing: the strict upper triangle as
+    integer distances (n - nW_ij)/2 in 0..n, bit_length(n) bits each,
+    packed into int64 words and sorted row by row.  The diagonal is 1.
+    """
+    m, k = w.shape[0], w.shape[-1]
+    upper = k * (k - 1) // 2
+    bits = int(n).bit_length()
+    per_word = min(upper, 63 // bits)
+    distance = np.zeros((m, -(-upper // per_word) * per_word), dtype=np.int64)
+    rows, cols = np.triu_indices(k, 1)
+    distance[:, :upper] = np.rint((1.0 - w[:, rows, cols]) * (n / 2))
+    words = (distance.reshape(m, -1, per_word) << bits * np.arange(per_word)).sum(axis=-1)
+    order = np.lexsort(words.T)
+    key = words[order]
+    new = np.ones(m, dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return eigvalues_batch(w[order[new]])[inverse]
 
 
 def _estimate_event(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,

@@ -262,7 +262,7 @@ def decide_bits(estimate: np.ndarray, coin_seed: int) -> np.ndarray:
     est = np.asarray(estimate, dtype=np.float64)
     decided = np.sign(est)
     for m in np.flatnonzero(np.abs(decided) != 1.0):
-        decided[m] = float(derive_rng(coin_seed, int(m)).integers(0, 2) * 2 - 1)
+        decided[m] = EntryDistribution.RADEMACHER.sample(derive_rng(coin_seed, int(m)), 1)[0]
     return decided
 
 
@@ -388,8 +388,8 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     # a small stack spends its 1,000 stages on call overhead, not arithmetic
     pending = []
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
-        bits = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
-        coins = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
+        bits = EntryDistribution.RADEMACHER.sample(rng, (size, k))
+        coins = EntryDistribution.RADEMACHER.sample(rng, (size, k))
         w = gram_batch(EntryDistribution.RADEMACHER, rng, size, k, n)
         z = bits  # equal unit powers
         drawn += size

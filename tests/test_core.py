@@ -81,6 +81,17 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("k, n, seed, rows", [
+        (3, 8, 1, ["------++", "--+-----", "++-+-++-"]),
+        (2, 5, 12345, ["+-++-", "--+-+"]),
+        (3, 3, 99, ["--+", "-++", "--+"]),
+        (1, 1, 7, ["-"]),
+    ])
+    def test_rademacher_entries_are_pinned(self, k, n, seed, rows):
+        # the +/-1 stream of sample_matrix must not move
+        entries = sample_matrix(R, k, n, seed).entries
+        assert ["".join("+" if v > 0 else "-" for v in row) for row in entries] == rows
+
     def test_parse_aliases(self):
         assert EntryDistribution.parse("normal") is N
         assert EntryDistribution.parse("gaussian") is N
@@ -345,11 +356,43 @@ class TestBatchHelpers:
         assert np.array_equal(a, b.astype(float))
 
 
+class TestRandomBits:
+    # random_bits must replay Generator.integers(0, 2, ...) bit for bit and
+    # leave the generator in the same state, buffered half word included
+    def assert_replays(self, counts, seed=8):
+        expected_rng, rng = derive_rng(seed), derive_rng(seed)
+        for count in counts:
+            expected = expected_rng.integers(0, 2, size=count)
+            bits = core.random_bits(rng, count)
+            assert bits.dtype == bool and bits.shape == (count,)
+            assert np.array_equal(bits, expected == 1)
+            assert repr(rng.bit_generator.state) == repr(expected_rng.bit_generator.state)
+        assert np.array_equal(rng.standard_normal(5), expected_rng.standard_normal(5))
+        assert repr(rng.bit_generator.state) == repr(expected_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 1023, 1024])
+    def test_single_call(self, count):
+        self.assert_replays([count])
+
+    @pytest.mark.parametrize("counts", [
+        [1, 1], [1, 2], [1, 3], [3, 1023], [1, 0, 1], [1023, 1024, 1], [5, 7, 9, 2]])
+    def test_calls_starting_on_a_buffered_half(self, counts):
+        self.assert_replays(counts)
+
+    def test_shape(self):
+        expected = derive_rng(4).integers(0, 2, size=(3, 2, 5))
+        assert np.array_equal(core.random_bits(derive_rng(4), (3, 2, 5)), expected == 1)
+
+
 class TestGramBatch:
     # gram_batch must replay the entry path exactly: same W bits, same stream
     def assert_same_as_entries(self, dist, m, k, n, seed=3):
         expected_rng, rng = derive_rng(seed, k, n), derive_rng(seed, k, n)
-        expected = covariance_batch(sample_batch(dist, expected_rng, m, k, n))
+        if dist is R:  # the entries numpy's own bounded draw gives
+            entries = (expected_rng.integers(0, 2, size=(m, k, n)) * 2 - 1).astype(np.float64)
+        else:
+            entries = sample_batch(dist, expected_rng, m, k, n)
+        expected = covariance_batch(entries)
         w = gram_batch(dist, rng, m, k, n)
         assert w.dtype == expected.dtype and w.shape == (m, k, k)
         assert np.array_equal(w, expected)

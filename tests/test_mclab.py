@@ -22,7 +22,7 @@ from eigrates import (
     zero_eigen_rate,
 )
 from eigrates import mclab, ber_experiment
-from eigrates.core import covariance_batch, eigvalues_batch, sample_batch
+from eigrates.core import _chunks, covariance_batch, eigvalues_batch, gram_batch, sample_batch
 from eigrates.mclab import _multisets, _sign_matrix_counts
 
 R = EntryDistribution.RADEMACHER
@@ -107,6 +107,40 @@ class TestEstimateTail:
         for alpha in lam_min[-sizes[-1]:]:
             est = estimate_tail(dist, k, n, float(alpha), TailSide.MIN_BELOW, sum(sizes), seed)
             assert est.hits == int(np.count_nonzero(lam_min <= alpha))
+
+    @pytest.mark.parametrize("k, n, deduplicated", [
+        (3, 8, True), (3, 20, True), (4, 10, True), (8, 2, True), (8, 64, False)])
+    def test_one_eigen_solve_per_distinct_sign_matrix(self, monkeypatch, k, n, deduplicated):
+        # +/-1 chunks solve each distinct W once when there are at most
+        # CHUNK_TRIALS column-class multisets; (8, 2) has 8,256, (8, 64) far more
+        seed, trials = 21, mclab.CHUNK_TRIALS + 3000
+        lam = np.concatenate([eigvalues_batch(gram_batch(R, rng, size, k, n))
+                              for rng, size in _chunks(seed, trials, mclab.CHUNK_TRIALS)])
+        solved = []
+        monkeypatch.setattr(mclab, "eigvalues_batch",
+                            lambda w: solved.append(len(w)) or eigvalues_batch(w))
+        pooled = np.concatenate(list(mclab._spectra(R, k, n, trials, seed)))
+        assert np.array_equal(pooled, lam)
+        assert (sum(solved) < trials) == deduplicated
+        for alpha, side, event in [(0.5, TailSide.MIN_BELOW, lam[:, 0] <= 0.5),
+                                   (1.5, TailSide.MAX_ABOVE, lam[:, -1] >= 1.5)]:
+            est = estimate_tail(R, k, n, alpha, side, trials, seed)
+            assert est.hits == int(np.count_nonzero(event))
+        hist = spectrum_histogram(R, k, n, trials, 40, seed)
+        mass, edges = np.histogram(lam.ravel(), bins=40)
+        assert np.array_equal(hist.bin_edges, edges)
+        assert np.array_equal(hist.mass, mass / lam.size)
+
+    @pytest.mark.parametrize("k, n", [(3, 4), (3, 71), (5, 4), (9, 2), (17, 1)])
+    def test_distinct_sign_eigvalues(self, monkeypatch, k, n):
+        # (9, 2) and (17, 1) pack their keys into more than one int64 word
+        w = gram_batch(R, derive_rng(2), 5000, k, n)
+        solved = []
+        monkeypatch.setattr(mclab, "eigvalues_batch",
+                            lambda w: solved.append(w) or eigvalues_batch(w))
+        assert np.array_equal(mclab._distinct_sign_eigvalues(w, n), eigvalues_batch(w))
+        distinct = {m.tobytes() for m in w}
+        assert len(solved[0]) == len(distinct) == len({m.tobytes() for m in solved[0]})
 
     def test_trials_gate(self):
         with pytest.raises(DomainError):
