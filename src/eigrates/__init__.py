@@ -12,13 +12,10 @@ from .core import (
     UnitVector,
     covariance,
     derive_rng,
-    jacobi_eigh,
-    load_sample_matrix,
     make_rng,
     mp_edges,
     quadratic_form,
     sample_matrix,
-    save_sample_matrix,
     spectrum,
     trace_stat,
 )

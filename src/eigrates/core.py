@@ -19,10 +19,8 @@ from .errors import ConvergenceError, DimensionError, DomainError
 SQRT3 = math.sqrt(3.0)
 
 # Off-diagonal Frobenius tolerance (relative to ||W||_F) of the certificate
-# that spectrum() checks and the cyclic Jacobi reference converges to, and
-# the Jacobi sweep cap.
+# that spectrum() checks.
 JACOBI_TOL_FACTOR = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 # An eigenvalue counts as zero when it is at most ZERO_EIG_TOL * max(1, trace),
 # the trace taken as the eigenvalue sum.  For +/-1 entries nW is an integer
@@ -332,79 +330,6 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def jacobi_eigh(matrix: np.ndarray,
-                tol_factor: float = JACOBI_TOL_FACTOR,
-                max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi rotations for a symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns, offdiag residual).
-    Pure Python and slow; kept as the reference that spectrum() and
-    eigvalues_batch are tested against.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    k = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != k:
-        raise DimensionError(f"expected a square matrix, got {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
-        raise DomainError("jacobi_eigh needs a symmetric input")
-    q = np.eye(k)
-    if k == 1:
-        return a[0].copy(), q, 0.0
-
-    norm_f = float(np.linalg.norm(a))
-    if norm_f == 0.0:
-        return np.zeros(k), q, 0.0
-    thresh = tol_factor * norm_f
-
-    converged = False
-    off = _offdiag_norm(a)
-    for _ in range(max_sweeps):
-        if off <= thresh:
-            converged = True
-            break
-        for p in range(k - 1):
-            for r in range(p + 1, k):
-                apr = a[p, r]
-                if apr == 0.0:
-                    continue
-                tau = (a[r, r] - a[p, p]) / (2.0 * apr)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)  # small-angle limit, tau*tau overflows
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                cth = 1.0 / math.sqrt(1.0 + t * t)
-                sth = t * cth
-                # A <- G^T A G and Q <- Q G for the (p, r) rotation.
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = cth * col_p - sth * col_r
-                a[:, r] = sth * col_p + cth * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = cth * row_p - sth * row_r
-                a[r, :] = sth * row_p + cth * row_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                q_p = q[:, p].copy()
-                q_r = q[:, r].copy()
-                q[:, p] = cth * q_p - sth * q_r
-                q[:, r] = sth * q_p + cth * q_r
-        off = _offdiag_norm(a)
-    else:
-        converged = off <= thresh
-    if not converged:
-        raise ConvergenceError(
-            f"jacobi sweeps did not converge: residual {off:.3e} > {thresh:.3e}",
-            offdiag_residual=off,
-        )
-
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], q[:, order], off
-
-
 def quadratic_form(c: SampleMatrix, x: UnitVector) -> float:
     """(1/n) sum_i (sum_m x_m C_mi)^2, which equals <x, W x>."""
     if x.k != c.k:
@@ -435,7 +360,7 @@ def mp_edges(beta: float) -> tuple[float, float]:
 # per-instance objects would dominate the runtime.  These helpers keep the
 # exact same sampling streams but operate on (m, k, n) stacks, and use closed
 # forms (k <= 2) or LAPACK (k >= 3) for eigenvalues, without spectrum()'s
-# eigenvectors or certificate.  Tests cross-check them against jacobi_eigh.
+# eigenvectors or certificate.  Tests cross-check them against a Jacobi reference.
 
 # Entries drawn at a time by gram_batch, which bounds its scratch memory.
 GRAM_BLOCK_ENTRIES = 1 << 20
@@ -496,6 +421,38 @@ def _sign_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:
     return ((n - 2 * np.arange(n + 1)) / n)[differ.transpose(2, 0, 1)]
 
 
+def _sign_gram_classes(w: np.ndarray, n: int, extra: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the distinct rows of an (m, k, k) stack of +/-1 W,
+    each row keyed with its row of the optional (m, c) integer columns extra:
+    w[first] holds each distinct row once, at its first index, and
+    w[first][inverse] is w again (so is extra[first][inverse]).
+
+    The key is exact, with no hashing: the strict upper triangle as
+    integer distances (n - nW_ij)/2 in 0..n, bit_length(n) bits each,
+    packed into int64 words, then the extra columns, sorted row by row.
+    The diagonal is 1.  The key needs at least one column (k >= 2 or extra).
+    """
+    m, k = w.shape[0], w.shape[-1]
+    upper = k * (k - 1) // 2
+    bits = int(n).bit_length()
+    per_word = max(1, min(upper, 63 // bits))
+    n_words = -(-upper // per_word)
+    distance = np.zeros((m, n_words * per_word), dtype=np.int64)
+    rows, cols = np.triu_indices(k, 1)
+    distance[:, :upper] = np.rint((1.0 - w[:, rows, cols]) * (n / 2))
+    words = (distance.reshape(m, n_words, per_word) << bits * np.arange(per_word)).sum(axis=-1)
+    if extra is not None:
+        words = np.concatenate([words, extra], axis=1)
+    order = np.lexsort(words.T)
+    key = words[order]
+    new = np.ones(m, dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def eigvalues_batch(w: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of an (m, k, k) stack of symmetric matrices."""
     k = w.shape[-1]
@@ -516,32 +473,3 @@ def bottom_eigenvalues_vanish(lam: np.ndarray, l: int) -> np.ndarray:
     at most ZERO_EIG_TOL * max(1, sum(lam))?"""
     scale = np.maximum(1.0, np.sum(lam, axis=1))
     return lam[:, l - 1] <= ZERO_EIG_TOL * scale
-
-
-# ---------------------------------------------------------------------------
-# Plain-CSV serialization for experiment reproducibility
-# ---------------------------------------------------------------------------
-
-def save_sample_matrix(c: SampleMatrix, path) -> None:
-    """Row-major CSV with a "k,n,seed,dist" provenance header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,n,seed,dist\n")
-        fh.write(f"{c.k},{c.n},{c.seed},{c.dist.value}\n")
-        for row in c.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_sample_matrix(path) -> SampleMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "k,n,seed,dist":
-            raise DomainError(f"unexpected sample-matrix header {header!r}")
-        k_s, n_s, seed_s, dist_s = fh.readline().strip().split(",")
-        k, n, seed = int(k_s), int(n_s), int(seed_s)
-        dist = EntryDistribution.parse(dist_s)
-        rows = [
-            np.array([float(v) for v in fh.readline().strip().split(",")])
-            for _ in range(k)
-        ]
-    entries = np.vstack(rows)
-    return SampleMatrix(dist=dist, k=k, n=n, entries=entries, seed=seed)

@@ -25,6 +25,7 @@ from scipy.special import betaincinv
 from .core import (
     EntryDistribution,
     _chunks,
+    _sign_gram_classes,
     bottom_eigenvalues_vanish,
     eigvalues_batch,
     gram_batch,
@@ -127,7 +128,10 @@ def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int):
     of column classes, as in enumerate_exact).  When that is at most
     CHUNK_TRIALS and LAPACK is called (k >= 3), a chunk solves each
     distinct W once; eigvalsh treats each matrix of a stack alone, so the
-    eigenvalues are bit for bit the same.
+    eigenvalues are bit for bit the same.  The distinct W come from
+    core._sign_gram_classes, the exact key that sdpic.ber_experiment also
+    uses to decode each distinct (W, Z) of an s=inf pool once, with
+    unchanged counts.
     """
     classes = 1 << (k - 1)
     if (dist is EntryDistribution.RADEMACHER and k >= 3 and classes <= CHUNK_TRIALS
@@ -141,27 +145,10 @@ def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int):
 
 def _distinct_sign_eigvalues(w: np.ndarray, n: int) -> np.ndarray:
     """eigvalues_batch(w) for an (m, k, k) stack of +/-1 W, solving each
-    distinct matrix once and scattering its eigenvalues back.
-
-    The key is exact, with no hashing: the strict upper triangle as
-    integer distances (n - nW_ij)/2 in 0..n, bit_length(n) bits each,
-    packed into int64 words and sorted row by row.  The diagonal is 1.
-    """
-    m, k = w.shape[0], w.shape[-1]
-    upper = k * (k - 1) // 2
-    bits = int(n).bit_length()
-    per_word = min(upper, 63 // bits)
-    distance = np.zeros((m, -(-upper // per_word) * per_word), dtype=np.int64)
-    rows, cols = np.triu_indices(k, 1)
-    distance[:, :upper] = np.rint((1.0 - w[:, rows, cols]) * (n / 2))
-    words = (distance.reshape(m, -1, per_word) << bits * np.arange(per_word)).sum(axis=-1)
-    order = np.lexsort(words.T)
-    key = words[order]
-    new = np.ones(m, dtype=bool)
-    new[1:] = np.any(key[1:] != key[:-1], axis=1)
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return eigvalues_batch(w[order[new]])[inverse]
+    distinct matrix once (core._sign_gram_classes, an exact integer key)
+    and scattering its eigenvalues back."""
+    first, inverse = _sign_gram_classes(w, n)
+    return eigvalues_batch(w[first])[inverse]
 
 
 def _estimate_event(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,

@@ -29,6 +29,7 @@ from .core import (
     SampleMatrix,
     Spectrum,
     _chunks,
+    _sign_gram_classes,
     bottom_eigenvalues_vanish,
     covariance,
     derive_rng,
@@ -362,7 +363,11 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
 
     The infinite mode decodes only the trials that CONTRACTION_SCREEN does
     not settle, pooled across chunks into stacks of at least CHUNK_TRIALS
-    rows (or all that remain).  The screened trials are provably
+    rows (or all that remain).  A trial's outcome depends only on its
+    (W, Z), so each distinct pair of a pool is decoded once (found by
+    core._sign_gram_classes, an exact integer key with Z's bits as
+    extra columns) and its estimate scattered back; coins, errors and oscillation
+    attribution stay per trial.  The screened trials are provably
     error-free, and each trial's arithmetic does not depend on its stack,
     so the counts equal those of decoding every trial.  weight applies to
     finite stages only.
@@ -404,22 +409,32 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
                 continue
             w, bits, coins = (np.concatenate(part) for part in zip(*pending))
             pending = []
-            est, _, converged, ahead = _recursion(w, bits, INFTY_STAGE_CAP, INFTY_TOL)
-            wrong = _decide_batch(est, coins) != bits
+            # an outcome depends only on (W, Z): decode each distinct pair once,
+            # keyed by W and by Z's bits (8 users to an integer column)
+            first, inverse = _sign_gram_classes(
+                w, n, np.packbits(bits > 0, axis=1, bitorder="little"))
+            w = w[first]
+            est, _, converged, ahead = _recursion(w, bits[first], INFTY_STAGE_CAP, INFTY_TOL)
             capped = np.flatnonzero(~converged)
+            oscillating = np.zeros(len(w), dtype=bool)
             if capped.size > 0:
-                cap_hits += capped.size
                 lam = eigvalues_batch(w[capped])
-                osc = capped[(lam[:, -1] >= PING_PONG_LAMBDA - 1e-12)
-                             | bottom_eigenvalues_vanish(lam, 1)]
-                oscillations += osc.size
-                marked = wrong[osc] | (np.sign(ahead[osc]) != np.sign(est[osc]))
-                quiet = np.flatnonzero(~np.any(marked, axis=1))
-                step = np.abs(ahead[osc[quiet]] - est[osc[quiet]])
-                # steps equal up to round-off are ties, won by the lowest user
-                top = step >= np.max(step, axis=1, keepdims=True) * (1.0 - _TIE_RTOL)
-                marked[quiet, np.argmax(top, axis=1)] = True
-                wrong[osc] = marked
+                oscillating[capped] = ((lam[:, -1] >= PING_PONG_LAMBDA - 1e-12)
+                                       | bottom_eigenvalues_vanish(lam, 1))
+            # coins, errors and attribution stay per trial
+            est, converged, ahead, oscillating = (
+                a[inverse] for a in (est, converged, ahead, oscillating))
+            wrong = _decide_batch(est, coins) != bits
+            cap_hits += int(np.count_nonzero(~converged))
+            osc = np.flatnonzero(oscillating)
+            oscillations += osc.size
+            marked = wrong[osc] | (np.sign(ahead[osc]) != np.sign(est[osc]))
+            quiet = np.flatnonzero(~np.any(marked, axis=1))
+            step = np.abs(ahead[osc[quiet]] - est[osc[quiet]])
+            # steps equal up to round-off are ties, won by the lowest user
+            top = step >= np.max(step, axis=1, keepdims=True) * (1.0 - _TIE_RTOL)
+            marked[quiet, np.argmax(top, axis=1)] = True
+            wrong[osc] = marked
         else:
             est = _partial_sum(w, z, s, 1.0 if weight is None else weight)
             wrong = _decide_batch(est, coins) != bits

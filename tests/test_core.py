@@ -15,13 +15,10 @@ from eigrates import (
     UnitVector,
     covariance,
     derive_rng,
-    jacobi_eigh,
-    load_sample_matrix,
     make_rng,
     mp_edges,
     quadratic_form,
     sample_matrix,
-    save_sample_matrix,
     spectrum,
     trace_stat,
 )
@@ -33,6 +30,7 @@ from eigrates.core import (
     gram_batch,
     sample_batch,
 )
+from jacobi_reference import jacobi_eigh
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -426,13 +424,28 @@ class TestGramBatch:
         assert peak < 8 * m * k * k + 6 * 8 * core.GRAM_BLOCK_ENTRIES
 
 
-class TestCsvRoundTrip:
-    def test_roundtrip(self, tmp_path):
-        c = sample_matrix(U, 3, 7, 123456)
-        path = tmp_path / "matrix.csv"
-        save_sample_matrix(c, path)
-        back = load_sample_matrix(path)
-        assert back.dist is U and back.k == 3 and back.n == 7 and back.seed == 123456
-        assert np.array_equal(back.entries, c.entries)
-        header = path.read_text().splitlines()[0]
-        assert header == "k,n,seed,dist"
+
+class TestSignGramClasses:
+    # the exact key that mclab's distinct-W eigen solve and ber_experiment's
+    # distinct-(W, Z) decode share
+    @pytest.mark.parametrize("with_extra", [False, True])
+    @pytest.mark.parametrize("k, n", [(3, 4), (3, 71), (9, 2), (17, 1)])
+    def test_first_and_inverse_rebuild_the_stack(self, k, n, with_extra):
+        # (9, 2) and (17, 1) pack their keys into two and three int64 words
+        rng = derive_rng(4)
+        w = gram_batch(R, rng, 5000, k, n)
+        extra = rng.integers(-2, 3, size=(5000, 2)) if with_extra else None
+        first, inverse = core._sign_gram_classes(w, n, extra)
+        assert np.array_equal(w[first][inverse], w)
+        rows = [m.tobytes() for m in w]
+        if with_extra:
+            assert np.array_equal(extra[first][inverse], extra)
+            rows = [m + e.tobytes() for m, e in zip(rows, extra)]
+        assert len(first) == len(set(rows)) < len(w)
+        # each class is represented by its first row
+        assert np.array_equal(np.unique(inverse, return_index=True)[1], first)
+
+    def test_empty_stack(self):
+        first, inverse = core._sign_gram_classes(np.empty((0, 3, 3)), 8,
+                                                 np.empty((0, 1), dtype=np.int64))
+        assert first.size == inverse.size == 0

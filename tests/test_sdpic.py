@@ -552,3 +552,40 @@ class TestRecursionKeepsItsBits:
         assert [s for s, _ in seen] == list(range(1, 61))
         for (sa, a), (sb, b) in zip(seen, seen_eager, strict=True):
             assert sa == sb and np.array_equal(a, b, equal_nan=True)
+
+
+class TestDistinctPairs:
+    # at s=inf an outcome depends only on (W, Z), so ber_experiment decodes
+    # each distinct pair of a pool once and scatters the result to its trials
+    @pytest.mark.parametrize("args", [
+        (3, 8, math.inf, 1 << 16, 12345),
+        (4, 6, math.inf, 20000, 3),
+        (3, 18, math.inf, 10**5, 909),  # oscillation ties at lambda_max = 2
+        # singular W with Z = (1, -1) decodes to exact zeros: each duplicate
+        # of that pair takes its own coins
+        (2, 2, math.inf, 20000, 4),
+    ])
+    def test_counts_equal_decoding_every_trial(self, args):
+        deduplicated = ber_experiment(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            # every row its own class
+            mp.setattr(sdpic, "_sign_gram_classes",
+                       lambda w, n, extra: (np.arange(len(w)), np.arange(len(w))))
+            every_trial = ber_experiment(*args)
+        assert deduplicated.cap_hit_count > 0
+        assert deduplicated == every_trial
+
+    @pytest.mark.parametrize("k, n", [(2, 2), (3, 8), (4, 6), (3, 18)])
+    def test_one_decode_per_distinct_pair(self, monkeypatch, k, n):
+        # CHUNK_TRIALS trials make one chunk and so one pool
+        trials, seed = sdpic.CHUNK_TRIALS, 909
+        w, bits = chunk_zero_stack(k, n, trials, seed)
+        rest = np.max(np.sum(np.abs(np.eye(k) - w), axis=2), axis=1) > sdpic.CONTRACTION_SCREEN
+        pairs = {m.tobytes() + b.tobytes() for m, b in zip(w[rest], bits[rest])}
+        decoded = []
+        recursion = sdpic._recursion
+        monkeypatch.setattr(sdpic, "_recursion",
+                            lambda w, z, *args: decoded.append(len(z)) or recursion(w, z, *args))
+        ber_experiment(k, n, math.inf, trials, seed)
+        assert decoded == [len(pairs)]
+        assert len(pairs) < np.count_nonzero(rest)
