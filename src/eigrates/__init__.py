@@ -33,6 +33,7 @@ from .mclab import (
     clopper_pearson,
     enumerate_exact,
     estimate_tail,
+    estimate_tails,
     max_above,
     min_below,
     spectrum_histogram,

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .core import EntryDistribution, UnitVector, derive_rng, sample_matrix
 from .errors import DomainError
-from .mclab import TailSide, estimate_tail, spectrum_histogram, zero_eigen_rate
+from .mclab import TailSide, estimate_tails, spectrum_histogram, zero_eigen_rate
 from .rates import (
     CgfSpec,
     OptimizerSettings,
@@ -214,8 +214,9 @@ def _run_phase(config: ExperimentConfig):
 def _run_mc(config: ExperimentConfig):
     dist = EntryDistribution.parse(config.dist)
     side = TailSide.parse(config.side)
-    records = [estimate_tail(dist, config.k, config.n, a, side, config.trials,
-                             config.seed).record() for a in config.alpha_grid]
+    records = [est.record() for est in estimate_tails(dist, config.k, config.n,
+                                                      config.alpha_grid, side,
+                                                      config.trials, config.seed)]
     return ["alpha", "trials", "hits", "p_hat", "ci_low", "ci_high", "empirical_rate"], records
 
 

@@ -151,13 +151,15 @@ def _distinct_sign_eigvalues(w: np.ndarray, n: int) -> np.ndarray:
     return eigvalues_batch(w[first])[inverse]
 
 
-def _estimate_event(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
-                    predicate) -> tuple[int, float, float, float, float | None]:
-    """(hits, p_hat, ci_low, ci_high, empirical_rate) of the event over `trials` W."""
+def _count_events(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
+                  predicates) -> list[int]:
+    """Hits of each event over the same `trials` W, on one pass of _spectra."""
     _check_trials(k, n, trials)
-    hits = sum(int(np.count_nonzero(predicate(lam)))
-               for lam in _spectra(dist, k, n, trials, seed))
-    return (hits, *_binomial(hits, trials, n))
+    hits = [0] * len(predicates)
+    for lam in _spectra(dist, k, n, trials, seed):
+        for i, predicate in enumerate(predicates):
+            hits[i] += int(np.count_nonzero(predicate(lam)))
+    return hits
 
 
 def min_below(alpha: float):
@@ -188,11 +190,22 @@ def estimate_tail(dist: EntryDistribution, k: int, n: int, alpha: float,
     Deterministic for a fixed seed, and the sample stream does not depend
     on alpha or side, so sweeps over levels share the same matrices.
     """
-    pred = min_below(alpha) if side is TailSide.MIN_BELOW else max_above(alpha)
-    hits, p_hat, lo, hi, rate = _estimate_event(dist, k, n, trials, seed, pred)
-    return TailEstimate(dist=dist, k=k, n=n, alpha=alpha, side=side, trials=trials,
-                        hits=hits, p_hat=p_hat, ci_low=lo, ci_high=hi,
-                        empirical_rate=rate, seed=seed)
+    return estimate_tails(dist, k, n, (alpha,), side, trials, seed)[0]
+
+
+def estimate_tails(dist: EntryDistribution, k: int, n: int, alphas, side: TailSide,
+                   trials: int, seed: int) -> list[TailEstimate]:
+    """estimate_tail at each level of `alphas`, counted on one sampling pass:
+    each level's estimate equals its own estimate_tail run."""
+    pred = min_below if side is TailSide.MIN_BELOW else max_above
+    counts = _count_events(dist, k, n, trials, seed, [pred(alpha) for alpha in alphas])
+    estimates = []
+    for alpha, hits in zip(alphas, counts):
+        p_hat, lo, hi, rate = _binomial(hits, trials, n)
+        estimates.append(TailEstimate(dist=dist, k=k, n=n, alpha=alpha, side=side,
+                                      trials=trials, hits=hits, p_hat=p_hat, ci_low=lo,
+                                      ci_high=hi, empirical_rate=rate, seed=seed))
+    return estimates
 
 
 def enumerate_exact(k: int, n: int, predicate) -> float:
@@ -283,8 +296,8 @@ def zero_eigen_rate(k: int, l: int, n_list, trials: int, seed: int) -> list[Zero
                                          hits=None, p_hat=p, ci_low=None, ci_high=None,
                                          empirical_rate=_rate(p, n), seed=None))
         else:
-            hits, p, lo, hi, rate = _estimate_event(EntryDistribution.RADEMACHER, k, n,
-                                                    trials, seed, pred)
+            hits, = _count_events(EntryDistribution.RADEMACHER, k, n, trials, seed, [pred])
+            p, lo, hi, rate = _binomial(hits, trials, n)
             points.append(ZeroEigenPoint(k=k, l=l, n=n, method="mc", trials=trials,
                                          hits=hits, p_hat=p, ci_low=lo, ci_high=hi,
                                          empirical_rate=rate, seed=seed))

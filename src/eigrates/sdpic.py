@@ -64,6 +64,11 @@ _TIE_RTOL = 1e-9
 # adds nothing to any count, and ber_experiment does not run it.
 CONTRACTION_SCREEN = 0.9
 
+# The recursion tests convergence once per block of at most BLOCK_STAGES
+# stages, whose iterates share a buffer of about BLOCK_FLOATS floats.
+BLOCK_STAGES = 32
+BLOCK_FLOATS = 1 << 16
+
 # Trials per chunk: part of the stream, since chunk c draws from derive_rng(seed, c).
 CHUNK_TRIALS = 1 << 14
 
@@ -135,23 +140,45 @@ def _instance(c: SampleMatrix, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return covariance(c).values[None], z[None]
 
 
-def _stack_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _stack_product(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """W x row by row over a (t, k, k) stack, in one einsum call."""
-    return np.einsum("tij,tj->ti", w, x)
+    return np.einsum("tij,tj->ti", w, x, out=out)
 
 
-def _matrix_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _matrix_product(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """W x row by row with the bits of w @ x: one BLAS call per matrix."""
-    return np.matmul(w, x[..., None])[..., 0]
+    return np.matmul(w, x[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """Max of each row of a (t, k) array, taken over its k columns.
+    """Max of an array over its last axis: of each row of a (t, k) array,
+    or of each stage's row of an (m, t, k) block.
 
-    Exact and NaN-propagating like a.max(axis=1), and much cheaper at small
+    Exact and NaN-propagating like a.max(axis=-1), and much cheaper at small
     k, where numpy's per-row reduction costs more than the k maxima.
     """
-    return functools.reduce(np.maximum, a.T)
+    return functools.reduce(np.maximum, (a[..., j] for j in range(a.shape[-1])))
+
+
+def _block_stages(t: int, k: int) -> int:
+    """Stages per block for a working stack of t rows of k users.
+
+    The iterate buffer's b + 1 slots hold about BLOCK_FLOATS floats, with
+    b at most BLOCK_STAGES and at least 1: long blocks for the small
+    stacks whose stages cost calls, not arithmetic, and one stage at a time
+    from about 2^14 rows, where a longer block only adds memory traffic.
+    """
+    return min(BLOCK_STAGES, max(1, BLOCK_FLOATS // max(1, t * k) - 1))
+
+
+def _block_buffers(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (b + 1, t, k) iterate buffer holding `first` in slot 0, and a
+    (b, t, k) one for the stage-to-stage changes, b = _block_stages(t, k)."""
+    t, k = first.shape
+    b = _block_stages(t, k)
+    buf = np.empty((b + 1, t, k))
+    buf[0] = first
+    return buf, np.empty((b, t, k))
 
 
 # The BER paths multiply a stack in one call; a single instance keeps the
@@ -174,15 +201,20 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """est(s) = est(1) - (W - I) est(s-1) over a (t, k, k) stack, s <= cap.
 
-    With tol, a trial stops at the first stage whose sup-norm change is
-    below tol (NaN changes compare False and run on).  A stopped trial's
-    result is recorded at once, but its row stays in the working stack,
-    no longer live, until a quarter of the stack has stopped; only then is
-    the stack compacted.  Each row's arithmetic is independent of the
-    others, so the results do not depend on when compaction happens.
-    Without tol, visit(stage, est) sees every stage.  Returns (est, stages,
-    converged, ahead): each trial's last estimate and stage, whether it
-    stopped early, and est(cap + 1) on the rows that did not (NaN elsewhere).
+    The stages run in blocks of up to b (_block_stages), each iterate
+    written into the next slot of one buffer.  With tol, a trial stops at
+    the first stage whose sup-norm change is below tol (NaN changes
+    compare False and run on), found after each block by one pass over the
+    block's changes; the rows run the rest of the block regardless.  A
+    stopped trial's result is recorded at once, but its row stays in the
+    working stack, no longer live, until a quarter of the stack has
+    stopped; only then is the stack compacted, into a new buffer sized for
+    it.  Each row's arithmetic is independent of the others and of its
+    block, so the results do not depend on when the tests or compaction
+    happen.  Without tol, visit(stage, est) sees every stage, each in an
+    array of its own.  Returns (est, stages, converged, ahead): each
+    trial's last estimate and stage, whether it stopped early, and
+    est(cap + 1) on the rows that did not (NaN elsewhere).
     """
     est1 = product(w, z)
     est = est1.copy()
@@ -193,32 +225,45 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     stopped = 0  # rows of the working stack that are no longer live
     with np.errstate(over="ignore", invalid="ignore"):
         if visit is not None:
-            visit(1, ea)
-        for stage in range(2, cap + 1):
-            if stopped == len(rows):  # every trial has stopped (or there are none)
-                break
-            nxt = e1a - (product(wa, ea) - ea)
+            visit(1, est1)
+        (buf, change), stage = _block_buffers(est1), 1  # buf[0] holds est(stage)
+        while stage < cap and stopped < len(rows):
+            m = min(len(buf) - 1, cap - stage)
+            scratch = change[0]  # holds the product until the test
+            for j in range(m):
+                product(wa, buf[j], out=scratch)
+                np.subtract(scratch, buf[j], out=scratch)
+                np.subtract(e1a, scratch, out=buf[j + 1])
+            ea = buf[m]
             if visit is not None:
-                visit(stage, nxt)
+                for j in range(1, m + 1):
+                    visit(stage + j, buf[j].copy())
             if tol is not None:
-                change = _row_max(np.abs(nxt - ea))
-                done = np.flatnonzero((change < tol) & live)
+                np.subtract(buf[1:m + 1], buf[:m], out=change[:m])
+                below = _row_max(np.abs(change[:m], out=change[:m])) < tol
+                done = np.flatnonzero(np.any(below, axis=0) & live)
                 if done.size:
-                    est[rows[done]] = nxt[done]
-                    stages[rows[done]] = stage
+                    first = np.argmax(below[:, done], axis=0) + 1
+                    est[rows[done]] = buf[first, done]
+                    stages[rows[done]] = stage + first
                     converged[rows[done]] = True
                     live[done] = False
                     stopped += done.size
                     if 4 * stopped >= len(rows):
-                        rows, wa, e1a, nxt, live = (rows[live], wa[live], e1a[live],
-                                                    nxt[live], live[live])
-                        stopped = 0
-            ea = nxt
-        if stopped:
-            rows, wa, e1a, ea = rows[live], wa[live], e1a[live], ea[live]
-        est[rows] = ea
+                        ea = ea[live]
+                        del buf, change, scratch  # freed before W is copied
+                        rows, wa, e1a, live = rows[live], wa[live], e1a[live], live[live]
+                        buf, change = _block_buffers(ea)
+                        ea, stopped, stage = buf[0], 0, stage + m
+                        continue
+            # est(stage + m) ends a full block in the last slot: reversed,
+            # the buffer carries it into the next block in slot 0, uncopied
+            buf, stage = buf[::-1], stage + m
+        # one more stage over the whole working stack, so W is not copied
+        step = e1a - (product(wa, ea) - ea)
+        est[rows[live]] = ea[live]
         ahead = np.full_like(est, np.nan)
-        ahead[rows] = e1a - (product(wa, ea) - ea)
+        ahead[rows[live]] = step[live]
     return est, stages, converged, ahead
 
 
@@ -243,8 +288,10 @@ def sdpic_closed(c: SampleMatrix, z: np.ndarray, s: int) -> np.ndarray:
 def weighted_sdpic(c: SampleMatrix, z: np.ndarray, s: int, weight: float) -> np.ndarray:
     """M-weighted partial sum M^-1 sum_{j<s} (I - W/M)^j W Z.
 
-    Converges to Z as s grows whenever 0 < lambda_min and lambda_max < M;
-    weight 1 reproduces sdpic_closed exactly.
+    Converges to Z as s grows, for every Z, exactly when 0 < lambda_min
+    and lambda_max < 2M: I - W/M has spectral radius below 1 (at M = 1
+    that is the PING_PONG_LAMBDA rule).  Weight 1 reproduces sdpic_closed
+    exactly.
     """
     if s < 1:
         raise DomainError(f"stage must be >= 1, got {s}")

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import eigrates
-from eigrates import rate_wishart, wishart_t_star
+from eigrates import cli, estimate_tail, rate_wishart, wishart_t_star
 from eigrates.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -121,6 +121,40 @@ class TestDeterminism:
         assert run(["phase", "--out", out]) == EXIT_OK
         config, _ = read_output(out)
         assert config.seed == 31337
+
+
+class TestMcLevelGrid:
+    # every level of --alpha-grid is counted on one sampling pass, with the
+    # records of a separate run per level
+    @pytest.mark.parametrize("dist, k, n, grid, side, fmt", [
+        ("rademacher", 3, 8, "0.3:0.7:0.1", "min_below", "jsonl"),
+        ("normal", 2, 20, "1.2:1.6:0.1", "max_above", "csv"),
+    ])
+    def test_grid_equals_one_level_runs(self, tmp_path, monkeypatch, dist, k, n, grid,
+                                        side, fmt):
+        args = ["mc", "--dist", dist, "--k", k, "--n", n, "--side", side,
+                "--trials", 70000, "--seed", 11, "--format", fmt]
+        levels = parse_alpha_grid(grid)
+        assert len(levels) == 5
+        out = tmp_path / "grid"  # the header names the output path
+        assert run(args + ["--alpha-grid", grid, "--out", out]) == EXIT_OK
+        one_pass = out.read_bytes()
+
+        def level_by_level(dist, k, n, alphas, side, trials, seed):
+            return [estimate_tail(dist, k, n, a, side, trials, seed) for a in alphas]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "estimate_tails", level_by_level)
+            assert run(args + ["--alpha-grid", grid, "--out", out]) == EXIT_OK
+        assert out.read_bytes() == one_pass
+
+        # and each record line is that of a one-level run
+        rows = []
+        for i, alpha in enumerate(levels):
+            level = tmp_path / f"level_{i}"
+            assert run(args + ["--alpha-grid", repr(alpha), "--out", level]) == EXIT_OK
+            rows += level.read_text().splitlines()[1 if fmt == "jsonl" else 3:]
+        assert one_pass.decode().splitlines()[1 if fmt == "jsonl" else 3:] == rows
 
 
 class TestPhaseCommand:

@@ -281,6 +281,19 @@ class TestWeighted:
             est = weighted_sdpic(c, z, 4000, 4.0)
             assert np.max(np.abs(est - z)) < 1e-8
 
+    def test_converges_with_weight_below_lambda_max(self):
+        # the sharp condition is 0 < lambda_min and lambda_max < 2M, the
+        # spectral radius of I - W/M below 1: here M = lambda_max / 1.5
+        c = sample_matrix(R, 3, 6, 0)
+        sp = spectrum(covariance(c))
+        assert sp.lambda_max == pytest.approx(5.0 / 3.0) and sp.lambda_min > 0.0
+        z = np.ones(3)
+        est = weighted_sdpic(c, z, 200, sp.lambda_max / 1.5)
+        assert np.max(np.abs(est - z)) < 1e-15
+        # past lambda_max = 2M the residual grows
+        est = weighted_sdpic(c, z, 200, sp.lambda_max / 2.5)
+        assert np.max(np.abs(est - z)) > 1e10
+
     def test_weight_gate(self):
         with pytest.raises(DomainError):
             weighted_sdpic(orthogonal_pair(), np.array([1.0, 1.0]), 2, 0.0)
@@ -552,6 +565,78 @@ class TestRecursionKeepsItsBits:
         assert [s for s, _ in seen] == list(range(1, 61))
         for (sa, a), (sb, b) in zip(seen, seen_eager, strict=True):
             assert sa == sb and np.array_equal(a, b, equal_nan=True)
+
+    def test_visit_arrays_stay_valid(self):
+        # the iterates of a block share one buffer, reused block after
+        # block: an array that visit keeps uncopied must keep its stage
+        w, z = mixed_stack(3, 200, seed=6)
+        cap = 4 * sdpic._block_stages(200, 3) + 5
+        kept, seen_eager = [], []
+        sdpic._recursion(w, z, cap, visit=lambda s, e: kept.append(e))
+        eager_recursion(w, z, cap, visit=lambda s, e: seen_eager.append(e.copy()))
+        assert len(kept) == cap
+        for a, b in zip(kept, seen_eager, strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_rows_stop_at_every_offset_of_a_block(self):
+        # scalar trials whose contraction |1 - w| spreads their stops over
+        # six blocks, among rows that never stop (w = 2 alternates 2, 0, 2,
+        # ...), too few to compact the stack: each stop's offset in its
+        # block is (stage - 2) mod b
+        t, stopping = 1024, 192
+        b = sdpic._block_stages(t, 1)
+        assert b == sdpic.BLOCK_STAGES
+        ratio = 10.0 ** (-10.0 / np.linspace(1.0, 6.0 * b, stopping))
+        w = np.full((t, 1, 1), 2.0)
+        w[:stopping, 0, 0] = 1.0 + ratio * np.where(np.arange(stopping) % 2, 1.0, -1.0)
+        z = np.ones((t, 1))
+        expected = eager_recursion(w, z, 1000, sdpic.INFTY_TOL)
+        assert np.count_nonzero(expected[2]) == stopping < t // 4
+        assert set((expected[1][:stopping] - 2) % b) == set(range(b))
+        assert_same_results(sdpic._recursion(w, z, 1000, sdpic.INFTY_TOL), expected)
+
+    @pytest.mark.parametrize("product", [sdpic._stack_product, sdpic._matrix_product])
+    @pytest.mark.parametrize("cap_of", [lambda b: 1, lambda b: 2, lambda b: b - 1,
+                                        lambda b: b + 1, lambda b: 1000],
+                             ids=["1", "2", "b-1", "b+1", "1000"])
+    def test_caps_at_block_edges(self, cap_of, product):
+        w, z = mixed_stack(3, 40, seed=8)
+        cap = cap_of(sdpic._block_stages(40, 3))
+        for tol in (sdpic.INFTY_TOL, None):
+            assert_same_results(sdpic._recursion(w, z, cap, tol, product=product),
+                                eager_recursion(w, z, cap, tol, product=product))
+
+    @pytest.mark.parametrize("tol", [sdpic.INFTY_TOL, None])
+    def test_empty_stack(self, tol):
+        w, z = np.zeros((0, 3, 3)), np.zeros((0, 3))
+        got = sdpic._recursion(w, z, sdpic.INFTY_STAGE_CAP, tol)
+        assert all(len(a) == 0 for a in got)
+        assert_same_results(got, eager_recursion(w, z, sdpic.INFTY_STAGE_CAP, tol))
+
+    def test_stack_of_one_stage_blocks(self):
+        # 4096 rows of 8 users fill the buffer's floats at one stage a block
+        w, z = mixed_stack(8, 4096, seed=9)
+        assert sdpic._block_stages(4096, 8) == 1
+        expected = eager_recursion(w, z, 300, sdpic.INFTY_TOL)
+        assert 0 < np.count_nonzero(expected[2]) < len(z)
+        assert_same_results(sdpic._recursion(w, z, 300, sdpic.INFTY_TOL), expected)
+
+    def test_instance_laws_through_iterate_to_limit(self):
+        rng = make_rng(12)
+        laws = (R, EntryDistribution.UNIFORM_SYM, EntryDistribution.STD_NORMAL)
+        outcomes = set()
+        for i in range(48):  # every (law, k) pair twice
+            k = i % 8 + 1
+            c = sample_matrix(laws[i % 3], k, int(rng.integers(4, 65)),
+                              int(rng.integers(1 << 30)))
+            z = random_bits(rng, k)
+            est, stages, converged = iterate_to_limit(c, z)
+            expected = eager_recursion(*sdpic._instance(c, z), sdpic.INFTY_STAGE_CAP,
+                                       sdpic.INFTY_TOL, product=sdpic._matrix_product)
+            assert np.array_equal(est, expected[0][0], equal_nan=True)
+            assert (stages, converged) == (expected[1][0], expected[2][0])
+            outcomes.add(converged)
+        assert outcomes == {True, False}
 
 
 class TestDistinctPairs:
