@@ -357,17 +357,24 @@ def mp_edges(beta: float) -> tuple[float, float]:
 # Batched trial-loop helpers
 # ---------------------------------------------------------------------------
 # Monte Carlo experiments draw millions of small matrices; doing that through
-# per-instance objects would dominate the runtime.  These helpers keep the
-# exact same sampling streams but operate on (m, k, n) stacks, and use closed
-# forms (k <= 2) or LAPACK (k >= 3) for eigenvalues, without spectrum()'s
-# eigenvectors or certificate.  Tests cross-check them against a Jacobi reference.
+# per-instance objects would dominate the runtime.  These helpers operate on
+# stacks, keep the entry streams of +/-1 and uniform matrices, draw
+# normal-entry W directly, and use closed forms (k <= 2) or LAPACK (k >= 3)
+# for eigenvalues, without spectrum()'s eigenvectors or certificate.  Tests
+# cross-check them against a Jacobi reference.
 
-# Entries drawn at a time by gram_batch, which bounds its scratch memory.
+# Entries (or W entries) drawn at a time by gram_batch, which bounds its
+# scratch memory.
 GRAM_BLOCK_ENTRIES = 1 << 20
 
 def sample_batch(dist: EntryDistribution, rng: np.random.Generator,
                  m: int, k: int, n: int) -> np.ndarray:
-    """m independent k x n entry matrices as an (m, k, n) stack."""
+    """m independent k x n entry matrices as an (m, k, n) stack.
+
+    For +/-1 and uniform entries, gram_batch gives bit for bit
+    covariance_batch of this stack; for normal entries it draws W by the
+    Bartlett decomposition instead, from another stream.
+    """
     return dist.sample(rng, (m, k, n))
 
 
@@ -382,10 +389,14 @@ def gram_batch(dist: EntryDistribution, rng: np.random.Generator,
                m: int, k: int, n: int) -> np.ndarray:
     """(m, k, k) stack of W = (1/n) C C^T for m fresh k x n entry matrices.
 
-    Bit for bit covariance_batch(sample_batch(dist, rng, m, k, n)), leaving
-    rng in the same state, but drawn GRAM_BLOCK_ENTRIES entries at a time.
-    For +/-1 entries no float C is built: see _sign_gram.
+    For +/-1 and uniform entries, bit for bit
+    covariance_batch(sample_batch(dist, rng, m, k, n)), leaving rng in the
+    same state, but drawn GRAM_BLOCK_ENTRIES entries at a time.  For +/-1
+    entries no float C is built: see _sign_gram.  Normal-entry W has the
+    same law but is drawn by the Bartlett decomposition: see _wishart_gram.
     """
+    if dist is EntryDistribution.STD_NORMAL:
+        return _wishart_gram(rng, m, k, n)
     w = np.empty((m, k, k))
     # k*n entries and k*k products per trial: size the block by the larger
     step = max(1, GRAM_BLOCK_ENTRIES // (k * max(n, k)))
@@ -395,6 +406,37 @@ def gram_batch(dist: EntryDistribution, rng: np.random.Generator,
             w[start:start + size] = _sign_gram(rng, size, k, n)
         else:
             w[start:start + size] = covariance_batch(sample_batch(dist, rng, size, k, n))
+    return w
+
+
+def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:
+    """W = (1/n) L L^T for m normal-entry k x n matrices, by the Bartlett
+    decomposition (Muirhead, Aspects of Multivariate Statistical Theory,
+    1982, Sec. 3.2).  nW is real Wishart W_k(n, I), and so is L L^T for the
+    lower trapezoidal k x r matrix L, r = min(k, n), with (0-based)
+    L_ii = sqrt(chi2(n - i)) for i < r, L_ij standard normal for j < i and
+    j < r, and zeros elsewhere.  The rows from index r on are full normal
+    rows, so W has rank r, as C C^T / n has.  A trial costs r chi-square
+    and r (2k - r - 1)/2 normal draws instead of kn.
+
+    The stream: all m x r chi-squares first, then each trial's strictly
+    lower entries in row-major order, GRAM_BLOCK_ENTRIES // k^2 trials at
+    a time.  Consecutive normal draws continue one stream, so W does not
+    depend on the block size.
+    """
+    r = min(k, n)
+    diagonal = np.sqrt(rng.chisquare(n - np.arange(r), size=(m, r)))
+    rows, cols = np.tril_indices(k, -1, r)
+    w = np.empty((m, k, k))
+    step = max(1, GRAM_BLOCK_ENTRIES // (k * k))
+    for start in range(0, m, step):
+        size = min(step, m - start)
+        lower = np.zeros((size, k, r))
+        lower[:, np.arange(r), np.arange(r)] = diagonal[start:start + size]
+        lower[:, rows, cols] = rng.standard_normal((size, rows.size))
+        # matmul of contiguous operands is several times faster than einsum here
+        block = lower @ np.ascontiguousarray(np.swapaxes(lower, -1, -2)) / n
+        w[start:start + size] = (block + np.swapaxes(block, -1, -2)) / 2.0
     return w
 
 

@@ -31,6 +31,7 @@ from eigrates.core import (
     sample_batch,
 )
 from jacobi_reference import jacobi_eigh
+from wishart_reference import bartlett_gram
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -383,14 +384,18 @@ class TestRandomBits:
 
 
 class TestGramBatch:
-    # gram_batch must replay the entry path exactly: same W bits, same stream
-    def assert_same_as_entries(self, dist, m, k, n, seed=3):
+    # For +/-1 and uniform entries gram_batch must replay the entry path
+    # exactly: same W bits, same stream.  Normal-entry W is a Bartlett draw,
+    # and must follow its documented layout whatever the block size.
+    def assert_layout(self, dist, m, k, n, seed=3):
         expected_rng, rng = derive_rng(seed, k, n), derive_rng(seed, k, n)
         if dist is R:  # the entries numpy's own bounded draw gives
             entries = (expected_rng.integers(0, 2, size=(m, k, n)) * 2 - 1).astype(np.float64)
+            expected = covariance_batch(entries)
+        elif dist is U:
+            expected = covariance_batch(sample_batch(dist, expected_rng, m, k, n))
         else:
-            entries = sample_batch(dist, expected_rng, m, k, n)
-        expected = covariance_batch(entries)
+            expected = bartlett_gram(expected_rng, m, k, n)
         w = gram_batch(dist, rng, m, k, n)
         assert w.dtype == expected.dtype and w.shape == (m, k, k)
         assert np.array_equal(w, expected)
@@ -401,16 +406,19 @@ class TestGramBatch:
     @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 130])
     def test_small_blocks(self, monkeypatch, dist, k, n):
         monkeypatch.setattr(core, "GRAM_BLOCK_ENTRIES", 1 << 12)
-        step = max(1, (1 << 12) // (k * max(n, k)))
-        self.assert_same_as_entries(dist, 3 * step + 2, k, n)
+        if dist is N:  # blocks of (1 << 12) // k^2 trials
+            step = max(1, (1 << 12) // (k * k))
+        else:
+            step = max(1, (1 << 12) // (k * max(n, k)))
+        self.assert_layout(dist, 3 * step + 2, k, n)
 
     @pytest.mark.parametrize("dist", [R, U, N])
     def test_default_block(self, dist):
         k, n = 8, 65
-        step = core.GRAM_BLOCK_ENTRIES // (k * n)
-        self.assert_same_as_entries(dist, step + 7, k, n)
+        step = core.GRAM_BLOCK_ENTRIES // (k * (k if dist is N else n))
+        self.assert_layout(dist, step + 7, k, n)
 
-    @pytest.mark.parametrize("dist", [R, U])
+    @pytest.mark.parametrize("dist", [R, U, N])
     def test_scratch_is_bounded_when_k_exceeds_n(self, dist):
         # at k=64, n=1 the k*k products per trial, not the k*n entries,
         # set the size of the temporaries
@@ -423,6 +431,54 @@ class TestGramBatch:
             tracemalloc.stop()
         assert peak < 8 * m * k * k + 6 * 8 * core.GRAM_BLOCK_ENTRIES
 
+
+class TestBartlettLaw:
+    # Bartlett W against the entry path covariance_batch(sample_batch(N, ...)),
+    # which has the same law: tail counts as a two-sample check, moments
+    # against E W = I and n Var W_ij = 1 + delta_ij, each within 5 standard
+    # errors.  (5, 3) has k > n, so W has rank n.
+    TRIALS = 1 << 15
+    SIGMAS = 5.0
+
+    @staticmethod
+    def tail_events(lam, k, n):
+        """lambda_max above and the smallest nonzero eigenvalue below the
+        bulk edges (1 -+ sqrt(k/n))^2 (for k > n the lower one bounds the
+        nonzero eigenvalues)."""
+        root = math.sqrt(k / n)
+        lower, upper = (1 - root) ** 2, (1 + root) ** 2
+        return lam[:, -1] >= upper, lam[:, max(0, k - n)] <= lower
+
+    @pytest.mark.parametrize("k, n", [(4, 10), (8, 64), (5, 3)])
+    def test_tail_counts_match_the_entry_path(self, k, n):
+        m = self.TRIALS
+        bartlett = eigvalues_batch(gram_batch(N, derive_rng(41, k, n, 0), m, k, n))
+        entries = eigvalues_batch(covariance_batch(
+            sample_batch(N, derive_rng(41, k, n, 1), m, k, n)))
+        for a, b in zip(self.tail_events(bartlett, k, n), self.tail_events(entries, k, n)):
+            p_a, p_b = np.mean(a), np.mean(b)
+            pooled = (p_a + p_b) / 2
+            assert 0.01 < pooled < 0.99, pooled
+            se = math.sqrt(pooled * (1 - pooled) * 2 / m)
+            assert abs(p_a - p_b) <= self.SIGMAS * se, (k, n, p_a, p_b)
+
+    @pytest.mark.parametrize("k, n", [(4, 10), (8, 64), (5, 3)])
+    def test_moments(self, k, n):
+        m = self.TRIALS
+        w = gram_batch(N, derive_rng(43, k, n), m, k, n)
+        identity = np.eye(k)
+        deviation = w - identity
+        mean_se = deviation.std(axis=0) / math.sqrt(m)
+        assert np.all(np.abs(deviation.mean(axis=0)) <= self.SIGMAS * mean_se)
+        scaled = n * deviation ** 2  # mean 1 + delta_ij
+        var_se = scaled.std(axis=0) / math.sqrt(m)
+        assert np.all(np.abs(scaled.mean(axis=0) - (1 + identity)) <= self.SIGMAS * var_se)
+
+    def test_rank_when_k_exceeds_n(self):
+        k, n = 5, 3
+        lam = eigvalues_batch(gram_batch(N, derive_rng(47), self.TRIALS, k, n))
+        assert np.all(bottom_eigenvalues_vanish(lam, k - n))
+        assert not np.any(bottom_eigenvalues_vanish(lam, k - n + 1))
 
 
 class TestSignGramClasses:

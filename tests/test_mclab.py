@@ -24,6 +24,7 @@ from eigrates import (
 from eigrates import mclab, ber_experiment
 from eigrates.core import _chunks, covariance_batch, eigvalues_batch, gram_batch, sample_batch
 from eigrates.mclab import _multisets, _sign_matrix_counts
+import wishart_reference
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -99,10 +100,13 @@ class TestEstimateTail:
         # chunk c holds up to CHUNK_TRIALS trials drawn from derive_rng(seed, c)
         seed = 11
         sizes = [mclab.CHUNK_TRIALS, 5]
-        lam_min = np.concatenate([
-            eigvalues_batch(covariance_batch(sample_batch(dist, derive_rng(seed, c),
-                                                          size, k, n)))[:, 0]
-            for c, size in enumerate(sizes)])
+        # normal-entry W is a Bartlett draw, the others come from the entries
+        def draw(rng, size):
+            if dist is N:
+                return wishart_reference.bartlett_gram(rng, size, k, n)
+            return covariance_batch(sample_batch(dist, rng, size, k, n))
+        lam_min = np.concatenate([eigvalues_batch(draw(derive_rng(seed, c), size))[:, 0]
+                                  for c, size in enumerate(sizes)])
         # levels at the last chunk's own eigenvalues: another stream misses them
         for alpha in lam_min[-sizes[-1]:]:
             est = estimate_tail(dist, k, n, float(alpha), TailSide.MIN_BELOW, sum(sizes), seed)
@@ -151,6 +155,34 @@ class TestEstimateTail:
         assert TailSide.parse("MAX_ABOVE") is TailSide.MAX_ABOVE
         with pytest.raises(DomainError):
             TailSide.parse("sideways")
+
+
+class TestNormalTailOracle:
+    """Normal-entry estimate_tail at k=2 against the exact tails of
+    wishart_reference, within 5 standard errors of the exact p."""
+
+    SEED = 1313  # fixed before the first run
+    TRIALS = 1 << 20
+
+    @pytest.mark.parametrize("n", [5, 40, 200])
+    @pytest.mark.parametrize("larger", [True, False])
+    def test_oracle_mass(self, n, larger):
+        assert abs(wishart_reference.total_mass(n, larger) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n, p", [(100, 9.446e-2), (200, 1.438e-2), (400, 3.337e-4)])
+    def test_oracle_values(self, n, p):
+        assert float(f"{wishart_reference.max_above(n, 1.3):.4g}") == p
+
+    @pytest.mark.parametrize("side, n, alpha", [
+        (TailSide.MAX_ABOVE, 100, 1.3), (TailSide.MAX_ABOVE, 200, 1.3),
+        (TailSide.MAX_ABOVE, 400, 1.3), (TailSide.MIN_BELOW, 50, 0.6),
+        (TailSide.MIN_BELOW, 100, 0.6)])
+    def test_estimate_tail_matches(self, side, n, alpha):
+        exact = (wishart_reference.max_above if side is TailSide.MAX_ABOVE
+                 else wishart_reference.min_below)(n, alpha)
+        est = estimate_tail(N, 2, n, alpha, side, self.TRIALS, self.SEED)
+        se = math.sqrt(exact * (1 - exact) / self.TRIALS)
+        assert abs(est.p_hat - exact) <= 5 * se, (est.p_hat, exact, (est.p_hat - exact) / se)
 
 
 def bit_walk(k: int, n: int, predicates) -> list[float]:
@@ -316,9 +348,9 @@ class TestRecords:
         est = estimate_tail(N, 2, 20, 1.3, TailSide.MAX_ABOVE, 500, 3)
         assert est.record() == {
             "experiment": "tail", "dist": "normal", "k": 2, "n": 20, "alpha": 1.3,
-            "side": "max_above", "trials": 500, "hits": 221, "p_hat": 0.442,
-            "ci": [0.3979247882927269, 0.4867648920514432],
-            "empirical_rate": 0.04082226984522195, "seed": 3,
+            "side": "max_above", "trials": 500, "hits": 241, "p_hat": 0.482,
+            "ci": [0.4374208363760878, 0.5267931648122826],
+            "empirical_rate": 0.036490558246576835, "seed": 3,
         }
 
     def test_zero_eigen_points(self):
