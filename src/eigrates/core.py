@@ -510,6 +510,50 @@ def eigvalues_batch(w: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(w)
 
 
+# Floats of scratch per cholesky_completes block (2 MiB), trials last.
+CHOLESKY_BLOCK_ENTRIES = 1 << 18
+
+
+def cholesky_completes(w: np.ndarray, shift: float, sign: float) -> np.ndarray:
+    """Per matrix of an (m, k, k) stack of symmetric w: does Cholesky of
+    A = sign * (w - shift I) run to the end with positive pivots?
+
+    sign is 1 or -1.  By Sylvester's law of inertia, A is positive
+    definite iff every pivot is positive, so with sign -1 a True says
+    lambda_max(w) < shift and with sign 1 it says lambda_min(w) > shift,
+    up to the factorization's backward error (the caller guards the
+    shift).  Only the lower triangle is read.  The factorization is
+    left-looking, with the trials of a block of CHOLESKY_BLOCK_ENTRIES
+    floats along the last axis, so each step is one vector operation over
+    the block; a block stops once every matrix in it has failed.  A failed
+    matrix's later columns are zeroed (its pivot is read as inf), so they
+    neither overflow nor warn.
+    """
+    m, k = w.shape[0], w.shape[-1]
+    completes = np.zeros(m, dtype=bool)
+    step = max(1, CHOLESKY_BLOCK_ENTRIES // (k * k))
+    diagonal = np.arange(k)
+    rows, cols = np.tril_indices(k)
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        # gathering the lower triangle first makes the transposing copy cheaper
+        lower = w[start:stop].reshape(stop - start, k * k)[:, rows * k + cols]
+        lower *= sign
+        a = np.empty((k, k, stop - start))
+        a[rows, cols] = lower.T
+        a[diagonal, diagonal] -= sign * shift
+        ok = np.ones(stop - start, dtype=bool)
+        for j in range(k):
+            if j:
+                a[j:, j] -= np.einsum("ipb,pb->ib", a[j:, :j], a[j, :j])
+            ok &= a[j, j] > 0
+            if j == k - 1 or not ok.any():
+                break
+            a[j + 1:, j] /= np.sqrt(np.where(ok, a[j, j], np.inf))
+        completes[start:stop] = ok
+    return completes
+
+
 def bottom_eigenvalues_vanish(lam: np.ndarray, l: int) -> np.ndarray:
     """Per row of an (m, k) stack of ascending eigenvalues: are the bottom l
     at most ZERO_EIG_TOL * max(1, sum(lam))?"""

@@ -9,6 +9,12 @@ Trials run in chunks of CHUNK_TRIALS whose generators derive from
 (seed, chunk_index), so a count depends only on the seed and the trial
 count, not on execution order, and chunks could run in parallel.  Each
 experiment's fixed chunk size is part of its stream.
+
+Tail counts at k >= 3 screen each chunk first: a batched Cholesky
+factorization (core.cholesky_completes) of cI - W or W - cI, at a level
+moved by a relative guard of SCREEN_GUARD towards the bulk, proves that
+most W of a far tail reach no level, and LAPACK solves only the rest, so
+every count is the one that solving every W gives.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .core import (
     _chunks,
     _sign_gram_classes,
     bottom_eigenvalues_vanish,
+    cholesky_completes,
     eigvalues_batch,
     gram_batch,
     mp_edges,
@@ -35,6 +42,10 @@ from .errors import DomainError
 
 CHUNK_TRIALS = 1 << 16
 CI_LEVEL = 0.95  # two-sided level of every Clopper-Pearson interval
+
+# W entries gathered at a time for the eigen solve of the trials that the
+# tail screen keeps, which bounds that copy.
+SOLVE_BLOCK_ENTRIES = 1 << 18
 
 # kn cap for exact enumeration over the 2^(kn) sign matrices.
 ENUM_MAX_BITS = 24
@@ -121,8 +132,9 @@ class TailEstimate:
         return _record(self, "tail")
 
 
-def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int):
-    """Ascending eigenvalues of `trials` sampled W, one (size, k) array per chunk.
+def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
+             may_hit=None):
+    """Ascending eigenvalues of `trials` sampled W, one (rows, k) array per chunk.
 
     +/-1 W take at most comb(2^(k-1) + n - 1, n) values (one per multiset
     of column classes, as in enumerate_exact).  When that is at most
@@ -132,31 +144,103 @@ def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int):
     core._sign_gram_classes, the exact key that sdpic.ber_experiment also
     uses to decode each distinct (W, Z) of an s=inf pool once, with
     unchanged counts.
+
+    may_hit, if given, maps an (m, k, k) stack of W to a boolean mask of
+    the matrices that may belong to the counted events (_tail_screen);
+    the rest are dropped before LAPACK, so a chunk yields only the rows
+    kept, in order.  It screens only where every row would reach LAPACK
+    (k >= 3: at k <= 2 eigvalues_batch's closed forms cost less than the
+    screen), and only the distinct matrices of a deduplicated chunk.
     """
+    if k < 3:
+        may_hit = None
     classes = 1 << (k - 1)
     if (dist is EntryDistribution.RADEMACHER and k >= 3 and classes <= CHUNK_TRIALS
             and math.comb(classes + n - 1, n) <= CHUNK_TRIALS):
         eigvalues = functools.partial(_distinct_sign_eigvalues, n=n)
     else:
-        eigvalues = eigvalues_batch
+        eigvalues = _screened_eigvalues
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
-        yield eigvalues(gram_batch(dist, rng, size, k, n))
+        yield eigvalues(gram_batch(dist, rng, size, k, n), may_hit=may_hit)
 
 
-def _distinct_sign_eigvalues(w: np.ndarray, n: int) -> np.ndarray:
-    """eigvalues_batch(w) for an (m, k, k) stack of +/-1 W, solving each
-    distinct matrix once (core._sign_gram_classes, an exact integer key)
-    and scattering its eigenvalues back."""
+def _screened_eigvalues(w: np.ndarray, may_hit=None) -> np.ndarray:
+    """eigvalues_batch of the rows of an (m, k, k) stack that may_hit keeps
+    (every row without it).  The kept rows are solved in blocks of
+    SOLVE_BLOCK_ENTRIES W entries, so at most one block is copied at a
+    time, and a block kept whole is solved in place."""
+    if may_hit is None:
+        return eigvalues_batch(w)
+    keep = may_hit(w)
+    lam = np.empty((np.count_nonzero(keep), w.shape[-1]))
+    step = max(1, SOLVE_BLOCK_ENTRIES // w[0].size)
+    solved = 0
+    for start in range(0, len(w), step):
+        block, rows = w[start:start + step], keep[start:start + step]
+        block_lam = eigvalues_batch(block if rows.all() else block[rows])
+        lam[solved:solved + len(block_lam)] = block_lam
+        solved += len(block_lam)
+    return lam
+
+
+def _distinct_sign_eigvalues(w: np.ndarray, n: int, may_hit=None) -> np.ndarray:
+    """_screened_eigvalues(w, may_hit) for an (m, k, k) stack of +/-1 W,
+    screening and solving each distinct matrix once
+    (core._sign_gram_classes, an exact integer key) and scattering its
+    eigenvalues back."""
     first, inverse = _sign_gram_classes(w, n)
-    return eigvalues_batch(w[first])[inverse]
+    distinct = w[first]
+    if may_hit is not None:
+        keep = may_hit(distinct)
+        # the kept distinct matrices, and the kept rows renumbered onto them
+        distinct, inverse = distinct[keep], (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
+    return eigvalues_batch(distinct)[inverse]
+
+
+# Relative guard of the tail screen's level: see _tail_screen.
+SCREEN_GUARD = 1e-9
+
+
+def _tail_screen(alphas, side: TailSide):
+    """may_hit for the tail events of estimate_tails (None for no levels):
+    False for each W that a Cholesky factorization proves reaches no
+    level of `alphas`.  An infinite level gives an infinite or NaN shift,
+    whose factorization fails at once, so every W goes to LAPACK.
+
+    lambda_max(W) < c iff cI - W is positive definite, and lambda_min(W) > c
+    iff W - cI is (Sylvester's law of inertia), so the screen factors
+    cI - W at c = min(alphas) - delta (max_above), or W - cI at
+    c = max(alphas) + delta (min_below), with the guard
+    delta = SCREEN_GUARD (1 + |alpha| + tr W), tr W the largest trace of
+    the stack.  A completed factorization of A is exact for some A + dA
+    with ||dA||_2 <= k g ||A||_2 / (1 - k g), g = gamma_(k+1) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3):
+    under 5e-13 (|alpha| + tr W) for k <= 64.  delta covers that and the
+    error of eigvalsh, so a screened W would not have hit at any level,
+    and LAPACK still decides every W that could.
+    """
+    levels = [float(alpha) for alpha in alphas]  # Python floats: inf - inf is a silent NaN
+    if not levels:
+        return None
+    if side is TailSide.MAX_ABOVE:
+        level, sign = min(levels), -1.0
+    else:
+        level, sign = max(levels), 1.0
+
+    def may_hit(w: np.ndarray) -> np.ndarray:
+        trace = float(np.einsum("mii->m", w).max())
+        guard = SCREEN_GUARD * (1.0 + abs(level) + trace)
+        return ~cholesky_completes(w, level + sign * guard, sign)
+    return may_hit
 
 
 def _count_events(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
-                  predicates) -> list[int]:
-    """Hits of each event over the same `trials` W, on one pass of _spectra."""
+                  predicates, may_hit=None) -> list[int]:
+    """Hits of each event over the same `trials` W, on one pass of _spectra;
+    may_hit (see _spectra) may drop only W that no predicate counts."""
     _check_trials(k, n, trials)
     hits = [0] * len(predicates)
-    for lam in _spectra(dist, k, n, trials, seed):
+    for lam in _spectra(dist, k, n, trials, seed, may_hit):
         for i, predicate in enumerate(predicates):
             hits[i] += int(np.count_nonzero(predicate(lam)))
     return hits
@@ -196,9 +280,16 @@ def estimate_tail(dist: EntryDistribution, k: int, n: int, alpha: float,
 def estimate_tails(dist: EntryDistribution, k: int, n: int, alphas, side: TailSide,
                    trials: int, seed: int) -> list[TailEstimate]:
     """estimate_tail at each level of `alphas`, counted on one sampling pass:
-    each level's estimate equals its own estimate_tail run."""
+    each level's estimate equals its own estimate_tail run.
+
+    At k >= 3 a batched Cholesky screen (_tail_screen, with its guard
+    SCREEN_GUARD) first drops the W that provably reach no level, and
+    LAPACK decides the rest, so in a far tail most trials skip the eigen
+    solve.  The counts are those of solving every W.
+    """
     pred = min_below if side is TailSide.MIN_BELOW else max_above
-    counts = _count_events(dist, k, n, trials, seed, [pred(alpha) for alpha in alphas])
+    counts = _count_events(dist, k, n, trials, seed, [pred(alpha) for alpha in alphas],
+                           _tail_screen(alphas, side))
     estimates = []
     for alpha, hits in zip(alphas, counts):
         p_hat, lo, hi, rate = _binomial(hits, trials, n)
@@ -329,15 +420,23 @@ def spectrum_histogram(dist: EntryDistribution, k: int, n: int, trials: int,
     """Pooled eigenvalue histogram over `trials` matrices, unit total mass.
 
     Also reports the eigenvalue fraction outside the bulk support edges
-    for aspect ratio k/n, widened by 0.05 on each side.
+    for aspect ratio beta = k/n, widened by 0.05 on each side.  At k > n,
+    W has rank n: the k - n smallest eigenvalues of each trial are its
+    structural zeros and count as inside, and the other n are checked
+    against the edges of the nonzero part, (sqrt(beta) - 1)^2 and
+    (sqrt(beta) + 1)^2.
     """
     _check_trials(k, n, trials)
     if bins < 1 or 10 * bins > trials * k:
         raise DomainError(f"need 1 <= bins <= trials*k/10, got bins={bins}, trials*k={trials * k}")
-    lam = np.concatenate([lam.ravel() for lam in _spectra(dist, k, n, trials, seed)])
+    lam = np.concatenate(list(_spectra(dist, k, n, trials, seed)))
     counts, edges = np.histogram(lam, bins=bins)
     mass = counts / lam.size
     lo_edge, hi_edge = mp_edges(k / n)
-    outside = float(np.mean((lam < lo_edge - 0.05) | (lam > hi_edge + 0.05)))
+    if k > n:
+        lo_edge = (math.sqrt(k / n) - 1.0) ** 2
+    nonzero = lam[:, max(0, k - n):]
+    outside = np.count_nonzero((nonzero < lo_edge - 0.05) | (nonzero > hi_edge + 0.05))
     return SpectrumHistogram(dist=dist, k=k, n=n, trials=trials, seed=seed,
-                             bin_edges=edges, mass=mass, outside_fraction=outside)
+                             bin_edges=edges, mass=mass,
+                             outside_fraction=float(outside) / lam.size)

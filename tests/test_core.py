@@ -505,3 +505,68 @@ class TestSignGramClasses:
         first, inverse = core._sign_gram_classes(np.empty((0, 3, 3)), 8,
                                                  np.empty((0, 1), dtype=np.int64))
         assert first.size == inverse.size == 0
+
+
+class TestCholeskyCompletes:
+    # the tail screen: Cholesky of sign * (w - shift I) completes iff that
+    # matrix is positive definite, decided here against eigvalsh
+    @staticmethod
+    def _stack(rng, m, k):
+        # random eigenvectors; the smallest eigenvalue is +/-10^u, u in
+        # [-6, 0], so at least 1e-6 from 0, and the rest lie above it
+        q = np.linalg.qr(rng.standard_normal((m, k, k)))[0]
+        smallest = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-6, 0, size=m)
+        lam = smallest[:, None] + np.concatenate(
+            [np.zeros((m, 1)), rng.uniform(0, 3, size=(m, k - 1))], axis=1)
+        a = (q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)
+        return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+    @pytest.mark.parametrize("k", [3, 8, 16, 64])
+    def test_matches_eigvalsh(self, k):
+        rng = derive_rng(61, k)
+        step = max(1, core.CHOLESKY_BLOCK_ENTRIES // (k * k))
+        m = 2 * step + 77  # not a multiple of the block
+        a = self._stack(rng, m, k)
+        definite = np.all(np.linalg.eigvalsh(a) > 0, axis=1)
+        assert 0 < np.count_nonzero(definite) < m
+        assert np.array_equal(core.cholesky_completes(a, 0.0, 1.0), definite)
+        # the same decisions as lambda_min(w) > c and lambda_max(w) < c
+        for c in (-1.5, 0.5, 2.0):
+            eye = c * np.eye(k)
+            assert np.array_equal(core.cholesky_completes(a + eye, c, 1.0), definite)
+            assert np.array_equal(core.cholesky_completes(eye - a, c, -1.0), definite)
+
+    def test_empty_stack(self):
+        out = core.cholesky_completes(np.empty((0, 5, 5)), 1.0, -1.0)
+        assert out.shape == (0,) and out.dtype == bool
+
+    def test_failed_rows_do_not_warn(self):
+        k = 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # every row fails at column 0
+            eye = np.broadcast_to(np.eye(k), (300, k, k))
+            assert not np.any(core.cholesky_completes(eye, 10.0, 1.0))
+            # rows fail late, next to rows that complete: all-ones rank-1
+            # matrices (a zero pivot at column 1), indefinite matrices with
+            # huge entries, and definite ones
+            rng = derive_rng(62)
+            ones = np.ones((100, k, k))
+            huge = 1e150 * self._stack(rng, 100, k)
+            mixed = np.concatenate([ones, huge, np.broadcast_to(np.eye(k), (100, k, k))])
+            out = core.cholesky_completes(mixed, 0.0, 1.0)
+        assert not np.any(out[:100])
+        assert np.array_equal(out[100:200], np.all(np.linalg.eigvalsh(huge) > 0, axis=1))
+        assert np.all(out[200:])
+
+    def test_scratch_is_bounded(self):
+        # blocks of CHOLESKY_BLOCK_ENTRIES floats: no copy of the whole stack
+        m, k = 1 << 16, 8
+        w = gram_batch(R, derive_rng(63), m, k, 64)
+        tracemalloc.start()
+        try:
+            core.cholesky_completes(w, 1.9, -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * core.CHOLESKY_BLOCK_ENTRIES < w.nbytes

@@ -14,6 +14,7 @@ from eigrates import (
     derive_rng,
     enumerate_exact,
     estimate_tail,
+    estimate_tails,
     legendre,
     max_above,
     min_below,
@@ -149,6 +150,85 @@ class TestEstimateTail:
     def test_trials_gate(self):
         with pytest.raises(DomainError):
             estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 0, 5)
+
+
+class TestTailScreen:
+    # estimate_tails drops the W that a Cholesky factorization proves reach
+    # no level; the counts must be those of solving every W
+    @staticmethod
+    def _unscreened(monkeypatch):
+        # a screen that proves nothing: every W goes to the eigen solve
+        monkeypatch.setattr(mclab, "cholesky_completes",
+                            lambda w, shift, sign: np.zeros(len(w), dtype=bool))
+
+    @pytest.mark.parametrize("dist", [R, U, N])
+    @pytest.mark.parametrize("k, n", [(3, 30), (8, 64), (6, 3), (16, 40)])
+    def test_counts_equal_unscreened(self, monkeypatch, dist, k, n):
+        seed, trials = 31, 6000
+        lam = np.concatenate(list(mclab._spectra(dist, k, n, trials, seed)))
+        lam_min, lam_max = lam[:, 0], lam[:, -1]
+        # three-level grids at sampled eigenvalues: in each tail, so the
+        # screened level (the lowest upper level, the highest lower one)
+        # ties with a trial; and across the spectrum, where screening the
+        # other tail's side of W would drop hits
+        grids = [
+            (TailSide.MAX_ABOVE, np.quantile(lam_max, [0.9, 0.99, 0.999], method="higher")),
+            (TailSide.MIN_BELOW, np.quantile(lam_min, [0.001, 0.01, 0.1], method="lower")),
+            (TailSide.MAX_ABOVE, np.quantile(lam_min, [0.1, 0.5, 0.9], method="higher")),
+            (TailSide.MIN_BELOW, np.quantile(lam_max, [0.1, 0.5, 0.9], method="lower")),
+        ]
+        grids = [(side, tuple(grid.tolist())) for side, grid in grids]
+        screened = [[e.hits for e in estimate_tails(dist, k, n, grid, side, trials, seed)]
+                    for side, grid in grids]
+        for (side, grid), hits in zip(grids, screened):
+            event = lam_max >= np.array(grid)[:, None] if side is TailSide.MAX_ABOVE \
+                else lam_min <= np.array(grid)[:, None]
+            assert hits == np.count_nonzero(event, axis=1).tolist()
+        self._unscreened(monkeypatch)
+        assert screened == [[e.hits for e in estimate_tails(dist, k, n, grid, side, trials, seed)]
+                            for side, grid in grids]
+
+    def test_sign_ties(self, monkeypatch):
+        # at (3, 200) n W is an integer matrix, and lambda_max = q/n exactly
+        # for many W; levels at such q/n put those W on the level (1.7 is
+        # the rate curve's level, out of reach of this many trials)
+        k, n, seed, trials = 3, 200, 41, 20000
+        lam_max = np.concatenate(list(mclab._spectra(R, k, n, trials, seed)))[:, -1]
+        integral = np.abs(lam_max * n - np.rint(lam_max * n)) < 1e-9 * n
+        levels = [1.7] + [q / n for q in np.unique(np.rint(lam_max[integral] * n))[-6:]]
+        ties = sum(int(np.count_nonzero(np.abs(lam_max - a) < 1e-12)) for a in levels)
+        assert ties >= 5
+        screened = [estimate_tail(R, k, n, a, TailSide.MAX_ABOVE, trials, seed).hits
+                    for a in levels]
+        assert screened == [int(np.count_nonzero(lam_max >= a)) for a in levels]
+        self._unscreened(monkeypatch)
+        assert screened == [estimate_tail(R, k, n, a, TailSide.MAX_ABOVE, trials, seed).hits
+                            for a in levels]
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("dist", [R, N])
+    def test_levels_not_finite(self, dist, alpha):
+        # the shift is infinite or NaN: no warning, and LAPACK decides every W
+        lam = np.concatenate(list(mclab._spectra(dist, 4, 9, 3000, 2)))
+        upper = estimate_tail(dist, 4, 9, alpha, TailSide.MAX_ABOVE, 3000, 2)
+        lower = estimate_tail(dist, 4, 9, alpha, TailSide.MIN_BELOW, 3000, 2)
+        assert upper.hits == np.count_nonzero(lam[:, -1] >= alpha)
+        assert lower.hits == np.count_nonzero(lam[:, 0] <= alpha)
+
+    @pytest.mark.parametrize("k, n", [(3, 30), (6, 3)])
+    def test_screens_distinct_sign_matrices_only(self, monkeypatch, k, n):
+        # a deduplicated +/-1 chunk screens each distinct W once
+        screened = []
+        screen = mclab.cholesky_completes
+
+        def spy(w, shift, sign):
+            screened.append(len(w))
+            return screen(w, shift, sign)
+        monkeypatch.setattr(mclab, "cholesky_completes", spy)
+        trials = mclab.CHUNK_TRIALS
+        estimate_tail(R, k, n, 1.5, TailSide.MAX_ABOVE, trials, 8)
+        distinct = math.comb((1 << (k - 1)) + n - 1, n)
+        assert len(screened) == 1 and screened[0] <= distinct < trials
 
     def test_side_parse(self):
         assert TailSide.parse("min_below") is TailSide.MIN_BELOW
@@ -306,6 +386,20 @@ class TestSpectrumHistogram:
     def test_bulk_support_rademacher(self):
         h = spectrum_histogram(R, 20, 200, 300, 30, 5)
         assert h.outside_fraction <= 0.01
+
+    def test_outside_fraction_above_square(self):
+        # at k > n the n nonzero eigenvalues of W are those of (1/n) C^T C and
+        # lie in [(sqrt(k/n) - 1)^2, (sqrt(k/n) + 1)^2]; the k - n structural
+        # zeros of each trial count as inside
+        k, n, trials, seed = 5, 3, 4000, 9
+        h = spectrum_histogram(U, k, n, trials, 20, seed)
+        c = np.concatenate([sample_batch(U, rng, size, k, n)
+                            for rng, size in _chunks(seed, trials, mclab.CHUNK_TRIALS)])
+        nonzero = np.linalg.eigvalsh(np.swapaxes(c, -1, -2) @ c / n)
+        lo, hi = (math.sqrt(k / n) - 1.0) ** 2, (math.sqrt(k / n) + 1.0) ** 2
+        outside = np.count_nonzero((nonzero < lo - 0.05) | (nonzero > hi + 0.05))
+        assert np.count_nonzero(nonzero < lo - 0.05) > 0
+        assert h.outside_fraction == outside / (trials * k)
 
     def test_k1_concentrates_at_one(self):
         h = spectrum_histogram(U, 1, 4000, 600, 10, 2)
