@@ -151,6 +151,12 @@ class TestEstimateTail:
         with pytest.raises(DomainError):
             estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 0, 5)
 
+    def test_side_parse(self):
+        assert TailSide.parse("min_below") is TailSide.MIN_BELOW
+        assert TailSide.parse("MAX_ABOVE") is TailSide.MAX_ABOVE
+        with pytest.raises(DomainError):
+            TailSide.parse("sideways")
+
 
 class TestTailScreen:
     # estimate_tails drops the W that a Cholesky factorization proves reach
@@ -229,12 +235,6 @@ class TestTailScreen:
         estimate_tail(R, k, n, 1.5, TailSide.MAX_ABOVE, trials, 8)
         distinct = math.comb((1 << (k - 1)) + n - 1, n)
         assert len(screened) == 1 and screened[0] <= distinct < trials
-
-    def test_side_parse(self):
-        assert TailSide.parse("min_below") is TailSide.MIN_BELOW
-        assert TailSide.parse("MAX_ABOVE") is TailSide.MAX_ABOVE
-        with pytest.raises(DomainError):
-            TailSide.parse("sideways")
 
 
 class TestNormalTailOracle:
