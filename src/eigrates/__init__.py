@@ -41,7 +41,6 @@ from .mclab import (
     zero_eigen_rate,
 )
 from .rates import (
-    CgfMethod,
     CgfSpec,
     Descent,
     OptimizerSettings,

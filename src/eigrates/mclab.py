@@ -20,7 +20,6 @@ every count is the one that solving every W gives.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -46,6 +45,9 @@ CI_LEVEL = 0.95  # two-sided level of every Clopper-Pearson interval
 # W entries gathered at a time for the eigen solve of the trials that the
 # tail screen keeps, which bounds that copy.
 SOLVE_BLOCK_ENTRIES = 1 << 18
+
+# Relative guard of the tail screen's level: see _tail_screen.
+SCREEN_GUARD = 1e-9
 
 # kn cap for exact enumeration over the 2^(kn) sign matrices.
 ENUM_MAX_BITS = 24
@@ -132,80 +134,72 @@ class TailEstimate:
         return _record(self, "tail")
 
 
-def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
-             may_hit=None):
-    """Ascending eigenvalues of `trials` sampled W, one (rows, k) array per chunk.
+def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int, screen=None):
+    """Ascending eigenvalues of `trials` sampled W, one (rows, k) array per chunk,
+    each from _eigvalues.
 
     +/-1 W take at most comb(2^(k-1) + n - 1, n) values (one per multiset
     of column classes, as in enumerate_exact).  When that is at most
     CHUNK_TRIALS and LAPACK is called (k >= 3), a chunk solves each
-    distinct W once; eigvalsh treats each matrix of a stack alone, so the
-    eigenvalues are bit for bit the same.  The distinct W come from
-    core._sign_gram_classes, the exact key that sdpic.ber_experiment also
-    uses to decode each distinct (W, Z) of an s=inf pool once, with
-    unchanged counts.
-
-    may_hit, if given, maps an (m, k, k) stack of W to a boolean mask of
-    the matrices that may belong to the counted events (_tail_screen);
-    the rest are dropped before LAPACK, so a chunk yields only the rows
-    kept, in order.  It screens only where every row would reach LAPACK
-    (k >= 3: at k <= 2 eigvalues_batch's closed forms cost less than the
-    screen), and only the distinct matrices of a deduplicated chunk.
+    distinct W once.  The bound implies classes <= CHUNK_TRIALS, which is
+    tested first all the same: at k = 64 and n = 10^5 math.comb takes
+    seconds to build a bound of millions of bits.  The screen (see
+    _tail_screen) applies at k >= 3 only: at k <= 2 eigvalues_batch's
+    closed forms cost less than it.
     """
-    if k < 3:
-        may_hit = None
     classes = 1 << (k - 1)
-    if (dist is EntryDistribution.RADEMACHER and k >= 3 and classes <= CHUNK_TRIALS
-            and math.comb(classes + n - 1, n) <= CHUNK_TRIALS):
-        eigvalues = functools.partial(_distinct_sign_eigvalues, n=n)
-    else:
-        eigvalues = _screened_eigvalues
+    dedup = (dist is EntryDistribution.RADEMACHER and k >= 3 and classes <= CHUNK_TRIALS
+             and math.comb(classes + n - 1, n) <= CHUNK_TRIALS)
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
-        yield eigvalues(gram_batch(dist, rng, size, k, n), may_hit=may_hit)
+        yield _eigvalues(gram_batch(dist, rng, size, k, n), n if dedup else None,
+                         screen if k >= 3 else None)
 
 
-def _screened_eigvalues(w: np.ndarray, may_hit=None) -> np.ndarray:
-    """eigvalues_batch of the rows of an (m, k, k) stack that may_hit keeps
-    (every row without it).  The kept rows are solved in blocks of
-    SOLVE_BLOCK_ENTRIES W entries, so at most one block is copied at a
-    time, and a block kept whole is solved in place."""
-    if may_hit is None:
-        return eigvalues_batch(w)
-    keep = may_hit(w)
+def _eigvalues(w: np.ndarray, n: int | None, screen) -> np.ndarray:
+    """Ascending eigenvalues of the rows of an (m, k, k) stack of W that
+    the screen keeps (every row without one), in order.
+
+    With n, w holds +/-1 W, and each distinct matrix (core._sign_gram_classes,
+    an exact integer key; sdpic.ber_experiment decodes each distinct (W, Z)
+    of an s=inf pool by the same key) is screened and solved once, and its
+    eigenvalues are scattered back.  A screen (level, sign) drops each W
+    whose Cholesky factorization at the guarded level completes.  The kept
+    rows are solved in blocks of SOLVE_BLOCK_ENTRIES W entries, so at most
+    one block is copied at a time, and a block kept whole is solved in
+    place.  eigvalsh treats each matrix of a stack alone, so the
+    eigenvalues are bit for bit those of solving every row.
+    """
+    # w stays bound until the scatter: freeing the chunk earlier made the
+    # +/-1 (3, 8) tail op about 15% slower (heap layout, not work)
+    distinct, inverse = w, None
+    if n is not None:
+        first, inverse = _sign_gram_classes(w, n)
+        distinct = w[first]
+    keep = np.ones(len(distinct), dtype=bool)
+    if screen is not None:
+        level, sign = screen
+        guard = SCREEN_GUARD * (1.0 + abs(level) + float(np.einsum("mii->m", distinct).max()))
+        keep = ~cholesky_completes(distinct, level + sign * guard, sign)
+    if inverse is not None:
+        # the kept rows, renumbered onto the kept distinct matrices
+        inverse = (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
     lam = np.empty((np.count_nonzero(keep), w.shape[-1]))
     step = max(1, SOLVE_BLOCK_ENTRIES // w[0].size)
     solved = 0
-    for start in range(0, len(w), step):
-        block, rows = w[start:start + step], keep[start:start + step]
+    for start in range(0, len(distinct), step):
+        block, rows = distinct[start:start + step], keep[start:start + step]
         block_lam = eigvalues_batch(block if rows.all() else block[rows])
         lam[solved:solved + len(block_lam)] = block_lam
         solved += len(block_lam)
-    return lam
-
-
-def _distinct_sign_eigvalues(w: np.ndarray, n: int, may_hit=None) -> np.ndarray:
-    """_screened_eigvalues(w, may_hit) for an (m, k, k) stack of +/-1 W,
-    screening and solving each distinct matrix once
-    (core._sign_gram_classes, an exact integer key) and scattering its
-    eigenvalues back."""
-    first, inverse = _sign_gram_classes(w, n)
-    distinct = w[first]
-    if may_hit is not None:
-        keep = may_hit(distinct)
-        # the kept distinct matrices, and the kept rows renumbered onto them
-        distinct, inverse = distinct[keep], (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
-    return eigvalues_batch(distinct)[inverse]
-
-
-# Relative guard of the tail screen's level: see _tail_screen.
-SCREEN_GUARD = 1e-9
+    return lam if inverse is None else lam[inverse]
 
 
 def _tail_screen(alphas, side: TailSide):
-    """may_hit for the tail events of estimate_tails (None for no levels):
-    False for each W that a Cholesky factorization proves reaches no
-    level of `alphas`.  An infinite level gives an infinite or NaN shift,
-    whose factorization fails at once, so every W goes to LAPACK.
+    """The screen (level, sign) of _eigvalues for the tail events of
+    estimate_tails (None for no levels): it drops each W that a Cholesky
+    factorization proves reaches no level of `alphas`.  An infinite level
+    gives an infinite or NaN shift, whose factorization fails at once, so
+    every W goes to LAPACK.
 
     lambda_max(W) < c iff cI - W is positive definite, and lambda_min(W) > c
     iff W - cI is (Sylvester's law of inertia), so the screen factors
@@ -223,24 +217,17 @@ def _tail_screen(alphas, side: TailSide):
     if not levels:
         return None
     if side is TailSide.MAX_ABOVE:
-        level, sign = min(levels), -1.0
-    else:
-        level, sign = max(levels), 1.0
-
-    def may_hit(w: np.ndarray) -> np.ndarray:
-        trace = float(np.einsum("mii->m", w).max())
-        guard = SCREEN_GUARD * (1.0 + abs(level) + trace)
-        return ~cholesky_completes(w, level + sign * guard, sign)
-    return may_hit
+        return min(levels), -1.0
+    return max(levels), 1.0
 
 
 def _count_events(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
-                  predicates, may_hit=None) -> list[int]:
+                  predicates, screen=None) -> list[int]:
     """Hits of each event over the same `trials` W, on one pass of _spectra;
-    may_hit (see _spectra) may drop only W that no predicate counts."""
+    the screen (see _spectra) may drop only W that no predicate counts."""
     _check_trials(k, n, trials)
     hits = [0] * len(predicates)
-    for lam in _spectra(dist, k, n, trials, seed, may_hit):
+    for lam in _spectra(dist, k, n, trials, seed, screen):
         for i, predicate in enumerate(predicates):
             hits[i] += int(np.count_nonzero(predicate(lam)))
     return hits

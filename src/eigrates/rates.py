@@ -19,7 +19,6 @@ descent step takes its gradient from the solve it has already done.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass, field
@@ -45,11 +44,12 @@ _QUAD_NODES = 201
 
 _ATOL = 1e-12
 
-
-class CgfMethod(enum.Enum):
-    EXACT_ENUMERATION = "exact_enumeration"
-    CLOSED_FORM_NORMAL = "closed_form_normal"
-    GAUSSIAN_MIXTURE_QUADRATURE = "gaussian_mixture_quadrature"
+# Half-open interval of admissible t per entry law.
+_CGF_DOMAIN = {
+    EntryDistribution.RADEMACHER: (-math.inf, math.inf),
+    EntryDistribution.STD_NORMAL: (-math.inf, 0.5),
+    EntryDistribution.UNIFORM_SYM: (0.0, math.inf),
+}
 
 
 @functools.lru_cache(maxsize=4)
@@ -63,29 +63,26 @@ def _hermgauss(nodes: int):
 class CgfSpec:
     """Evaluation recipe for Lambda(t) = log E[exp(t S^2)] along a direction.
 
-    domain is the half-open interval of admissible t.  The enumerated S
-    support and its square are cached on the spec, so repeated evaluations
-    inside one transform solve, and the gradient after it, reuse them.
+    The enumerated S support and its square are cached on the spec, so
+    repeated evaluations inside one transform solve, and the gradient after
+    it, reuse them.
     """
 
     dist: EntryDistribution
     x: UnitVector
-    method: CgfMethod
-    domain: tuple[float, float]
     _s: np.ndarray | None = field(default=None, repr=False, compare=False)
     _s2: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def for_direction(cls, dist: EntryDistribution, x: UnitVector) -> "CgfSpec":
-        if dist is EntryDistribution.RADEMACHER:
-            if x.k > ENUMERATION_MAX_K:
-                raise DomainError(
-                    f"exact enumeration supports k <= {ENUMERATION_MAX_K}, got k={x.k}"
-                )
-            return cls(dist, x, CgfMethod.EXACT_ENUMERATION, (-math.inf, math.inf))
-        if dist is EntryDistribution.STD_NORMAL:
-            return cls(dist, x, CgfMethod.CLOSED_FORM_NORMAL, (-math.inf, 0.5))
-        return cls(dist, x, CgfMethod.GAUSSIAN_MIXTURE_QUADRATURE, (0.0, math.inf))
+        if dist is EntryDistribution.RADEMACHER and x.k > ENUMERATION_MAX_K:
+            raise DomainError(f"exact enumeration supports k <= {ENUMERATION_MAX_K}, got k={x.k}")
+        return cls(dist, x)
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        """The half-open interval of admissible t."""
+        return _CGF_DOMAIN[self.dist]
 
     # -- exact enumeration ---------------------------------------------------
 
@@ -114,7 +111,7 @@ class CgfSpec:
         return self._s2
 
     def ess_sup_s2(self) -> float:
-        if self.method is CgfMethod.EXACT_ENUMERATION:
+        if self.dist is EntryDistribution.RADEMACHER:
             return float(np.max(self.squared_support()))
         if self.dist is EntryDistribution.UNIFORM_SYM:
             s = float(np.sum(np.abs(self.x.coords)))
@@ -122,7 +119,7 @@ class CgfSpec:
         return math.inf
 
     def ess_inf_s2(self) -> float:
-        if self.method is CgfMethod.EXACT_ENUMERATION:
+        if self.dist is EntryDistribution.RADEMACHER:
             return float(np.min(self.squared_support()))
         return 0.0
 
@@ -157,15 +154,15 @@ def _tilted(spec: CgfSpec, t: float) -> tuple[float, float, float]:
     """
     lo, hi = spec.domain
     if not (lo <= t < hi):
-        if spec.method is CgfMethod.GAUSSIAN_MIXTURE_QUADRATURE and t < 0:
+        if spec.dist is EntryDistribution.UNIFORM_SYM and t < 0:
             raise UnsupportedDomainError(
                 "symmetric-uniform CGF needs t >= 0 (sqrt(2t) must be real)"
             )
         raise DomainError(f"t={t} outside the admissible domain {spec.domain}")
-    if spec.method is CgfMethod.CLOSED_FORM_NORMAL:
+    if spec.dist is EntryDistribution.STD_NORMAL:
         d = 1.0 / (1.0 - 2.0 * t)
         return -0.5 * math.log1p(-2.0 * t), d, 2.0 * d * d
-    if spec.method is CgfMethod.EXACT_ENUMERATION:
+    if spec.dist is EntryDistribution.RADEMACHER:
         s2 = spec.squared_support()
         w, m = _sign_weights(spec, t)
         tot = float(np.sum(w))
@@ -227,9 +224,9 @@ def _cgf_gradient(spec: CgfSpec, t: float) -> np.ndarray:
     it is the tilted mean of 6 t Z^2 x_j q(v_j), on the rule of _tilted.
     Normal entries have S standard normal along every direction: 0.
     """
-    if spec.method is CgfMethod.CLOSED_FORM_NORMAL:
+    if spec.dist is EntryDistribution.STD_NORMAL:
         return np.zeros(spec.x.k)
-    if spec.method is CgfMethod.GAUSSIAN_MIXTURE_QUADRATURE:
+    if spec.dist is EntryDistribution.UNIFORM_SYM:
         z, v, _, p = _uniform_rule(spec, t)
         return 6.0 * t * spec.x.coords * ((p * z * z) @ _coth_terms(v)[0])
     ws = _sign_weights(spec, t)[0]
@@ -307,14 +304,14 @@ def legendre(spec: CgfSpec, alpha: float) -> tuple[float, float]:
 
 
 def legendre_solve(spec: CgfSpec, alpha: float) -> LegendreSolve:
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if spec.method is CgfMethod.GAUSSIAN_MIXTURE_QUADRATURE and alpha < 1.0:
+    if spec.dist is EntryDistribution.UNIFORM_SYM and alpha < 1.0:
         raise UnsupportedDomainError(
             "lower-tail transforms need t < 0, unsupported for symmetric-uniform entries"
         )
 
-    if spec.method is CgfMethod.CLOSED_FORM_NORMAL:
+    if spec.dist is EntryDistribution.STD_NORMAL:
         # S is standard normal along every direction
         return LegendreSolve(rate_wishart(alpha), wishart_t_star(alpha), False, True)
 
@@ -326,7 +323,7 @@ def legendre_solve(spec: CgfSpec, alpha: float) -> LegendreSolve:
             if alpha > ess_sup * (1.0 + 1e-12) + _ATOL:
                 return LegendreSolve(math.inf, math.inf, True, True)
             if alpha >= ess_sup * (1.0 - 1e-12) - _ATOL:
-                if spec.method is CgfMethod.EXACT_ENUMERATION:
+                if spec.dist is EntryDistribution.RADEMACHER:
                     rate = 0.0 - spec.atom_log_prob(ess_sup)  # +0.0 for a sure atom
                 else:
                     rate = math.inf  # continuous law: no atom at the ess sup
@@ -448,15 +445,18 @@ def _bracketed_root(f, lo, hi, t, xtol, ftol=0.0, outward=None) -> _Root:
 # ---------------------------------------------------------------------------
 
 def rate_wishart(alpha: float) -> float:
-    """(alpha - 1 - log alpha)/2: the k-independent normal-entry rate."""
-    if alpha <= 0:
+    """(alpha - 1 - log alpha)/2: the k-independent normal-entry rate, inf at
+    alpha = inf."""
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
+    if alpha == math.inf:
+        return math.inf
     return 0.5 * (alpha - 1.0 - math.log(alpha))
 
 
 def wishart_t_star(alpha: float) -> float:
     """Optimal tilt 1/2 - 1/(2 alpha) for the normal-entry transform."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     return 0.5 - 0.5 / alpha
 
@@ -466,7 +466,7 @@ def rate_two_sparse(alpha: float) -> float:
 
     The transform along the two-coordinate direction for +/-1 entries.
     """
-    if alpha < 0 or alpha > 2:
+    if not 0 <= alpha <= 2:
         raise DomainError(f"two-sparse rate needs 0 <= alpha <= 2, got {alpha}")
 
     def xlogx(v: float) -> float:
@@ -484,9 +484,9 @@ def rate_joint_wishart(alpha: float, beta: float) -> float:
 
 def rate_lower_bound_bounded(alpha: float, bound: float) -> float:
     """(alpha/M^2 - 1 - log(alpha/M^2))/2 for entries with |C| < M, alpha >= M^2."""
-    if bound < 1.0:
+    if not bound >= 1.0:
         raise DomainError(f"entry bound must be >= 1, got {bound}")
-    if alpha < bound * bound:
+    if not alpha >= bound * bound:
         raise DomainError(f"need alpha >= M^2 = {bound * bound}, got {alpha}")
     return rate_wishart(alpha / (bound * bound))
 
@@ -497,7 +497,7 @@ def rate_lower_bound_rademacher(alpha: float) -> float:
     (alpha - 1 - log alpha)/2 on alpha >= 1/2 and (log 2 - alpha)/2 on
     0 < alpha <= 1/2; the pieces agree at 1/2.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if alpha >= 0.5:
         return rate_wishart(alpha)
@@ -546,7 +546,7 @@ def rogers_covering(k: int, radius_ratio: float) -> float:
     """
     if k < 2:
         raise DomainError("covering count needs k >= 2 (log log k undefined below)")
-    if radius_ratio <= math.sqrt(k / (k - 1.0)):
+    if not radius_ratio > math.sqrt(k / (k - 1.0)):
         raise DomainError(
             f"covering bound needs R > sqrt(k/(k-1)) = {math.sqrt(k / (k - 1.0)):.6f}"
         )
@@ -558,6 +558,14 @@ def rogers_covering(k: int, radius_ratio: float) -> float:
 # MGF domination check
 # ---------------------------------------------------------------------------
 
+# Per entry law: the t interval [lo, hi) that mgf_bound_check checks, and M^2.
+_MGF_BOUND = {
+    EntryDistribution.RADEMACHER: ((-1.0, 0.5), 1.0),
+    EntryDistribution.STD_NORMAL: ((0.0, 0.5), 1.0),
+    EntryDistribution.UNIFORM_SYM: ((0.0, 1.0 / 6.0), 3.0),
+}
+
+
 def mgf_bound_check(dist: EntryDistribution, x: UnitVector, t: float) -> bool:
     """True iff the exact CGF is below -log(1 - 2 M^2 t)/2 at this t.
 
@@ -565,20 +573,10 @@ def mgf_bound_check(dist: EntryDistribution, x: UnitVector, t: float) -> bool:
     normal entries (where it is an identity); M = sqrt(3) for the uniform
     case, checkable on 0 <= t < 1/(2 M^2).
     """
-    if dist is EntryDistribution.RADEMACHER:
-        if not (-1.0 <= t < 0.5):
-            raise DomainError(f"checkable domain is [-1, 1/2) for +/-1 entries, got t={t}")
-        m2 = 1.0
-    elif dist is EntryDistribution.STD_NORMAL:
-        if not (0.0 <= t < 0.5):
-            raise DomainError(f"checkable domain is [0, 1/2) for normal entries, got t={t}")
-        m2 = 1.0
-    else:
-        m2 = 3.0
-        if not (0.0 <= t < 1.0 / (2.0 * m2)):
-            raise DomainError(
-                f"checkable domain is [0, {1.0 / (2.0 * m2):.4f}) for uniform entries, got t={t}"
-            )
+    (lo, hi), m2 = _MGF_BOUND[dist]
+    if not lo <= t < hi:
+        raise DomainError(f"checkable domain is [{lo:g}, {hi:.4g}) for {dist.value} entries, "
+                          f"got t={t}")
     spec = CgfSpec.for_direction(dist, x)
     return cgf(spec, t) <= -0.5 * math.log1p(-2.0 * m2 * t) + 1e-10
 
@@ -691,21 +689,14 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
     candidate optima) plus seeded random restarts, descending each with
     the projected analytic gradient of the rate (one transform solve per
     line-search trial, none for the gradient); ties break toward the
-    lexicographically smallest canonical direction.
+    lexicographically smallest canonical direction.  The first transform
+    solve rejects a level or a k outside the entry law's domain.
     """
     opts = opts or OptimizerSettings()
     if k < 2:
         raise DomainError(f"sphere infimum needs k >= 2, got k={k}")
     if opts.random_restarts < 0:
         raise DomainError(f"need random_restarts >= 0, got {opts.random_restarts}")
-    if dist is EntryDistribution.RADEMACHER and k > ENUMERATION_MAX_K:
-        raise DomainError(f"exact enumeration supports k <= {ENUMERATION_MAX_K}")
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if dist is EntryDistribution.UNIFORM_SYM and alpha < 1.0:
-        raise UnsupportedDomainError(
-            "lower-tail sphere rates are unsupported for symmetric-uniform entries"
-        )
 
     starts = [UnitVector.uniform(k).coords, UnitVector.two_sparse(k).coords]
     rng = derive_rng(opts.seed, k)
@@ -747,25 +738,25 @@ def phase_transition_alpha_star() -> float:
     """Crossing point in (0, 1) of the large-k rate and the two-sparse rate.
 
     Below the crossing the two-coordinate strategy has the smaller rate;
-    above it the all-equal strategy wins.  Bisected to width PHASE_TOL.
+    above it the all-equal strategy wins.  The first crossing on a grid,
+    bisected to width PHASE_TOL.
     """
     def gap(a: float) -> float:
         return rate_wishart(a) - rate_two_sparse(a)
 
-    lo, hi = None, None
-    grid = np.linspace(0.02, 0.98, 97)
-    for a, b in zip(grid[:-1], grid[1:]):
-        if gap(a) > 0.0 >= gap(b):
-            lo, hi = a, b
-            break
-    if lo is None:
-        raise DomainError("no strategy crossing found on (0, 1)")
-    return _bisect_crossing(gap, lo, hi, PHASE_TOL)
+    return _crossing(gap, np.linspace(0.02, 0.98, 97), PHASE_TOL, first=True)
 
 
-def _bisect_crossing(gap, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of [lo, hi] bisected to width tol around the sign change of
-    the decreasing gap (gap(lo) > 0 >= gap(hi))."""
+def _crossing(gap, grid, tol: float, first: bool = False) -> float:
+    """The last (or first) neighbouring pair a, b of `grid` with
+    gap(a) > 0 >= gap(b), bisected to width tol: the midpoint of the final
+    bracket.  Raises DomainError when the grid has no such pair."""
+    values = [gap(a) for a in grid]
+    pairs = [i for i in range(len(grid) - 1) if values[i] > 0.0 >= values[i + 1]]
+    if not pairs:
+        raise DomainError(f"no strategy crossing found on [{grid[0]}, {grid[-1]}]")
+    i = pairs[0] if first else pairs[-1]
+    lo, hi = grid[i], grid[i + 1]
     root = _bracketed_root(lambda a: (-gap(a), None), lo, hi, 0.5 * (lo + hi), tol)
     return float(0.5 * (root.lo + root.hi))
 
@@ -774,9 +765,9 @@ def phase_transition_alpha_star_k(k: int) -> float:
     """Largest alpha in (0, 1) where the all-equal and two-coordinate
     transforms agree for +/-1 entries at this k.
 
-    Located by a grid scan for the last sign change of the strategy gap,
-    then bisection to width PHASE_K_TOL = 1e-7.  k = 2 is degenerate (the
-    strategies coincide) and returns the marker 1.0.
+    The last sign change of the strategy gap on a grid, bisected to width
+    PHASE_K_TOL = 1e-7.  k = 2 is degenerate (the strategies coincide) and
+    returns the marker 1.0.
     """
     if not (2 <= k <= 12):
         raise DomainError(f"phase-transition scan supports 2 <= k <= 12, got k={k}")
@@ -793,11 +784,4 @@ def phase_transition_alpha_star_k(k: int) -> float:
             return math.inf
         return g_k - g_2
 
-    grid = np.linspace(0.01, 0.99, 99)
-    bracket = None
-    for a, b in zip(grid[:-1], grid[1:]):
-        if gap(a) > 0.0 >= gap(b):
-            bracket = (a, b)
-    if bracket is None:
-        raise DomainError(f"no strategy crossing found on (0, 1) for k={k}")
-    return _bisect_crossing(gap, *bracket, PHASE_K_TOL)
+    return _crossing(gap, np.linspace(0.01, 0.99, 99), PHASE_K_TOL)

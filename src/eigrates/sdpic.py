@@ -117,6 +117,14 @@ class DecodeState:
     coin_seed: int
 
 
+def _check_stage(s: float, weight: float | None = None) -> None:
+    """Reject a stage below 1 and a weight that is not positive (NaN fails both)."""
+    if not s >= 1:
+        raise DomainError(f"stage must be >= 1, got {s}")
+    if weight is not None and not weight > 0:
+        raise DomainError(f"weight must be positive, got {weight}")
+
+
 def _check_signal(c: SampleMatrix, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (c.k,):
@@ -269,8 +277,7 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
 
 def sdpic_stage(c: SampleMatrix, z: np.ndarray, s: int) -> np.ndarray:
     """Stage-s estimate by the interference-cancellation recursion."""
-    if s < 1:
-        raise DomainError(f"stage must be >= 1, got {s}")
+    _check_stage(s)
     return _recursion(*_instance(c, z), s, product=_matrix_product)[0][0]
 
 
@@ -280,8 +287,7 @@ def sdpic_closed(c: SampleMatrix, z: np.ndarray, s: int) -> np.ndarray:
     Must agree with sdpic_stage to 1e-10; the two are one algebraic
     identity evaluated along different paths.
     """
-    if s < 1:
-        raise DomainError(f"stage must be >= 1, got {s}")
+    _check_stage(s)
     return _partial_sum(*_instance(c, z), s, product=_matrix_product)[0]
 
 
@@ -293,10 +299,7 @@ def weighted_sdpic(c: SampleMatrix, z: np.ndarray, s: int, weight: float) -> np.
     that is the PING_PONG_LAMBDA rule).  Weight 1 reproduces sdpic_closed
     exactly.
     """
-    if s < 1:
-        raise DomainError(f"stage must be >= 1, got {s}")
-    if weight <= 0:
-        raise DomainError(f"weight must be positive, got {weight}")
+    _check_stage(s, weight)
     return _partial_sum(*_instance(c, z), s, weight, _matrix_product)[0]
 
 
@@ -320,8 +323,7 @@ def error_free_condition(spec: Spectrum, s: int, k: int) -> bool:
     Under equal powers this guarantees zero bit errors at stage s: the
     residual (I-W)^s Z has sup norm below every |Z_m|.
     """
-    if s < 1:
-        raise DomainError(f"stage must be >= 1, got {s}")
+    _check_stage(s)
     eps = max(1.0 - spec.lambda_min, spec.lambda_max - 1.0)
     return eps ** s * math.sqrt(k) < 1.0
 
@@ -420,16 +422,12 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     finite stages only.
     """
     _check_trials(k, n, trials)
+    _check_stage(s, weight)
     infinite_mode = math.isinf(s)
+    if infinite_mode and weight is not None:
+        raise DomainError("weight applies only at a finite stage, not at s=inf")
     if not infinite_mode:
         s = int(s)
-        if s < 1:
-            raise DomainError(f"stage must be >= 1, got {s}")
-    if weight is not None:
-        if infinite_mode:
-            raise DomainError("weight applies only at a finite stage, not at s=inf")
-        if weight <= 0:
-            raise DomainError(f"weight must be positive, got {weight}")
 
     any_errors = 0
     per_user = np.zeros(k, dtype=np.int64)

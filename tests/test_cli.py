@@ -62,11 +62,15 @@ class TestRateCommand:
 
     def test_domain_violation_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
-        assert run(["rate", "--dist", "normal", "--alpha-grid", "-1",
-                    "--out", out]) == EXIT_DOMAIN
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert json.loads(err)["error"] == "domain"
+        for args in (["rate", "--dist", "normal", "--alpha-grid", "-1"],
+                     ["rate", "--dist", "normal", "--alpha-grid", "nan"],
+                     ["rate", "--dist", "rademacher", "--k", 3, "--alpha-grid", "nan"],
+                     ["rate", "--dist", "uniform", "--k", 2, "--alpha-grid", "nan"],
+                     ["covering", "--k", 3, "--radius-ratio", "nan"]):
+            assert run(args + ["--out", out]) == EXIT_DOMAIN
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert json.loads(err)["error"] == "domain"
 
     def test_rademacher_with_k(self, tmp_path):
         out = tmp_path / "rk.csv"

@@ -138,14 +138,29 @@ class TestEstimateTail:
 
     @pytest.mark.parametrize("k, n", [(3, 4), (3, 71), (5, 4), (9, 2), (17, 1)])
     def test_distinct_sign_eigvalues(self, monkeypatch, k, n):
-        # (9, 2) and (17, 1) pack their keys into more than one int64 word
+        # _eigvalues with and without the exact key (n or None), and with no
+        # screen or one at the median of either extreme eigenvalue, which
+        # keeps the rows at or beyond it; (9, 2) and (17, 1) pack their keys
+        # into more than one int64 word
         w = gram_batch(R, derive_rng(2), 5000, k, n)
+        lam = eigvalues_batch(w)
+        upper, lower = float(np.median(lam[:, -1])), float(np.median(lam[:, 0]))
+        screens = [(None, np.ones(len(w), dtype=bool)),
+                   ((upper, -1.0), lam[:, -1] >= upper - 1e-6),
+                   ((lower, 1.0), lam[:, 0] <= lower + 1e-6)]
+        assert n == 1 or not all(keep.all() for _, keep in screens)
         solved = []
         monkeypatch.setattr(mclab, "eigvalues_batch",
                             lambda w: solved.append(w) or eigvalues_batch(w))
-        assert np.array_equal(mclab._distinct_sign_eigvalues(w, n), eigvalues_batch(w))
-        distinct = {m.tobytes() for m in w}
-        assert len(solved[0]) == len(distinct) == len({m.tobytes() for m in solved[0]})
+        for screen, keep in screens:
+            for key in (n, None):
+                solved.clear()
+                assert np.array_equal(mclab._eigvalues(w, key, screen), lam[keep])
+                rows = np.concatenate(solved)
+                # each kept W solved once, each distinct one once with the key
+                distinct = {m.tobytes() for m in w[keep]}
+                assert len(rows) == (len(distinct) if key else np.count_nonzero(keep))
+                assert {m.tobytes() for m in rows} == distinct
 
     def test_trials_gate(self):
         with pytest.raises(DomainError):

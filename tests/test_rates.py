@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from eigrates import (
-    CgfMethod,
     CgfSpec,
     DomainError,
     EntryDistribution,
@@ -32,7 +31,7 @@ from eigrates import (
     rogers_covering,
     wishart_t_star,
 )
-from eigrates.rates import _cgf_gradient, _descend, _tilted
+from eigrates.rates import _cgf_gradient, _crossing, _descend, _tilted
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -243,8 +242,10 @@ class TestLegendre:
                 assert rate > 0.0
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(DomainError):
-            legendre(spec_for(N, 2), 0.0)
+        for dist in (R, U, N):
+            for alpha in (0.0, math.nan):
+                with pytest.raises(DomainError):
+                    legendre(spec_for(dist, 2), alpha)
 
     def test_uniform_lower_tail_unsupported(self):
         with pytest.raises(UnsupportedDomainError):
@@ -275,6 +276,7 @@ class TestLegendre:
         assert sol.converged and not sol.boundary
         assert sol.rate == rate_wishart(0.005) == pytest.approx(2.151658683274018, abs=1e-15)
         assert sol.t_star == wishart_t_star(0.005) == -99.5
+        assert legendre_solve(spec_for(N, 2), math.inf).rate == math.inf
 
     def test_matches_grid_supremum(self):
         # direct sup over a dense t grid as an independent oracle
@@ -292,20 +294,26 @@ class TestClosedForms:
         assert rate_wishart(1.0) == 0.0
         assert rate_wishart(2.0) == pytest.approx(0.15342640972, abs=1e-10)
         assert rate_wishart(0.253) == pytest.approx(0.3136, abs=5e-4)
-        with pytest.raises(DomainError):
-            rate_wishart(0.0)
+        assert rate_wishart(math.inf) == math.inf
+        for alpha in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                rate_wishart(alpha)
 
     def test_wishart_t_star(self):
         assert wishart_t_star(2.0) == 0.25
         assert wishart_t_star(1.0) == 0.0
+        for alpha in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                wishart_t_star(alpha)
 
     def test_rate_two_sparse(self):
         assert rate_two_sparse(1.0) == 0.0
         assert rate_two_sparse(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
         assert rate_two_sparse(2.0) == pytest.approx(math.log(2.0), abs=1e-15)
         assert rate_two_sparse(0.253) == pytest.approx(0.3134, abs=5e-4)
-        with pytest.raises(DomainError):
-            rate_two_sparse(2.1)
+        for alpha in (-0.1, 2.1, math.nan):
+            with pytest.raises(DomainError):
+                rate_two_sparse(alpha)
 
     def test_joint_wishart(self):
         assert rate_joint_wishart(1.0, 1.0) == 0.0
@@ -318,8 +326,9 @@ class TestClosedForms:
         assert rate_lower_bound_bounded(2.0, 1.0) == pytest.approx(0.15342640972, abs=1e-10)
         assert rate_lower_bound_bounded(3.0, math.sqrt(3.0)) == pytest.approx(0.0, abs=1e-12)
         assert rate_lower_bound_bounded(6.0, math.sqrt(3.0)) == pytest.approx(0.15342640972, abs=1e-10)
-        with pytest.raises(DomainError):
-            rate_lower_bound_bounded(2.0, math.sqrt(3.0))
+        for alpha, bound in ((2.0, math.sqrt(3.0)), (math.nan, 1.0), (2.0, math.nan)):
+            with pytest.raises(DomainError):
+                rate_lower_bound_bounded(alpha, bound)
 
     def test_rademacher_lower_bound(self):
         assert rate_lower_bound_rademacher(2.0) == pytest.approx(0.15342640972, abs=1e-10)
@@ -328,8 +337,9 @@ class TestClosedForms:
         assert rate_lower_bound_rademacher(0.5) == pytest.approx(at_half, abs=1e-14)
         assert 0.5 * (0.5 - 1 - math.log(0.5)) == pytest.approx(at_half, abs=1e-14)
         assert rate_lower_bound_rademacher(0.1) == pytest.approx(0.5 * (math.log(2.0) - 0.1), abs=1e-14)
-        with pytest.raises(DomainError):
-            rate_lower_bound_rademacher(0.0)
+        for alpha in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                rate_lower_bound_rademacher(alpha)
 
 
 class TestChernoffSquaredEntry:
@@ -349,8 +359,10 @@ class TestChernoffSquaredEntry:
             chernoff_squared_entry(U, 0.5)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            chernoff_squared_entry(N, 0.0)
+        for dist in (R, U, N):
+            for a in (0.0, math.nan):
+                with pytest.raises(DomainError):
+                    chernoff_squared_entry(dist, a)
 
     @pytest.mark.parametrize("dist", [R, U, N])
     def test_is_the_one_coordinate_transform(self, dist):
@@ -385,6 +397,8 @@ class TestCoverings:
             rogers_covering(2, 1.2)  # below sqrt(k/(k-1)) = sqrt(2)
         with pytest.raises(DomainError):
             rogers_covering(1, 10.0)
+        with pytest.raises(DomainError):
+            rogers_covering(3, math.nan)
 
 
 class TestMgfBoundCheck:
@@ -481,6 +495,9 @@ class TestRateK:
             rate_k(U, 3, 0.5, FAST_OPTS)
         with pytest.raises(DomainError):
             rate_k(N, 3, -1.0, FAST_OPTS)
+        for dist in (R, U, N):
+            with pytest.raises(DomainError):
+                rate_k(dist, 3, math.nan, FAST_OPTS)
 
     def test_negative_restarts_rejected(self):
         # -1 restarts once ran no random restart and returned a rate
@@ -606,6 +623,18 @@ class TestPhaseTransition:
     def test_k_gate(self):
         with pytest.raises(DomainError):
             phase_transition_alpha_star_k(13)
+
+    def test_crossing_first_or_last(self):
+        # cos(4 pi a) falls through 0 at 1/8 and 5/8 (and rises at 3/8 and
+        # 7/8); a grid of 0.1 steps brackets both falls, its ends alone neither
+        def gap(a):
+            return math.cos(4.0 * math.pi * a)
+
+        grid = np.linspace(0.0, 1.0, 11)
+        assert _crossing(gap, grid, 1e-10, first=True) == pytest.approx(0.125, abs=1e-9)
+        assert _crossing(gap, grid, 1e-10) == pytest.approx(0.625, abs=1e-9)
+        with pytest.raises(DomainError):
+            _crossing(gap, grid[[0, -1]], 1e-10)
 
     def test_small_k_sequence_reported(self, capsys):
         # the drift with k is observed, not asserted

@@ -211,6 +211,24 @@ class TestStagesAndClosedForm:
         with pytest.raises(DomainError):
             sdpic_closed(orthogonal_pair(), np.array([1.0, 1.0]), 0)
 
+    # each stage gate and each weight gate, fed one bad value
+    GATED = {
+        "sdpic_stage": lambda s: sdpic_stage(orthogonal_pair(), np.ones(2), s),
+        "sdpic_closed": lambda s: sdpic_closed(orthogonal_pair(), np.ones(2), s),
+        "weighted_sdpic": lambda s: weighted_sdpic(orthogonal_pair(), np.ones(2), s, 1.0),
+        "error_free_condition": lambda s: error_free_condition(
+            Spectrum(np.array([0.9, 1.1]), np.eye(2), 0.0), s, 2),
+        "ber_experiment": lambda s: ber_experiment(2, 8, s, trials=10, seed=1),
+        "weighted_sdpic_weight": lambda w: weighted_sdpic(orthogonal_pair(), np.ones(2), 2, w),
+        "ber_experiment_weight": lambda w: ber_experiment(2, 8, 2, trials=10, seed=1, weight=w),
+    }
+
+    @pytest.mark.parametrize("bad", [0, -1.0, math.nan])
+    @pytest.mark.parametrize("entry", GATED)
+    def test_stage_and_weight_gates(self, entry, bad):
+        with pytest.raises(DomainError):
+            self.GATED[entry](bad)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(4, 40), st.integers(1, 24), st.integers(0, 2**20))
     def test_recursion_equals_partial_sum(self, k, n, s, seed):
