@@ -303,13 +303,18 @@ def legendre(spec: CgfSpec, alpha: float) -> tuple[float, float]:
     return sol.rate, sol.t_star
 
 
-def legendre_solve(spec: CgfSpec, alpha: float) -> LegendreSolve:
+def _check_level(dist: EntryDistribution, alpha: float) -> None:
+    """Reject a level no transform of this entry law accepts (NaN included)."""
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if spec.dist is EntryDistribution.UNIFORM_SYM and alpha < 1.0:
+    if dist is EntryDistribution.UNIFORM_SYM and alpha < 1.0:
         raise UnsupportedDomainError(
             "lower-tail transforms need t < 0, unsupported for symmetric-uniform entries"
         )
+
+
+def legendre_solve(spec: CgfSpec, alpha: float) -> LegendreSolve:
+    _check_level(spec.dist, alpha)
 
     if spec.dist is EntryDistribution.STD_NORMAL:
         # S is standard normal along every direction
@@ -689,14 +694,17 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
     candidate optima) plus seeded random restarts, descending each with
     the projected analytic gradient of the rate (one transform solve per
     line-search trial, none for the gradient); ties break toward the
-    lexicographically smallest canonical direction.  The first transform
-    solve rejects a level or a k outside the entry law's domain.
+    lexicographically smallest canonical direction.  The domain gates run
+    before any start direction is built.
     """
     opts = opts or OptimizerSettings()
     if k < 2:
         raise DomainError(f"sphere infimum needs k >= 2, got k={k}")
     if opts.random_restarts < 0:
         raise DomainError(f"need random_restarts >= 0, got {opts.random_restarts}")
+    if dist is EntryDistribution.RADEMACHER and k > ENUMERATION_MAX_K:
+        raise DomainError(f"exact enumeration supports k <= {ENUMERATION_MAX_K}, got k={k}")
+    _check_level(dist, alpha)
 
     starts = [UnitVector.uniform(k).coords, UnitVector.two_sparse(k).coords]
     rng = derive_rng(opts.seed, k)
@@ -738,25 +746,24 @@ def phase_transition_alpha_star() -> float:
     """Crossing point in (0, 1) of the large-k rate and the two-sparse rate.
 
     Below the crossing the two-coordinate strategy has the smaller rate;
-    above it the all-equal strategy wins.  The first crossing on a grid,
-    bisected to width PHASE_TOL.
+    above it the all-equal strategy wins.  The gap falls through zero once
+    on (0, 1); bisected to width PHASE_TOL.
     """
     def gap(a: float) -> float:
         return rate_wishart(a) - rate_two_sparse(a)
 
-    return _crossing(gap, np.linspace(0.02, 0.98, 97), PHASE_TOL, first=True)
+    return _crossing(gap, np.linspace(0.02, 0.98, 97), PHASE_TOL)
 
 
-def _crossing(gap, grid, tol: float, first: bool = False) -> float:
-    """The last (or first) neighbouring pair a, b of `grid` with
-    gap(a) > 0 >= gap(b), bisected to width tol: the midpoint of the final
-    bracket.  Raises DomainError when the grid has no such pair."""
+def _crossing(gap, grid, tol: float) -> float:
+    """The last neighbouring pair a, b of `grid` with gap(a) > 0 >= gap(b),
+    bisected to width tol: the midpoint of the final bracket.  Raises
+    DomainError when the grid has no such pair."""
     values = [gap(a) for a in grid]
     pairs = [i for i in range(len(grid) - 1) if values[i] > 0.0 >= values[i + 1]]
     if not pairs:
         raise DomainError(f"no strategy crossing found on [{grid[0]}, {grid[-1]}]")
-    i = pairs[0] if first else pairs[-1]
-    lo, hi = grid[i], grid[i + 1]
+    lo, hi = grid[pairs[-1]], grid[pairs[-1] + 1]
     root = _bracketed_root(lambda a: (-gap(a), None), lo, hi, 0.5 * (lo + hi), tol)
     return float(0.5 * (root.lo + root.hi))
 

@@ -486,18 +486,27 @@ class TestRateK:
         assert res.restarts_used == 2 + FAST_OPTS.random_restarts
         assert abs(np.linalg.norm(res.x_star.coords) - 1.0) < 1e-12
 
-    def test_domain_gates(self):
+    def test_domain_gates(self, monkeypatch):
+        # every gate fires before a start direction is built: at k = 10^9 one
+        # start would be 8 GB
+        def no_start(*args):
+            raise AssertionError("start direction built before the domain gates")
+
+        for name in ("uniform", "two_sparse", "random"):
+            monkeypatch.setattr(UnitVector, name, no_start)
         with pytest.raises(DomainError):
             rate_k(R, 1, 1.5, FAST_OPTS)
-        with pytest.raises(DomainError):
-            rate_k(R, 25, 1.5, FAST_OPTS)
+        for k in (25, 10**9):
+            with pytest.raises(DomainError):
+                rate_k(R, k, 1.5, FAST_OPTS)
         with pytest.raises(UnsupportedDomainError):
             rate_k(U, 3, 0.5, FAST_OPTS)
         with pytest.raises(DomainError):
             rate_k(N, 3, -1.0, FAST_OPTS)
         for dist in (R, U, N):
-            with pytest.raises(DomainError):
-                rate_k(dist, 3, math.nan, FAST_OPTS)
+            for k in (3, 10**9):
+                with pytest.raises(DomainError):
+                    rate_k(dist, k, math.nan, OptimizerSettings(random_restarts=10**6))
 
     def test_negative_restarts_rejected(self):
         # -1 restarts once ran no random restart and returned a rate
@@ -624,14 +633,13 @@ class TestPhaseTransition:
         with pytest.raises(DomainError):
             phase_transition_alpha_star_k(13)
 
-    def test_crossing_first_or_last(self):
+    def test_crossing_is_the_last(self):
         # cos(4 pi a) falls through 0 at 1/8 and 5/8 (and rises at 3/8 and
         # 7/8); a grid of 0.1 steps brackets both falls, its ends alone neither
         def gap(a):
             return math.cos(4.0 * math.pi * a)
 
         grid = np.linspace(0.0, 1.0, 11)
-        assert _crossing(gap, grid, 1e-10, first=True) == pytest.approx(0.125, abs=1e-9)
         assert _crossing(gap, grid, 1e-10) == pytest.approx(0.625, abs=1e-9)
         with pytest.raises(DomainError):
             _crossing(gap, grid[[0, -1]], 1e-10)

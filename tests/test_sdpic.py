@@ -223,7 +223,7 @@ class TestStagesAndClosedForm:
         "ber_experiment_weight": lambda w: ber_experiment(2, 8, 2, trials=10, seed=1, weight=w),
     }
 
-    @pytest.mark.parametrize("bad", [0, -1.0, math.nan])
+    @pytest.mark.parametrize("bad", [0, -1.0, -math.inf, math.nan])
     @pytest.mark.parametrize("entry", GATED)
     def test_stage_and_weight_gates(self, entry, bad):
         with pytest.raises(DomainError):
