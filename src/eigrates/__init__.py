@@ -66,12 +66,10 @@ from .rates import (
 from .sdpic import (
     BerEstimate,
     DecodeState,
-    Transmission,
     ber_experiment,
     decide_bits,
     error_free_condition,
     iterate_to_limit,
-    make_transmission,
     mf_decode,
     run_decode,
     sdpic_closed,

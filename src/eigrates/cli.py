@@ -20,8 +20,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .core import EntryDistribution, UnitVector, derive_rng, sample_matrix
 from .errors import DomainError
@@ -44,6 +42,9 @@ SEED_ENV_VAR = "EIGRATES_SEED"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+# Points allowed in one --alpha-grid range; the README and tests use 50 or fewer.
+GRID_MAX_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,9 @@ class ExperimentConfig:
 
 
 def parse_alpha_grid(text: str) -> tuple[float, ...]:
-    """start:stop:step, inclusive of stop when it lands within 1e-9 of a point."""
+    """start:stop:step, inclusive of stop when it lands within 1e-9 of a point.
+    A range needs a finite start, stop and step, and at most GRID_MAX_POINTS
+    points (ValueError otherwise); a single level may be any float."""
     parts = text.split(":")
     if len(parts) == 1:
         return (float(parts[0]),)
@@ -92,20 +95,19 @@ def parse_alpha_grid(text: str) -> tuple[float, ...]:
     start, stop, step = (float(p) for p in parts)
     if step <= 0:
         raise DomainError("alpha grid step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9  # inf when the quotient overflows
+    if not (all(math.isfinite(v) for v in (start, stop, step)) and span < GRID_MAX_POINTS):
+        raise ValueError(f"alpha grid {text!r} needs a finite start, stop and step "
+                         f"and at most {GRID_MAX_POINTS} points")
+    count = int(math.floor(span)) + 1
     if count < 1:
         raise DomainError(f"empty alpha grid {text!r}")
     return tuple(start + i * step for i in range(count))
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+    # str of a float (np.float64 too) is its shortest round-trip repr
+    return "" if value is None else str(value)
 
 
 def _cells(record: dict, columns: list[str]) -> str:

@@ -41,7 +41,7 @@ ZERO_EIG_TOL = 1e-9
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) for an explicit 64-bit seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return derive_rng(seed)
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -104,15 +104,6 @@ class EntryDistribution(enum.Enum):
     RADEMACHER = "rademacher"
     UNIFORM_SYM = "uniform"
     STD_NORMAL = "normal"
-
-    @property
-    def bound(self) -> float:
-        """Essential supremum of |entry| (inf for the normal case)."""
-        if self is EntryDistribution.RADEMACHER:
-            return 1.0
-        if self is EntryDistribution.UNIFORM_SYM:
-            return SQRT3
-        return math.inf
 
     def entry_mgf(self, u):
         """Scalar moment generating function E[exp(u * entry)], vectorized in u."""

@@ -141,18 +141,28 @@ def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int, sc
     +/-1 W take at most comb(2^(k-1) + n - 1, n) values (one per multiset
     of column classes, as in enumerate_exact).  When that is at most
     CHUNK_TRIALS and LAPACK is called (k >= 3), a chunk solves each
-    distinct W once.  The bound implies classes <= CHUNK_TRIALS, which is
-    tested first all the same: at k = 64 and n = 10^5 math.comb takes
-    seconds to build a bound of millions of bits.  The screen (see
-    _tail_screen) applies at k >= 3 only: at k <= 2 eigvalues_batch's
-    closed forms cost less than it.
+    distinct W once.  The screen (see _tail_screen) applies at k >= 3 only:
+    at k <= 2 eigvalues_batch's closed forms cost less than it.
     """
-    classes = 1 << (k - 1)
-    dedup = (dist is EntryDistribution.RADEMACHER and k >= 3 and classes <= CHUNK_TRIALS
-             and math.comb(classes + n - 1, n) <= CHUNK_TRIALS)
+    dedup = (dist is EntryDistribution.RADEMACHER and k >= 3
+             and _multisets_at_most(1 << (k - 1), n, CHUNK_TRIALS))
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
         yield _eigvalues(gram_batch(dist, rng, size, k, n), n if dedup else None,
                          screen if k >= 3 else None)
+
+
+def _multisets_at_most(classes: int, n: int, cap: int) -> bool:
+    """comb(classes + n - 1, n) <= cap, for classes, cap >= 1, in O(log cap)
+    steps: the running product comb(a + j, j), a = max(n, classes - 1), at
+    least doubles per step and stops once it passes cap, where math.comb
+    builds the whole binomial, 355,228 bits at k = 17, n = 10^6."""
+    j_max, a = sorted((n, classes - 1))
+    count = 1
+    for j in range(1, j_max + 1):
+        count = count * (a + j) // j
+        if count > cap:
+            return False
+    return True
 
 
 def _eigvalues(w: np.ndarray, n: int | None, screen) -> np.ndarray:

@@ -323,16 +323,15 @@ def legendre_solve(spec: CgfSpec, alpha: float) -> LegendreSolve:
     ess_sup = spec.ess_sup_s2()
     ess_inf = spec.ess_inf_s2()
     if alpha >= 1.0:
-        # upper tail, t >= 0
-        if math.isfinite(ess_sup):
-            if alpha > ess_sup * (1.0 + 1e-12) + _ATOL:
-                return LegendreSolve(math.inf, math.inf, True, True)
-            if alpha >= ess_sup * (1.0 - 1e-12) - _ATOL:
-                if spec.dist is EntryDistribution.RADEMACHER:
-                    rate = 0.0 - spec.atom_log_prob(ess_sup)  # +0.0 for a sure atom
-                else:
-                    rate = math.inf  # continuous law: no atom at the ess sup
-                return LegendreSolve(rate, math.inf, True, True)
+        # upper tail, t >= 0; the +/-1 and uniform supports are bounded
+        if alpha > ess_sup * (1.0 + 1e-12) + _ATOL:
+            return LegendreSolve(math.inf, math.inf, True, True)
+        if alpha >= ess_sup * (1.0 - 1e-12) - _ATOL:
+            if spec.dist is EntryDistribution.RADEMACHER:
+                rate = 0.0 - spec.atom_log_prob(ess_sup)  # +0.0 for a sure atom
+            else:
+                rate = math.inf  # continuous law: no atom at the ess sup
+            return LegendreSolve(rate, math.inf, True, True)
         return _solve_transform(spec, alpha, side=+1)
     # lower tail, t <= 0
     if alpha < ess_inf * (1.0 - 1e-12) - _ATOL:

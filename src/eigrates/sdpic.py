@@ -74,40 +74,6 @@ CHUNK_TRIALS = 1 << 14
 
 
 @dataclass(frozen=True)
-class Transmission:
-    """Bits and powers of the k users; the sent vector is sqrt(P) * b."""
-
-    bits: np.ndarray
-    powers: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.bits, dtype=np.float64)
-        p = np.asarray(self.powers, dtype=np.float64)
-        if b.shape != p.shape or b.ndim != 1:
-            raise DimensionError("bits and powers must be 1-d arrays of equal length")
-        if not np.all(np.abs(b) == 1.0):
-            raise DomainError("bits must be +/-1")
-        if not np.all(p > 0.0):
-            raise DomainError("powers must be positive")
-        object.__setattr__(self, "bits", b)
-        object.__setattr__(self, "powers", p)
-
-    @property
-    def k(self) -> int:
-        return self.bits.size
-
-    @property
-    def signal(self) -> np.ndarray:
-        return np.sqrt(self.powers) * self.bits
-
-
-def make_transmission(bits, powers=None) -> Transmission:
-    b = np.asarray(bits, dtype=np.float64)
-    p = np.ones_like(b) if powers is None else np.asarray(powers, dtype=np.float64)
-    return Transmission(bits=b, powers=p)
-
-
-@dataclass(frozen=True)
 class DecodeState:
     """Estimate and hard decisions after a given number of stages."""
 
@@ -214,10 +180,10 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     the first stage whose sup-norm change is below tol (NaN changes
     compare False and run on), found after each block by one pass over the
     block's changes; the rows run the rest of the block regardless.  A
-    stopped trial's result is recorded at once, but its row stays in the
-    working stack, no longer live, until a quarter of the stack has
-    stopped; only then is the stack compacted, into a new buffer sized for
-    it.  Each row's arithmetic is independent of the others and of its
+    stopped trial's result is recorded at once (converged), but its row
+    stays in the working stack until a quarter of the stack has stopped;
+    only then is the stack compacted, into a new buffer sized for it.
+    Each row's arithmetic is independent of the others and of its
     block, so the results do not depend on when the tests or compaction
     happen.  Without tol, visit(stage, est) sees every stage, each in an
     array of its own.  Returns (est, stages, converged, ahead): each
@@ -229,13 +195,11 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     stages = np.full(len(z), cap)
     converged = np.zeros(len(z), dtype=bool)
     rows, wa, e1a, ea = np.arange(len(z)), w, est1, est1
-    live = np.ones(len(z), dtype=bool)
-    stopped = 0  # rows of the working stack that are no longer live
     with np.errstate(over="ignore", invalid="ignore"):
         if visit is not None:
             visit(1, est1)
         (buf, change), stage = _block_buffers(est1), 1  # buf[0] holds est(stage)
-        while stage < cap and stopped < len(rows):
+        while stage < cap and not converged[rows].all():
             m = min(len(buf) - 1, cap - stage)
             scratch = change[0]  # holds the product until the test
             for j in range(m):
@@ -249,29 +213,29 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
             if tol is not None:
                 np.subtract(buf[1:m + 1], buf[:m], out=change[:m])
                 below = _row_max(np.abs(change[:m], out=change[:m])) < tol
-                done = np.flatnonzero(np.any(below, axis=0) & live)
+                done = np.flatnonzero(np.any(below, axis=0) & ~converged[rows])
                 if done.size:
                     first = np.argmax(below[:, done], axis=0) + 1
                     est[rows[done]] = buf[first, done]
                     stages[rows[done]] = stage + first
                     converged[rows[done]] = True
-                    live[done] = False
-                    stopped += done.size
-                    if 4 * stopped >= len(rows):
-                        ea = ea[live]
+                    keep = ~converged[rows]
+                    if 4 * np.count_nonzero(keep) <= 3 * len(rows):
+                        ea = ea[keep]
                         del buf, change, scratch  # freed before W is copied
-                        rows, wa, e1a, live = rows[live], wa[live], e1a[live], live[live]
+                        rows, wa, e1a = rows[keep], wa[keep], e1a[keep]
                         buf, change = _block_buffers(ea)
-                        ea, stopped, stage = buf[0], 0, stage + m
+                        ea, stage = buf[0], stage + m
                         continue
             # est(stage + m) ends a full block in the last slot: reversed,
             # the buffer carries it into the next block in slot 0, uncopied
             buf, stage = buf[::-1], stage + m
         # one more stage over the whole working stack, so W is not copied
         step = e1a - (product(wa, ea) - ea)
-        est[rows[live]] = ea[live]
+        keep = ~converged[rows]
+        est[rows[keep]] = ea[keep]
         ahead = np.full_like(est, np.nan)
-        ahead[rows[live]] = step[live]
+        ahead[rows[keep]] = step[keep]
     return est, stages, converged, ahead
 
 
@@ -317,15 +281,15 @@ def decide_bits(estimate: np.ndarray, coin_seed: int) -> np.ndarray:
     return decided
 
 
-def error_free_condition(spec: Spectrum, s: int, k: int) -> bool:
-    """eps^s sqrt(k) < 1 with eps = max(1 - lambda_min, lambda_max - 1).
+def error_free_condition(spec: Spectrum, s: int) -> bool:
+    """eps^s sqrt(k) < 1 with eps = max(1 - lambda_min, lambda_max - 1), k = spec's size.
 
     Under equal powers this guarantees zero bit errors at stage s: the
     residual (I-W)^s Z has sup norm below every |Z_m|.
     """
     _check_stage(s)
     eps = max(1.0 - spec.lambda_min, spec.lambda_max - 1.0)
-    return eps ** s * math.sqrt(k) < 1.0
+    return eps ** s * math.sqrt(spec.eigenvalues.size) < 1.0
 
 
 def run_decode(c: SampleMatrix, z: np.ndarray, s: int, coin_seed: int) -> DecodeState:
@@ -391,8 +355,7 @@ def _decide_batch(est: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """sign(est) per trial, with zeros and NaN taken from the coins."""
     decided = np.sign(est)
     mask = np.abs(decided) != 1.0
-    if np.any(mask):
-        decided[mask] = coins[mask]
+    decided[mask] = coins[mask]
     return decided
 
 
@@ -441,7 +404,6 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
         bits = EntryDistribution.RADEMACHER.sample(rng, (size, k))
         coins = EntryDistribution.RADEMACHER.sample(rng, (size, k))
         w = gram_batch(EntryDistribution.RADEMACHER, rng, size, k, n)
-        z = bits  # equal unit powers
         drawn += size
 
         if infinite_mode:
@@ -481,7 +443,7 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
             marked[quiet, np.argmax(top, axis=1)] = True
             wrong[osc] = marked
         else:
-            est = _partial_sum(w, z, s, 1.0 if weight is None else weight)
+            est = _partial_sum(w, bits, s, 1.0 if weight is None else weight)
             wrong = _decide_batch(est, coins) != bits
 
         any_errors += int(np.count_nonzero(np.any(wrong, axis=1)))

@@ -29,15 +29,25 @@ class TestAlphaGrid:
         grid = parse_alpha_grid("0.1:0.5:0.1")
         assert len(grid) == 5
         assert grid[-1] == pytest.approx(0.5, abs=1e-12)
+        assert len(parse_alpha_grid("0:9999:1")) == cli.GRID_MAX_POINTS
 
     def test_single_value(self):
         assert parse_alpha_grid("1.3") == (1.3,)
+        assert parse_alpha_grid("inf") == (math.inf,)  # mc counts at any level
 
     def test_bad_spec(self):
         with pytest.raises(DomainError):
             parse_alpha_grid("1:2")
         with pytest.raises(DomainError):
             parse_alpha_grid("1:2:-0.5")
+
+    @pytest.mark.parametrize("text", ["0.1:inf:0.1", "nan:1:0.1", "0:1:inf", "0:1:1e-300",
+                                      "-1e308:1e308:1", "0:10000:1"])
+    def test_unbounded_range_is_a_usage_error(self, text):
+        # ValueError, not DomainError: the CLI exits 2 on it, before any work
+        with pytest.raises(ValueError) as exc:
+            parse_alpha_grid(text)
+        assert type(exc.value) is ValueError
 
 
 class TestConfigRoundTrip:
@@ -66,7 +76,10 @@ class TestRateCommand:
                      ["rate", "--dist", "normal", "--alpha-grid", "nan"],
                      ["rate", "--dist", "rademacher", "--k", 3, "--alpha-grid", "nan"],
                      ["rate", "--dist", "uniform", "--k", 2, "--alpha-grid", "nan"],
-                     ["covering", "--k", 3, "--radius-ratio", "nan"]):
+                     ["covering", "--k", 3, "--radius-ratio", "nan"],
+                     ["rate", "--dist", "normal", "--alpha-grid", "1:0:0.5"],
+                     ["rate", "--dist", "rademacher", "--alpha-grid", "1.5"],
+                     ["covering", "--k", 3]):
             assert run(args + ["--out", out]) == EXIT_DOMAIN
             assert not out.exists()
             err = capsys.readouterr().err
@@ -92,6 +105,9 @@ class TestRateCommand:
         ["sdpic", "--k", 2, "--n", 8, "--s", "x", "--trials", 10, "--out", "o.jsonl"],
         ["compare", "--rates", "missing.csv", "--mc", "missing.jsonl"],
         ["compare", "--rates", "bad.jsonl", "--mc", "bad.jsonl"],
+        ["rate", "--dist", "normal", "--alpha-grid", "0.1:inf:0.1", "--out", "o.csv"],
+        ["mc", "--dist", "normal", "--k", 2, "--n", 8, "--alpha-grid", "0:1:1e-300",
+         "--side", "max_above", "--trials", 10, "--out", "o.jsonl"],
     ])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
@@ -315,6 +331,30 @@ class TestCompare:
         assert run(["rate", "--dist", "normal", "--alpha-grid", "3.0",
                     "--out", other_rates]) == EXIT_OK
         assert run(["compare", "--rates", other_rates, "--mc", mc_file]) == EXIT_DOMAIN
+        # a law mismatch and a file this runner did not write: exit 3, no output
+        uniform_mc, stray, out = (tmp_path / name for name in ("u.jsonl", "stray.csv", "o"))
+        assert run(["mc", "--dist", "uniform", "--k", 2, "--n", 20, "--alpha-grid", "1.2",
+                    "--side", "max_above", "--trials", 100, "--out", uniform_mc]) == EXIT_OK
+        stray.write_text("alpha,rate\n1.2,0.1\n")
+        for rates, mc in ((rate_file, uniform_mc), (stray, mc_file), (rate_file, stray)):
+            assert run(["compare", "--rates", rates, "--mc", mc, "--out", out]) == EXIT_DOMAIN
+            assert not out.exists()
+
+    def test_below_and_no_hits_verdicts(self, tmp_path):
+        # k = 8 at n = 8 reaches 1.4 almost surely (rate near 0, far below I);
+        # at n = 60 no trial of 200 reaches 3
+        rate_file = tmp_path / "rates.csv"
+        assert run(["rate", "--dist", "normal", "--alpha-grid", "1.4:3:1.6",
+                    "--out", rate_file]) == EXIT_OK
+        verdicts = {}
+        for k, n, alpha in ((8, 8, "1.4"), (2, 60, "3")):
+            mc_file = tmp_path / f"mc{k}.jsonl"
+            assert run(["mc", "--dist", "normal", "--k", k, "--n", n, "--alpha-grid", alpha,
+                        "--side", "max_above", "--trials", 200, "--seed", 3,
+                        "--out", mc_file]) == EXIT_OK
+            report = run_compare(str(rate_file), str(mc_file))
+            verdicts[alpha] = [r["verdict"] for r in report]
+        assert verdicts == {"1.4": ["below"], "3": ["no_hits"]}
 
 
 def test_cli_import_leaves_out_scipy_stats():

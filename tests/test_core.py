@@ -72,6 +72,19 @@ class TestSampling:
             sample_matrix(R, 0, 4, 1)
         with pytest.raises(DimensionError):
             sample_matrix(R, 4, 0, 1)
+        with pytest.raises(DimensionError):
+            SampleMatrix(R, 0, 4, np.ones((0, 4)), seed=0)
+        with pytest.raises(DimensionError):
+            SampleMatrix(R, 2, 4, np.ones((4, 2)), seed=0)
+        with pytest.raises(DimensionError):
+            CovMatrix(np.ones((2, 3)), n=4)
+
+    @pytest.mark.parametrize("dist, bad", [(R, 0.5), (R, -1.0 - 1e-15), (U, 1.7321)])
+    def test_entries_off_the_support_rejected(self, dist, bad):
+        entries = np.ones((2, 3))
+        entries[1, 2] = bad
+        with pytest.raises(DomainError):
+            SampleMatrix(dist, 2, 3, entries, seed=0)
 
     def test_derived_streams(self):
         a = derive_rng(5, 0).standard_normal(4)
@@ -321,6 +334,9 @@ class TestUnitVector:
     def test_validates_norm(self):
         with pytest.raises(DomainError):
             UnitVector(np.array([1.0, 1.0]))
+        for coords in (np.eye(2), np.array([])):
+            with pytest.raises(DimensionError):
+                UnitVector(coords)
 
     def test_of_normalizes(self):
         x = UnitVector.of([3.0, 4.0])
@@ -330,6 +346,8 @@ class TestUnitVector:
         assert np.allclose(UnitVector.uniform(4).coords, 0.5)
         two = UnitVector.two_sparse(5).coords
         assert np.allclose(two[:2], 1.0 / math.sqrt(2.0)) and np.all(two[2:] == 0)
+        with pytest.raises(DimensionError):
+            UnitVector.two_sparse(1)
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):

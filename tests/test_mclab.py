@@ -136,6 +136,26 @@ class TestEstimateTail:
         assert np.array_equal(hist.bin_edges, edges)
         assert np.array_equal(hist.mass, mass / lam.size)
 
+    def test_multiset_gate_matches_math_comb(self):
+        cap = mclab.CHUNK_TRIALS
+        for classes in (1 << e for e in range(20)):
+            for n in [*range(40), 100, 1000]:
+                assert mclab._multisets_at_most(classes, n, cap) == (
+                    math.comb(classes + n - 1, n) <= cap), (classes, n)
+
+    @pytest.mark.parametrize("k, n, key", [(3, 8, 8), (17, 10**6, None), (64, 10**5, None)])
+    def test_dedup_decided_without_math_comb(self, monkeypatch, k, n, key):
+        # math.comb builds a binomial of 355,228 bits at (17, 10^6); the chunk
+        # itself is not drawn here
+        def no_comb(*args):
+            raise AssertionError("math.comb called")
+        keys = []
+        monkeypatch.setattr(math, "comb", no_comb)
+        monkeypatch.setattr(mclab, "gram_batch", lambda dist, rng, m, k, n: np.zeros((m, k, k)))
+        monkeypatch.setattr(mclab, "_eigvalues", lambda w, n, screen: keys.append(n) or w[:, 0])
+        next(mclab._spectra(R, k, n, 1, 0))
+        assert keys == [key]
+
     @pytest.mark.parametrize("k, n", [(3, 4), (3, 71), (5, 4), (9, 2), (17, 1)])
     def test_distinct_sign_eigvalues(self, monkeypatch, k, n):
         # _eigvalues with and without the exact key (n or None), and with no
@@ -165,6 +185,8 @@ class TestEstimateTail:
     def test_trials_gate(self):
         with pytest.raises(DomainError):
             estimate_tail(N, 2, 10, 1.5, TailSide.MAX_ABOVE, 0, 5)
+        # no levels: nothing to count or screen
+        assert estimate_tails(N, 2, 10, (), TailSide.MAX_ABOVE, 10, 5) == []
 
     def test_side_parse(self):
         assert TailSide.parse("min_below") is TailSide.MIN_BELOW
@@ -348,6 +370,8 @@ class TestEnumerateExact:
     def test_size_gate(self):
         with pytest.raises(DomainError):
             enumerate_exact(5, 6, min_below(1.0))
+        with pytest.raises(DomainError):
+            enumerate_exact(0, 5, min_below(1.0))
 
     def test_agrees_with_monte_carlo(self):
         for k, n, pred, alpha, side in [

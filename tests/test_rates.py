@@ -355,6 +355,7 @@ class TestChernoffSquaredEntry:
         # frozen from an independent adaptive-quadrature + grid-sup oracle
         assert chernoff_squared_entry(U, 2.0) == pytest.approx(0.5693028308, abs=1e-6)
         assert math.isinf(chernoff_squared_entry(U, 3.5))
+        assert math.isinf(chernoff_squared_entry(U, 3.0))  # the support edge: no atom
         with pytest.raises(UnsupportedDomainError):
             chernoff_squared_entry(U, 0.5)
 
@@ -382,10 +383,13 @@ class TestCoverings:
     def test_grid_values(self):
         assert grid_covering(4, 8) == (pytest.approx(0.75), 4096.0)
         assert grid_covering(1, 2) == (pytest.approx(1.5), 2.0)
+        assert grid_covering(400, 40) == (pytest.approx(1.5), math.inf)  # 40^400 overflows
 
     def test_grid_validity_gate(self):
         with pytest.raises(DomainError):
             grid_covering(4, 3)
+        with pytest.raises(DomainError):
+            grid_covering(0, 3)
 
     def test_rogers_formula(self):
         expected = math.log(4 * 3 * math.sqrt(3.0) * (math.log(3.0) + math.log(math.log(3.0)) + math.log(3.0))) + 3 * math.log(3.0)

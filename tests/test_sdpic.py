@@ -19,7 +19,6 @@ from eigrates import (
     error_free_condition,
     iterate_to_limit,
     make_rng,
-    make_transmission,
     mf_decode,
     run_decode,
     sample_matrix,
@@ -142,23 +141,6 @@ PINNED_INFINITE_MODE = {
 }
 
 
-class TestTransmission:
-    def test_signal(self):
-        tx = make_transmission([1, -1, 1], [4.0, 1.0, 9.0])
-        assert np.allclose(tx.signal, [2.0, -1.0, 3.0])
-        assert tx.k == 3
-
-    def test_default_unit_powers(self):
-        tx = make_transmission([1, -1])
-        assert np.array_equal(tx.powers, [1.0, 1.0])
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            make_transmission([1, 0])
-        with pytest.raises(DomainError):
-            make_transmission([1, -1], [1.0, -2.0])
-
-
 class TestMfDecode:
     def test_orthogonal_codes_are_exact(self):
         z = np.array([1.0, -1.0])
@@ -217,7 +199,7 @@ class TestStagesAndClosedForm:
         "sdpic_closed": lambda s: sdpic_closed(orthogonal_pair(), np.ones(2), s),
         "weighted_sdpic": lambda s: weighted_sdpic(orthogonal_pair(), np.ones(2), s, 1.0),
         "error_free_condition": lambda s: error_free_condition(
-            Spectrum(np.array([0.9, 1.1]), np.eye(2), 0.0), s, 2),
+            Spectrum(np.array([0.9, 1.1]), np.eye(2), 0.0), s),
         "ber_experiment": lambda s: ber_experiment(2, 8, s, trials=10, seed=1),
         "weighted_sdpic_weight": lambda w: weighted_sdpic(orthogonal_pair(), np.ones(2), 2, w),
         "ber_experiment_weight": lambda w: ber_experiment(2, 8, 2, trials=10, seed=1, weight=w),
@@ -355,12 +337,12 @@ class TestErrorFreeCondition:
     def test_worked_example(self):
         sp = Spectrum(np.array([0.8, 1.0, 1.0, 1.2]), np.eye(4), 0.0)
         # eps = 0.2, 0.2^2 * sqrt(4) = 0.08 < 1
-        assert error_free_condition(sp, 2, 4)
+        assert error_free_condition(sp, 2)
 
     def test_singular_never_passes(self):
         sp = Spectrum(np.array([0.0, 1.0]), np.eye(2), 0.0)
         for s in (1, 2, 10, 100):
-            assert not error_free_condition(sp, s, 2)
+            assert not error_free_condition(sp, s)
 
     def test_threshold_form(self):
         # condition is equivalent to eps < k ** (-1/(2s))
@@ -369,10 +351,10 @@ class TestErrorFreeCondition:
             k = int(rng.integers(2, 12))
             s = int(rng.integers(1, 5))
             eps = float(rng.uniform(0.0, 1.5))
-            lam = np.sort(np.array([1.0 - eps, 1.0 + eps * rng.uniform(0.0, 1.0)]))
-            sp = Spectrum(lam, np.eye(2), 0.0)
+            lam = np.array([1.0 - eps] + [1.0] * (k - 2) + [1.0 + eps * rng.uniform(0.0, 1.0)])
+            sp = Spectrum(lam, np.eye(k), 0.0)
             expected = eps < k ** (-1.0 / (2.0 * s))
-            assert error_free_condition(sp, s, k) == expected
+            assert error_free_condition(sp, s) == expected
 
 
 class TestDecodeAndLimit:
