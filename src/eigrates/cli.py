@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -40,7 +41,6 @@ DEFAULT_SEED = 20252025
 SEED_ENV_VAR = "EIGRATES_SEED"
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 # Points allowed in one --alpha-grid range; the README and tests use 50 or fewer.
@@ -85,16 +85,18 @@ class ExperimentConfig:
 
 def parse_alpha_grid(text: str) -> tuple[float, ...]:
     """start:stop:step, inclusive of stop when it lands within 1e-9 of a point.
-    A range needs a finite start, stop and step, and at most GRID_MAX_POINTS
-    points (ValueError otherwise); a single level may be any float."""
+    A range needs three parts, a positive step, a finite start, stop and
+    step, and at most GRID_MAX_POINTS points (ValueError otherwise, a usage
+    error); a range with no point is a DomainError.  A single level may be
+    any float."""
     parts = text.split(":")
     if len(parts) == 1:
         return (float(parts[0]),)
     if len(parts) != 3:
-        raise DomainError(f"alpha grid must be 'start:stop:step' or a number, got {text!r}")
+        raise ValueError(f"alpha grid must be 'start:stop:step' or a number, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise DomainError("alpha grid step must be positive")
+    if not step > 0:
+        raise ValueError("alpha grid step must be positive")
     span = (stop - start) / step + 1e-9  # inf when the quotient overflows
     if not (all(math.isfinite(v) for v in (start, stop, step)) and span < GRID_MAX_POINTS):
         raise ValueError(f"alpha grid {text!r} needs a finite start, stop and step "
@@ -313,7 +315,9 @@ def run_compare(rates_path: str, mc_path: str):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and reused."""
     parser = argparse.ArgumentParser(
         prog="eigrates",
         description="Extreme-eigenvalue deviation rates: curves, Monte Carlo, SD-PIC.",
@@ -435,7 +439,7 @@ def _compare(args: argparse.Namespace, parser: argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.subcommand == "compare":

@@ -65,7 +65,7 @@ class TailSide(enum.Enum):
     def parse(cls, name: str) -> "TailSide":
         key = name.strip().lower()
         for side in cls:
-            if key == side.value or key in (side.name.lower(),):
+            if key == side.value:
                 return side
         raise DomainError(f"unknown tail side {name!r}")
 

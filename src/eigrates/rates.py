@@ -12,9 +12,10 @@ Gaussian-mixture quadrature centred on the tilted peak for symmetric
 uniform entries).  It solves the transform by safeguarded Newton on the
 analytic CGF derivative inside a certified bracket, with the one bracketed
 root solver that also locates the phase transitions, and minimizes over the
-sphere by multi-start projected gradient descent.  By the envelope theorem
-the rate's gradient in x is -d Lambda_x/dx at the optimal tilt, so each
-descent step takes its gradient from the solve it has already done.
+sphere by multi-start Riemannian BFGS.  By the envelope theorem the rate's
+gradient in x is -d Lambda_x/dx at the optimal tilt, so each descent step
+takes its gradient from the solve it has already done, and the curvature
+estimate is built from those gradients alone.
 """
 
 from __future__ import annotations
@@ -589,8 +590,9 @@ def mgf_bound_check(dist: EntryDistribution, x: UnitVector, t: float) -> bool:
 # Sphere infimum
 # ---------------------------------------------------------------------------
 
-# Projected-gradient sphere descent: iteration cap, the improvement below
-# which a descent counts as converged, and the first line-search step.  The
+# Quasi-Newton sphere descent: iteration cap, the improvement below which a
+# descent counts as converged, and the scale of the initial inverse Hessian
+# (so the first line-search trial is this multiple of the gradient).  The
 # gradient is analytic (_cgf_gradient at the solve's optimal tilt).
 DESCENT_MAX_ITERATIONS = 200
 DESCENT_IMPROVEMENT_TOL = 1e-9
@@ -633,10 +635,18 @@ class RateResult:
     descents: tuple[Descent, ...]
 
 
-def _canonical(coords: np.ndarray) -> np.ndarray:
-    # sign flips and permutations leave the law of S invariant for every
-    # symmetric entry law, so iterate in |coords| sorted descending
-    return np.sort(np.abs(coords))[::-1]
+def _canonical(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|coords| sorted descending, the signed permutation matrix Q that
+    maps coords there).
+
+    Sign flips and permutations leave the law of S invariant for every
+    symmetric entry law, so the descent iterates in canonical coordinates
+    and moves its vectors and curvature estimate along with Q.
+    """
+    order = np.argsort(np.abs(coords))[::-1]
+    q = np.zeros((coords.size, coords.size))
+    q[np.arange(coords.size), order] = np.where(coords[order] < 0.0, -1.0, 1.0)
+    return np.abs(coords[order]), q
 
 
 def _sphere_objective(dist: EntryDistribution, coords: np.ndarray,
@@ -647,14 +657,23 @@ def _sphere_objective(dist: EntryDistribution, coords: np.ndarray,
 
 def _descend(dist: EntryDistribution, start: np.ndarray,
              alpha: float) -> tuple[LegendreSolve, np.ndarray, Descent]:
-    """Armijo line search along the projected gradient -dLambda_x/dx (t*).
+    """Riemannian BFGS on the sphere (Absil, Mahony and Sepulchre 2008,
+    Ch. 8): an Armijo line search along d = -H g, g the projected gradient
+    -dLambda_x/dx (t*).
 
-    A solve whose optimal tilt is infinite (an atom, or a level beyond the
-    support) has no gradient: the descent ends there, converged.
+    H starts at DESCENT_INITIAL_STEP * I, is rescaled by Shanno-Phua
+    (s.y / y.y) after the first accepted step, and then takes the inverse
+    BFGS update, skipped when s.y <= 0.  The step s and the old gradient
+    are moved to the new point by the canonical permutation and signs and
+    by tangent projection, and H with them.  A direction that does not
+    descend falls back to -DESCENT_INITIAL_STEP * g.  A solve whose optimal
+    tilt is infinite (an atom, or a level beyond the support) has no
+    gradient: the descent ends there, converged.
     """
-    x = _canonical(start / np.linalg.norm(start))
+    x = _canonical(start / np.linalg.norm(start))[0]
     spec, best = _sphere_objective(dist, x, alpha)
-    step = DESCENT_INITIAL_STEP
+    h = DESCENT_INITIAL_STEP * np.eye(x.size)
+    secant = None  # (s, the previous gradient) at x
     steps = 0
     converged = False
     for _ in range(DESCENT_MAX_ITERATIONS):
@@ -662,21 +681,36 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
             converged = True
             break
         grad = -_cgf_gradient(spec, best.t_star)
-        tangent = grad - np.dot(grad, x) * x
-        gnorm = float(np.linalg.norm(tangent))
-        if gnorm < 1e-12:
+        grad -= np.dot(grad, x) * x
+        if np.linalg.norm(grad) < 1e-12:
             converged = True
             break
+        if secant is not None:
+            s, y = secant[0], grad - secant[1]
+            sy = float(np.dot(s, y))
+            if sy > 0.0:
+                if steps == 1:
+                    h = sy / float(np.dot(y, y)) * np.eye(x.size)
+                v = np.eye(x.size) - np.outer(y, s) / sy
+                h = v.T @ h @ v + np.outer(s, s) / sy
+        d = -(h @ grad)
+        if np.dot(grad, d) >= 0.0:
+            d = -DESCENT_INITIAL_STEP * grad
+        slope = float(np.dot(grad, d))
         improvement = 0.0
-        while step > 1e-13:
-            trial = x - step * tangent
-            trial = _canonical(trial / np.linalg.norm(trial))
+        step = 1.0
+        # halving down to a gradient step of 1e-13 on the H0 scale
+        while step * DESCENT_INITIAL_STEP > 1e-13:
+            trial = x + step * d
+            trial, q = _canonical(trial / np.linalg.norm(trial))
             cand_spec, cand = _sphere_objective(dist, trial, alpha)
-            if cand.rate < best.rate - 1e-4 * step * gnorm * gnorm:
+            if cand.rate < best.rate + 1e-4 * step * slope:
                 improvement = best.rate - cand.rate
+                move = (np.eye(x.size) - np.outer(trial, trial)) @ q  # transport
+                secant = (move @ (step * d), move @ grad)
+                h = move @ h @ move.T
                 x, spec, best = trial, cand_spec, cand
                 steps += 1
-                step = min(step * 1.5, 1.0)
                 break
             step *= 0.5
         if improvement < DESCENT_IMPROVEMENT_TOL:
@@ -690,11 +724,11 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
     """Infimum over the unit sphere of the directional transform at alpha.
 
     Starts from the all-equal and two-coordinate directions (the two
-    candidate optima) plus seeded random restarts, descending each with
-    the projected analytic gradient of the rate (one transform solve per
-    line-search trial, none for the gradient); ties break toward the
-    lexicographically smallest canonical direction.  The domain gates run
-    before any start direction is built.
+    candidate optima) plus seeded random restarts, descending each by
+    Riemannian BFGS on the analytic gradient of the rate (one transform
+    solve per line-search trial, none for the gradient); ties break toward
+    the lexicographically smallest canonical direction.  The domain gates
+    run before any start direction is built.
     """
     opts = opts or OptimizerSettings()
     if k < 2:

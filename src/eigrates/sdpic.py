@@ -80,7 +80,6 @@ class DecodeState:
     stage: int
     estimate: np.ndarray
     decided: np.ndarray
-    coin_seed: int
 
 
 def _check_stage(s: float, weight: float | None = None) -> None:
@@ -295,8 +294,7 @@ def error_free_condition(spec: Spectrum, s: int) -> bool:
 def run_decode(c: SampleMatrix, z: np.ndarray, s: int, coin_seed: int) -> DecodeState:
     """Decode a single instance at stage s and record the decisions."""
     est = sdpic_closed(c, z, s)
-    return DecodeState(stage=s, estimate=est, decided=decide_bits(est, coin_seed),
-                       coin_seed=coin_seed)
+    return DecodeState(stage=s, estimate=est, decided=decide_bits(est, coin_seed))
 
 
 def iterate_to_limit(c: SampleMatrix, z: np.ndarray) -> tuple[np.ndarray, int, bool]:

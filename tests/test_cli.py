@@ -36,10 +36,12 @@ class TestAlphaGrid:
         assert parse_alpha_grid("inf") == (math.inf,)  # mc counts at any level
 
     def test_bad_spec(self):
-        with pytest.raises(DomainError):
-            parse_alpha_grid("1:2")
-        with pytest.raises(DomainError):
-            parse_alpha_grid("1:2:-0.5")
+        # a wrongly shaped range is a usage error (exit 2), like an
+        # unbounded one
+        for text in ("1:2", "1:2:3:4", "1:2:-0.5", "1:2:0", "1:2:nan"):
+            with pytest.raises(ValueError) as exc:
+                parse_alpha_grid(text)
+            assert type(exc.value) is ValueError, text
 
     @pytest.mark.parametrize("text", ["0.1:inf:0.1", "nan:1:0.1", "0:1:inf", "0:1:1e-300",
                                       "-1e308:1e308:1", "0:10000:1"])
@@ -108,6 +110,9 @@ class TestRateCommand:
         ["rate", "--dist", "normal", "--alpha-grid", "0.1:inf:0.1", "--out", "o.csv"],
         ["mc", "--dist", "normal", "--k", 2, "--n", 8, "--alpha-grid", "0:1:1e-300",
          "--side", "max_above", "--trials", 10, "--out", "o.jsonl"],
+        ["rate", "--dist", "normal", "--alpha-grid", "1:2", "--out", "o.csv"],
+        ["mc", "--dist", "normal", "--k", 2, "--n", 8, "--alpha-grid", "1:2:-0.5",
+         "--side", "max_above", "--trials", 10, "--out", "o.jsonl"],
     ])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
@@ -116,6 +121,18 @@ class TestRateCommand:
             run(args)
         assert exc.value.code == 2
         assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
+
+    def test_parser_built_once(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit):
+            run(["--help"])
+        first = capsys.readouterr().out
+        assert run(["rate", "--dist", "normal", "--alpha-grid", "2", "--out",
+                    tmp_path / "r.csv"]) == EXIT_OK
+        with pytest.raises(SystemExit):
+            run(["--help"])
+        assert capsys.readouterr().out == first
+        assert cli._parser.cache_info().misses == 1
 
     def test_negative_restarts_exit_3(self, tmp_path):
         out = tmp_path / "rk.csv"

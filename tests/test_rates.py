@@ -31,6 +31,7 @@ from eigrates import (
     rogers_covering,
     wishart_t_star,
 )
+from eigrates import rates
 from eigrates.rates import _cgf_gradient, _crossing, _descend, _tilted
 
 R = EntryDistribution.RADEMACHER
@@ -613,6 +614,57 @@ class TestDescent:
         res = rate_k(R, 3, 3.5, FAST_OPTS)
         assert all(d == (math.inf, 0, True) for d in res.descents)
 
+    def test_structured_starts_unchanged(self):
+        # (rate, steps, converged) of the all-equal and two-coordinate
+        # starts, exactly as steepest descent ended them
+        pins = (
+            (R, 3, 0.5, (0.12255368178707848, 0, True), (0.130812035941137, 0, True)),
+            (R, 4, 0.75, (0.023730335164223987, 0, True), (0.031583942401963105, 0, True)),
+            (R, 7, 1.5, (0.05814001589547396, 0, True), (0.13081203594113622, 0, True)),
+            (R, 10, 2.0, (0.18242670641549408, 0, True), (0.6931471805599454, 0, True)),
+            (U, 2, 2.0, (0.2669334107614948, 0, True), (0.2669334107614948, 0, True)),
+        )
+        for dist, k, alpha, uniform, two_sparse in pins:
+            res = rate_k(dist, k, alpha, OptimizerSettings(random_restarts=0, seed=404))
+            assert res.descents == (uniform, two_sparse), (dist, k, alpha)
+
+    def test_first_trial_is_the_gradient_step(self, monkeypatch):
+        # H starts at DESCENT_INITIAL_STEP * I, so the first trial is
+        # x - DESCENT_INITIAL_STEP * g to the last bit
+        start = make_rng(17).standard_normal(6)
+        x = rates._canonical(start / np.linalg.norm(start))[0]
+        spec = CgfSpec.for_direction(R, UnitVector(x))
+        grad = -_cgf_gradient(spec, legendre_solve(spec, 0.75).t_star)
+        grad -= np.dot(grad, x) * x
+        trial = x - rates.DESCENT_INITIAL_STEP * grad
+        expected = rates._canonical(trial / np.linalg.norm(trial))[0]
+        seen = []
+        objective = rates._sphere_objective
+        monkeypatch.setattr(rates, "_sphere_objective",
+                            lambda d, c, a: seen.append(c.copy()) or objective(d, c, a))
+        _descend(R, start, 0.75)
+        assert np.array_equal(seen[0], x)
+        assert np.array_equal(seen[1], expected)
+
+    def test_reordering_start_reaches_the_optimum(self, monkeypatch):
+        # from (0.6, 0.5, 0.4, 0.1) the descent's trials swap coordinates,
+        # so its curvature estimate is carried through the canonical
+        # permutation; it still ends on the all-equal rate
+        maps = []
+        canonical = rates._canonical
+
+        def spy(coords):
+            out = canonical(coords)
+            maps.append(out[1])
+            return out
+
+        monkeypatch.setattr(rates, "_canonical", spy)
+        sol, x, descent = _descend(R, np.array([0.6, 0.5, 0.4, 0.1]), 0.75)
+        assert any(not np.array_equal(q, np.eye(4)) for q in maps[1:])
+        assert descent.converged and 0 < descent.steps < rates.DESCENT_MAX_ITERATIONS
+        all_equal = rate_k(R, 4, 0.75, OptimizerSettings(random_restarts=0)).rate
+        assert abs(sol.rate - all_equal) <= 1e-12
+
 
 class TestPhaseTransition:
     def test_limit_crossing(self):
@@ -658,7 +710,10 @@ class TestPhaseTransition:
 # rate_k(R, k, alpha, OptimizerSettings(4, 404)) on the c04 acceptance grid
 # and rate_k(dist, k, alpha, OptimizerSettings(1, 404)) on the nine perfbench
 # rate_sweep points, as the finite-difference descent computed them:
-# (k, alpha, rate, converged, x_star) and (dist, k, alpha, ...).
+# (k, alpha, rate, converged, x_star) and (dist, k, alpha, ...).  The
+# quasi-Newton descent keeps every rate within 1e-12 and every x_star within
+# 1e-8, and converges from every start, where steepest descent stopped at
+# its iteration cap from random starts at alpha = 0.75, k >= 4.
 C04_PINS = (
     (2, 0.5, 0.13081203594113705, True,
      (0.70710678119, 0.70710678119)),
@@ -682,19 +737,19 @@ C04_PINS = (
      (0.70710678119, 0.70710678119)),
     (3, 0.75, 0.025941369265427394, True,
      (0.57735026921, 0.5773502692, 0.57735026917)),
-    (4, 0.75, 0.023730335164223904, False,
+    (4, 0.75, 0.023730335164223904, True,
      (0.50000000001, 0.5, 0.5, 0.5)),
-    (5, 0.75, 0.022567030006872935, False,
+    (5, 0.75, 0.022567030006872935, True,
      (0.4472135955, 0.4472135955, 0.4472135955, 0.4472135955, 0.4472135955)),
-    (6, 0.75, 0.021850341853523386, False,
+    (6, 0.75, 0.021850341853523386, True,
      (0.40824829048, 0.40824829047, 0.40824829047, 0.40824829046, 0.40824829046, 0.40824829045)),
-    (7, 0.75, 0.02136469991075257, False,
+    (7, 0.75, 0.02136469991075257, True,
      (0.37796447302, 0.37796447302, 0.37796447301, 0.37796447301, 0.37796447301, 0.37796447299, 0.37796447299)),
-    (8, 0.75, 0.021013947850359566, False,
+    (8, 0.75, 0.021013947850359566, True,
      (0.35355339061, 0.3535533906, 0.3535533906, 0.3535533906, 0.35355339059, 0.35355339059, 0.35355339059, 0.35355339058)),
-    (9, 0.75, 0.020748761828305068, False,
+    (9, 0.75, 0.020748761828305068, True,
      (0.33333333335, 0.33333333334, 0.33333333334, 0.33333333334, 0.33333333333, 0.33333333333, 0.33333333333, 0.33333333332, 0.33333333331)),
-    (10, 0.75, 0.020541244718744356, False,
+    (10, 0.75, 0.020541244718744356, True,
      (0.31622776609, 0.31622776608, 0.31622776608, 0.31622776608, 0.31622776598, 0.31622776598, 0.31622776598, 0.31622776597, 0.31622776597, 0.31622776596)),
     (2, 1.5, 0.13081203594113677, True,
      (0.70710678119, 0.70710678119)),
@@ -756,13 +811,19 @@ SWEEP_PINS = (
 
 
 class TestPinnedRates:
-    def test_c04_grid(self):
+    def test_c04_grid(self, monkeypatch):
+        # steepest descent took 12,457 transform solves on this grid
+        solves = []
+        solve = rates.legendre_solve
+        monkeypatch.setattr(rates, "legendre_solve",
+                            lambda spec, a: solves.append(a) or solve(spec, a))
         opts = OptimizerSettings(random_restarts=4, seed=404)
         for k, alpha, rate, converged, x_star in C04_PINS:
             res = rate_k(R, k, alpha, opts)
             assert abs(res.rate - rate) <= 1e-12, (k, alpha, res.rate)
             assert res.converged == converged, (k, alpha)
             assert np.max(np.abs(res.x_star.coords - x_star)) <= 1e-8, (k, alpha)
+        assert len(solves) < 12_457 / 3
 
     def test_rate_sweep_points(self):
         opts = OptimizerSettings(random_restarts=1, seed=404)
