@@ -12,10 +12,10 @@ Gaussian-mixture quadrature centred on the tilted peak for symmetric
 uniform entries).  It solves the transform by safeguarded Newton on the
 analytic CGF derivative inside a certified bracket, with the one bracketed
 root solver that also locates the phase transitions, and minimizes over the
-sphere by multi-start Riemannian BFGS.  By the envelope theorem the rate's
-gradient in x is -d Lambda_x/dx at the optimal tilt, so each descent step
-takes its gradient from the solve it has already done, and the curvature
-estimate is built from those gradients alone.
+sphere by multi-start limited-memory Riemannian BFGS.  By the envelope
+theorem the rate's gradient in x is -d Lambda_x/dx at the optimal tilt, so
+each descent step takes its gradient from the solve it has already done,
+and the curvature estimate is built from those gradients alone.
 """
 
 from __future__ import annotations
@@ -590,13 +590,15 @@ def mgf_bound_check(dist: EntryDistribution, x: UnitVector, t: float) -> bool:
 # Sphere infimum
 # ---------------------------------------------------------------------------
 
-# Quasi-Newton sphere descent: iteration cap, the improvement below which a
-# descent counts as converged, and the scale of the initial inverse Hessian
-# (so the first line-search trial is this multiple of the gradient).  The
+# Limited-memory quasi-Newton sphere descent: iteration cap, the gain below
+# which a gradient step ends a descent as converged (and below which two
+# starts' rates tie), the gradient step's length factor (the inverse
+# Hessian before any secant pair), and how many secant pairs are kept.  The
 # gradient is analytic (_cgf_gradient at the solve's optimal tilt).
 DESCENT_MAX_ITERATIONS = 200
 DESCENT_IMPROVEMENT_TOL = 1e-9
 DESCENT_INITIAL_STEP = 0.25
+DESCENT_SECANT_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -635,18 +637,10 @@ class RateResult:
     descents: tuple[Descent, ...]
 
 
-def _canonical(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|coords| sorted descending, the signed permutation matrix Q that
-    maps coords there).
-
-    Sign flips and permutations leave the law of S invariant for every
-    symmetric entry law, so the descent iterates in canonical coordinates
-    and moves its vectors and curvature estimate along with Q.
-    """
-    order = np.argsort(np.abs(coords))[::-1]
-    q = np.zeros((coords.size, coords.size))
-    q[np.arange(coords.size), order] = np.where(coords[order] < 0.0, -1.0, 1.0)
-    return np.abs(coords[order]), q
+def _canonical(coords: np.ndarray) -> np.ndarray:
+    # sign flips and permutations leave the law of S invariant for every
+    # symmetric entry law, so iterate in |coords| sorted descending
+    return np.sort(np.abs(coords))[::-1]
 
 
 def _sphere_objective(dist: EntryDistribution, coords: np.ndarray,
@@ -655,25 +649,46 @@ def _sphere_objective(dist: EntryDistribution, coords: np.ndarray,
     return spec, legendre_solve(spec, alpha)
 
 
+def _two_loop(grad: np.ndarray, s: np.ndarray, y: np.ndarray,
+              rho: np.ndarray) -> np.ndarray:
+    """H g for the limited-memory inverse BFGS matrix of the pairs (s, y),
+    oldest first, with H0 = (s.y / y.y) I from the newest pair (Shanno-Phua)
+    or DESCENT_INITIAL_STEP * I before the first pair."""
+    r = grad.copy()
+    a = np.empty(rho.size)
+    for i in reversed(range(rho.size)):
+        a[i] = rho[i] * np.dot(s[i], r)
+        r -= a[i] * y[i]
+    r *= 1.0 / (rho[-1] * np.dot(y[-1], y[-1])) if rho.size else DESCENT_INITIAL_STEP
+    for i in range(rho.size):
+        r += (a[i] - rho[i] * np.dot(y[i], r)) * s[i]
+    return r
+
+
 def _descend(dist: EntryDistribution, start: np.ndarray,
              alpha: float) -> tuple[LegendreSolve, np.ndarray, Descent]:
-    """Riemannian BFGS on the sphere (Absil, Mahony and Sepulchre 2008,
-    Ch. 8): an Armijo line search along d = -H g, g the projected gradient
-    -dLambda_x/dx (t*).
+    """Limited-memory Riemannian BFGS on the sphere (Absil, Mahony and
+    Sepulchre 2008, Ch. 8): an Armijo line search along d = -H g, g the
+    projected gradient -dLambda_x/dx (t*).
 
-    H starts at DESCENT_INITIAL_STEP * I, is rescaled by Shanno-Phua
-    (s.y / y.y) after the first accepted step, and then takes the inverse
-    BFGS update, skipped when s.y <= 0.  The step s and the old gradient
-    are moved to the new point by the canonical permutation and signs and
-    by tangent projection, and H with them.  A direction that does not
-    descend falls back to -DESCENT_INITIAL_STEP * g.  A solve whose optimal
-    tilt is infinite (an atom, or a level beyond the support) has no
-    gradient: the descent ends there, converged.
+    H is the two-loop product of the last DESCENT_SECANT_PAIRS secant pairs
+    (s, y), a pair kept only when s.y > 0.  On every accepted step the pairs
+    and the old gradient move to the new point by the same signed
+    permutation that made the trial canonical, then by tangent projection:
+    O(k) memory and work per pair, no k x k array.  With no pairs the trial
+    is the gradient step -DESCENT_INITIAL_STEP * g.  A quasi-Newton step
+    that gains less than DESCENT_IMPROVEMENT_TOL drops the pairs and the
+    descent goes on from the gradient step.  A gradient step that gains
+    less than that ends the descent, converged only if its first-order
+    gain DESCENT_INITIAL_STEP |g|^2 is below the tolerance too.  A solve
+    whose optimal tilt is infinite (an atom, or a level beyond the support)
+    has no gradient: the descent ends there, converged.
     """
-    x = _canonical(start / np.linalg.norm(start))[0]
+    x = _canonical(start / np.linalg.norm(start))
     spec, best = _sphere_objective(dist, x, alpha)
-    h = DESCENT_INITIAL_STEP * np.eye(x.size)
-    secant = None  # (s, the previous gradient) at x
+    s = y = np.empty((0, x.size))
+    rho = np.empty(0)
+    last = None  # (the accepted step, the gradient before it), moved to x
     steps = 0
     converged = False
     for _ in range(DESCENT_MAX_ITERATIONS):
@@ -685,15 +700,13 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
         if np.linalg.norm(grad) < 1e-12:
             converged = True
             break
-        if secant is not None:
-            s, y = secant[0], grad - secant[1]
-            sy = float(np.dot(s, y))
+        if last is not None:
+            sy = float(np.dot(last[0], grad - last[1]))
             if sy > 0.0:
-                if steps == 1:
-                    h = sy / float(np.dot(y, y)) * np.eye(x.size)
-                v = np.eye(x.size) - np.outer(y, s) / sy
-                h = v.T @ h @ v + np.outer(s, s) / sy
-        d = -(h @ grad)
+                s = np.vstack((s, last[0]))[-DESCENT_SECANT_PAIRS:]
+                y = np.vstack((y, grad - last[1]))[-DESCENT_SECANT_PAIRS:]
+                rho = np.append(rho, 1.0 / sy)[-DESCENT_SECANT_PAIRS:]
+        d = -_two_loop(grad, s, y, rho)
         if np.dot(grad, d) >= 0.0:
             d = -DESCENT_INITIAL_STEP * grad
         slope = float(np.dot(grad, d))
@@ -701,21 +714,31 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
         step = 1.0
         # halving down to a gradient step of 1e-13 on the H0 scale
         while step * DESCENT_INITIAL_STEP > 1e-13:
-            trial = x + step * d
-            trial, q = _canonical(trial / np.linalg.norm(trial))
+            raw = x + step * d
+            raw /= np.linalg.norm(raw)
+            trial = _canonical(raw)
             cand_spec, cand = _sphere_objective(dist, trial, alpha)
             if cand.rate < best.rate + 1e-4 * step * slope:
                 improvement = best.rate - cand.rate
-                move = (np.eye(x.size) - np.outer(trial, trial)) @ q  # transport
-                secant = (move @ (step * d), move @ grad)
-                h = move @ h @ move.T
+                order = np.argsort(np.abs(raw))[::-1]
+                signs = np.where(raw[order] < 0.0, -1.0, 1.0)
+                moved = np.vstack((step * d, grad, s, y))[:, order] * signs
+                moved -= np.outer(moved @ trial, trial)  # transport to trial
+                s, y = moved[2:2 + rho.size], moved[2 + rho.size:]
+                last = (moved[0], moved[1])
                 x, spec, best = trial, cand_spec, cand
                 steps += 1
                 break
             step *= 0.5
         if improvement < DESCENT_IMPROVEMENT_TOL:
-            converged = True
-            break
+            if not rho.size:
+                # stationary only if the gradient step was not expected to
+                # gain more: a stalled search on a steep slope is no optimum
+                converged = -slope < DESCENT_IMPROVEMENT_TOL
+                break
+            s = y = np.empty((0, x.size))
+            rho = np.empty(0)
+            last = None
     return best, x, Descent(best.rate, steps, converged)
 
 
@@ -725,10 +748,13 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
 
     Starts from the all-equal and two-coordinate directions (the two
     candidate optima) plus seeded random restarts, descending each by
-    Riemannian BFGS on the analytic gradient of the rate (one transform
-    solve per line-search trial, none for the gradient); ties break toward
-    the lexicographically smallest canonical direction.  The domain gates
-    run before any start direction is built.
+    limited-memory Riemannian BFGS on the analytic gradient of the rate
+    (one transform solve per line-search trial, none for the gradient).
+    A descent stops once a step gains less than DESCENT_IMPROVEMENT_TOL,
+    so a later start replaces the best only when it is lower by more than
+    that: closer rates tie, and a tie keeps the earlier start, the
+    structured ones first.  The domain gates run before any start
+    direction is built.
     """
     opts = opts or OptimizerSettings()
     if k < 2:
@@ -749,9 +775,7 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
     for start in starts:
         sol, x_end, descent = _descend(dist, start, alpha)
         descents.append(descent)
-        if best is None or sol.rate < best.rate or (
-            sol.rate == best.rate and tuple(x_end) < tuple(best_x)
-        ):
+        if best is None or sol.rate < best.rate - DESCENT_IMPROVEMENT_TOL:
             best, best_x = sol, x_end
     return RateResult(
         alpha=alpha,

@@ -15,6 +15,7 @@ from eigrates import (
     cgf,
     cgf_derivative,
     chernoff_squared_entry,
+    derive_rng,
     grid_covering,
     legendre,
     legendre_solve,
@@ -629,15 +630,15 @@ class TestDescent:
             assert res.descents == (uniform, two_sparse), (dist, k, alpha)
 
     def test_first_trial_is_the_gradient_step(self, monkeypatch):
-        # H starts at DESCENT_INITIAL_STEP * I, so the first trial is
-        # x - DESCENT_INITIAL_STEP * g to the last bit
+        # with no secant pair the direction is -DESCENT_INITIAL_STEP * g, so
+        # the first trial is the steepest-descent step to the last bit
         start = make_rng(17).standard_normal(6)
-        x = rates._canonical(start / np.linalg.norm(start))[0]
+        x = rates._canonical(start / np.linalg.norm(start))
         spec = CgfSpec.for_direction(R, UnitVector(x))
         grad = -_cgf_gradient(spec, legendre_solve(spec, 0.75).t_star)
         grad -= np.dot(grad, x) * x
         trial = x - rates.DESCENT_INITIAL_STEP * grad
-        expected = rates._canonical(trial / np.linalg.norm(trial))[0]
+        expected = rates._canonical(trial / np.linalg.norm(trial))
         seen = []
         objective = rates._sphere_objective
         monkeypatch.setattr(rates, "_sphere_objective",
@@ -648,22 +649,80 @@ class TestDescent:
 
     def test_reordering_start_reaches_the_optimum(self, monkeypatch):
         # from (0.6, 0.5, 0.4, 0.1) the descent's trials swap coordinates,
-        # so its curvature estimate is carried through the canonical
-        # permutation; it still ends on the all-equal rate
-        maps = []
+        # so its secant pairs are carried through the canonical permutation;
+        # it still ends on the all-equal rate
+        raws = []
         canonical = rates._canonical
-
-        def spy(coords):
-            out = canonical(coords)
-            maps.append(out[1])
-            return out
-
-        monkeypatch.setattr(rates, "_canonical", spy)
+        monkeypatch.setattr(rates, "_canonical",
+                            lambda c: raws.append(c.copy()) or canonical(c))
         sol, x, descent = _descend(R, np.array([0.6, 0.5, 0.4, 0.1]), 0.75)
-        assert any(not np.array_equal(q, np.eye(4)) for q in maps[1:])
+        assert any(np.any(np.diff(np.abs(c)) > 0.0) for c in raws[1:])
         assert descent.converged and 0 < descent.steps < rates.DESCENT_MAX_ITERATIONS
         all_equal = rate_k(R, 4, 0.75, OptimizerSettings(random_restarts=0)).rate
         assert abs(sol.rate - all_equal) <= 1e-12
+
+    @pytest.mark.parametrize("start, alpha", [((0.9, 0.3, 0.2, 0.1), 2.0),
+                                              ((0.9, 0.6, 0.1), 0.5)])
+    def test_short_step_does_not_end_a_descent(self, start, alpha):
+        # from these starts a quasi-Newton step gains under
+        # DESCENT_IMPROVEMENT_TOL 1.6e-10 and 3.2e-12 above the optimum; the
+        # descent must go on from the gradient step there, not stop
+        sol, x, descent = _descend(R, np.array(start), alpha)
+        all_equal = rate_k(R, len(start), alpha, OptimizerSettings(random_restarts=0)).rate
+        assert descent.converged
+        assert abs(sol.rate - all_equal) <= 1e-13
+
+    def test_stalled_search_on_a_slope_is_not_converged(self, monkeypatch):
+        # an uphill "gradient" makes every trial fail; the descent stops
+        # where it started but, with a gradient step expected to gain far
+        # more than DESCENT_IMPROVEMENT_TOL, does not call that converged
+        gradient = rates._cgf_gradient
+        monkeypatch.setattr(rates, "_cgf_gradient", lambda spec, t: -gradient(spec, t))
+        sol, x, descent = _descend(R, np.array([0.6, 0.5, 0.4, 0.1]), 0.75)
+        assert descent.steps == 0 and not descent.converged
+
+    def test_c04_random_starts_end_stationary(self):
+        # convergence measured apart from the stop rule: every c04 random
+        # start with a finite tilt ends where the tangent gradient is small
+        worst = 0.0
+        for alpha in (0.5, 0.75, 1.5, 2.0):
+            for k in range(2, 11):
+                rng = derive_rng(404, k)
+                for _ in range(4):
+                    sol, x, descent = _descend(R, UnitVector.random(k, rng).coords, alpha)
+                    assert descent.converged, (k, alpha)
+                    if math.isfinite(sol.t_star):
+                        spec = CgfSpec.for_direction(R, UnitVector(x))
+                        grad = -_cgf_gradient(spec, sol.t_star)
+                        grad -= np.dot(grad, x) * x
+                        worst = max(worst, float(np.linalg.norm(grad)))
+        assert worst < 1e-5
+
+    def test_normal_large_k_stays_linear(self):
+        # the normal gradient is 0, so no step is taken and no k x k array
+        # may appear: at k = 10^5 one would be 80 GB
+        tracemalloc.start()
+        try:
+            res = rate_k(N, 10 ** 5, 2.0, OptimizerSettings(random_restarts=1, seed=404))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rate == rate_wishart(2.0)
+        assert all(d.steps == 0 and d.converged for d in res.descents)
+        assert peak < 64 * 2 ** 20
+
+    def test_uniform_k200_random_start(self, monkeypatch):
+        # a k = 200 uniform random start descends to the all-equal rate in a
+        # few dozen transform solves; steepest descent took 203 and stopped
+        # at its iteration cap 2.7e-4 above
+        solves = []
+        solve = rates.legendre_solve
+        monkeypatch.setattr(rates, "legendre_solve",
+                            lambda spec, a: solves.append(a) or solve(spec, a))
+        res = rate_k(U, 200, 2.0, OptimizerSettings(random_restarts=1, seed=404))
+        assert res.converged
+        assert abs(res.descents[2].rate - res.descents[0].rate) <= 1e-9
+        assert len(solves) < 60
 
 
 class TestPhaseTransition:
@@ -711,9 +770,10 @@ class TestPhaseTransition:
 # and rate_k(dist, k, alpha, OptimizerSettings(1, 404)) on the nine perfbench
 # rate_sweep points, as the finite-difference descent computed them:
 # (k, alpha, rate, converged, x_star) and (dist, k, alpha, ...).  The
-# quasi-Newton descent keeps every rate within 1e-12 and every x_star within
-# 1e-8, and converges from every start, where steepest descent stopped at
-# its iteration cap from random starts at alpha = 0.75, k >= 4.
+# limited-memory quasi-Newton descent keeps every rate within 1e-12 and
+# every x_star within 1e-8, and converges from every start, where steepest
+# descent stopped at its iteration cap from random starts at alpha = 0.75,
+# k >= 4.
 C04_PINS = (
     (2, 0.5, 0.13081203594113705, True,
      (0.70710678119, 0.70710678119)),
