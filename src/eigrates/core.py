@@ -105,19 +105,6 @@ class EntryDistribution(enum.Enum):
     UNIFORM_SYM = "uniform"
     STD_NORMAL = "normal"
 
-    def entry_mgf(self, u):
-        """Scalar moment generating function E[exp(u * entry)], vectorized in u."""
-        u = np.asarray(u, dtype=float)
-        if self is EntryDistribution.RADEMACHER:
-            return np.cosh(u)
-        if self is EntryDistribution.UNIFORM_SYM:
-            v = SQRT3 * u
-            small = np.abs(v) < 1e-6
-            safe = np.where(small, 1.0, v)
-            out = np.where(small, 1.0 + v * v / 6.0, np.sinh(safe) / safe)
-            return out
-        return np.exp(u * u / 2.0)
-
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self is EntryDistribution.RADEMACHER:
             return np.where(random_bits(rng, size), 1.0, -1.0)

@@ -370,15 +370,17 @@ class ZeroEigenPoint:
 def zero_eigen_rate(k: int, l: int, n_list, trials: int, seed: int) -> list[ZeroEigenPoint]:
     """Probability of l zero eigenvalues for +/-1 entries across a sweep of n.
 
-    Uses full enumeration when k*n <= 24 and Monte Carlo otherwise; the
-    empirical rate -(1/n) log p_hat trends to l log 2 as n grows.
+    Uses exact enumeration when it is cheap, k*n <= 24 and at most
+    CHUNK_TRIALS multisets of column classes (one spectrum each), and
+    Monte Carlo otherwise; the empirical rate -(1/n) log p_hat trends to
+    l log 2 as n grows.
     """
     if not (1 <= l <= k - 1):
         raise DomainError(f"need 1 <= l <= k-1, got l={l}, k={k}")
     points = []
     pred = zero_count_at_least(l)
     for n in n_list:
-        if k * n <= ENUM_MAX_BITS:
+        if k * n <= ENUM_MAX_BITS and _multisets_at_most(1 << (k - 1), n, CHUNK_TRIALS):
             p = enumerate_exact(k, n, pred)
             points.append(ZeroEigenPoint(k=k, l=l, n=n, method="exact", trials=None,
                                          hits=None, p_hat=p, ci_low=None, ci_high=None,

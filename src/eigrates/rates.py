@@ -15,7 +15,10 @@ root solver that also locates the phase transitions, and minimizes over the
 sphere by multi-start limited-memory Riemannian BFGS.  By the envelope
 theorem the rate's gradient in x is -d Lambda_x/dx at the optimal tilt, so
 each descent step takes its gradient from the solve it has already done,
-and the curvature estimate is built from those gradients alone.
+and the curvature estimate is built from those gradients alone.  The
+descent iterates on the sphere itself; only the reported optimum is mapped
+to its sorted, nonnegative representative.  The phase scans compare each
+strategy with the closed-form two-coordinate transform, rate_two_sparse.
 """
 
 from __future__ import annotations
@@ -630,7 +633,6 @@ class RateResult:
     rate: float
     infinite: bool
     t_star: float
-    t_star_at_boundary: bool
     x_star: UnitVector
     restarts_used: int
     converged: bool
@@ -639,7 +641,8 @@ class RateResult:
 
 def _canonical(coords: np.ndarray) -> np.ndarray:
     # sign flips and permutations leave the law of S invariant for every
-    # symmetric entry law, so iterate in |coords| sorted descending
+    # symmetric entry law, so the reported optimum is the representative
+    # with |coords| sorted descending
     return np.sort(np.abs(coords))[::-1]
 
 
@@ -672,19 +675,21 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
     projected gradient -dLambda_x/dx (t*).
 
     H is the two-loop product of the last DESCENT_SECANT_PAIRS secant pairs
-    (s, y), a pair kept only when s.y > 0.  On every accepted step the pairs
-    and the old gradient move to the new point by the same signed
-    permutation that made the trial canonical, then by tangent projection:
-    O(k) memory and work per pair, no k x k array.  With no pairs the trial
-    is the gradient step -DESCENT_INITIAL_STEP * g.  A quasi-Newton step
-    that gains less than DESCENT_IMPROVEMENT_TOL drops the pairs and the
-    descent goes on from the gradient step.  A gradient step that gains
-    less than that ends the descent, converged only if its first-order
-    gain DESCENT_INITIAL_STEP |g|^2 is below the tolerance too.  A solve
-    whose optimal tilt is infinite (an atom, or a level beyond the support)
-    has no gradient: the descent ends there, converged.
+    (s, y), a pair kept only when s.y > 0.  Trials are retractions
+    (x + step d)/|x + step d| on the sphere itself, and on every accepted
+    step the pairs and the old gradient move to the new point by tangent
+    projection: O(k) memory and work per pair, no k x k array.  With no
+    pairs the trial is the gradient step -DESCENT_INITIAL_STEP * g.  A
+    quasi-Newton step that gains less than DESCENT_IMPROVEMENT_TOL drops the
+    pairs and the descent goes on from the gradient step.  A gradient step
+    that gains less than that ends the descent, converged only if its
+    first-order gain DESCENT_INITIAL_STEP |g|^2 is below the tolerance too.
+    A solve whose optimal tilt is infinite (an atom, or a level beyond the
+    support) has no gradient: the descent ends there, converged.  The end
+    point is returned as reached; rate_k maps the one it reports to
+    _canonical.
     """
-    x = _canonical(start / np.linalg.norm(start))
+    x = start / np.linalg.norm(start)
     spec, best = _sphere_objective(dist, x, alpha)
     s = y = np.empty((0, x.size))
     rho = np.empty(0)
@@ -714,15 +719,12 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
         step = 1.0
         # halving down to a gradient step of 1e-13 on the H0 scale
         while step * DESCENT_INITIAL_STEP > 1e-13:
-            raw = x + step * d
-            raw /= np.linalg.norm(raw)
-            trial = _canonical(raw)
+            trial = x + step * d
+            trial /= np.linalg.norm(trial)
             cand_spec, cand = _sphere_objective(dist, trial, alpha)
             if cand.rate < best.rate + 1e-4 * step * slope:
                 improvement = best.rate - cand.rate
-                order = np.argsort(np.abs(raw))[::-1]
-                signs = np.where(raw[order] < 0.0, -1.0, 1.0)
-                moved = np.vstack((step * d, grad, s, y))[:, order] * signs
+                moved = np.vstack((step * d, grad, s, y))
                 moved -= np.outer(moved @ trial, trial)  # transport to trial
                 s, y = moved[2:2 + rho.size], moved[2 + rho.size:]
                 last = (moved[0], moved[1])
@@ -753,8 +755,10 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
     A descent stops once a step gains less than DESCENT_IMPROVEMENT_TOL,
     so a later start replaces the best only when it is lower by more than
     that: closer rates tie, and a tie keeps the earlier start, the
-    structured ones first.  The domain gates run before any start
-    direction is built.
+    structured ones first.  x_star is the best end point with |coords|
+    sorted descending (_canonical), the one representative of its class
+    under sign flips and permutations.  The domain gates run before any
+    start direction is built.
     """
     opts = opts or OptimizerSettings()
     if k < 2:
@@ -782,8 +786,7 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
         rate=best.rate,
         infinite=math.isinf(best.rate),
         t_star=best.t_star,
-        t_star_at_boundary=best.boundary,
-        x_star=UnitVector(best_x / np.linalg.norm(best_x)),
+        x_star=UnitVector.of(_canonical(best_x)),
         restarts_used=len(starts),
         converged=all(d.converged for d in descents),
         descents=tuple(descents),
@@ -829,23 +832,20 @@ def phase_transition_alpha_star_k(k: int) -> float:
     """Largest alpha in (0, 1) where the all-equal and two-coordinate
     transforms agree for +/-1 entries at this k.
 
-    The last sign change of the strategy gap on a grid, bisected to width
-    PHASE_K_TOL = 1e-7.  k = 2 is degenerate (the strategies coincide) and
-    returns the marker 1.0.
+    The two-coordinate direction has S^2 in {0, 2}, each with probability
+    1/2, so its transform is rate_two_sparse in closed form; only the
+    all-equal transform is solved.  The last sign change of the strategy
+    gap on a grid, bisected to width PHASE_K_TOL = 1e-7.  k = 2 is
+    degenerate (the strategies coincide) and returns the marker 1.0.
     """
     if not (2 <= k <= 12):
         raise DomainError(f"phase-transition scan supports 2 <= k <= 12, got k={k}")
     if k == 2:
         return 1.0
 
-    spec_k = CgfSpec.for_direction(EntryDistribution.RADEMACHER, UnitVector.uniform(k))
-    spec_2 = CgfSpec.for_direction(EntryDistribution.RADEMACHER, UnitVector.two_sparse(k))
+    spec = CgfSpec.for_direction(EntryDistribution.RADEMACHER, UnitVector.uniform(k))
 
     def gap(a: float) -> float:
-        g_k = legendre_solve(spec_k, a).rate
-        g_2 = legendre_solve(spec_2, a).rate
-        if math.isinf(g_k):
-            return math.inf
-        return g_k - g_2
+        return legendre_solve(spec, a).rate - rate_two_sparse(a)
 
     return _crossing(gap, np.linspace(0.01, 0.99, 99), PHASE_K_TOL)

@@ -396,6 +396,15 @@ class TestZeroEigenRate:
         assert pt.method == "mc"
         assert pt.ci_low <= 2.0**-15 <= pt.ci_high
 
+    def test_enumerates_only_when_cheap(self):
+        # (12, 2) passes k*n <= 24 but has comb(2049, 2) = 2,098,176
+        # multisets of column classes, so it is sampled; k = 2 up to n = 12
+        # and k = 3 up to n = 8 have at most 165 and stay exact
+        (pt,) = zero_eigen_rate(12, 1, [2], trials=10, seed=0)
+        assert pt.method == "mc"
+        assert {p.method for p in zero_eigen_rate(2, 1, range(1, 13), 0, 0)} == {"exact"}
+        assert {p.method for p in zero_eigen_rate(3, 1, range(1, 9), 0, 0)} == {"exact"}
+
     def test_l_gate(self):
         with pytest.raises(DomainError):
             zero_eigen_rate(2, 2, [10], trials=10, seed=0)

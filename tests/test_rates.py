@@ -631,14 +631,15 @@ class TestDescent:
 
     def test_first_trial_is_the_gradient_step(self, monkeypatch):
         # with no secant pair the direction is -DESCENT_INITIAL_STEP * g, so
-        # the first trial is the steepest-descent step to the last bit
+        # the first trial is the steepest-descent step to the last bit, on
+        # the sphere itself: neither the start nor the trial is re-sorted
         start = make_rng(17).standard_normal(6)
-        x = rates._canonical(start / np.linalg.norm(start))
+        x = start / np.linalg.norm(start)
         spec = CgfSpec.for_direction(R, UnitVector(x))
         grad = -_cgf_gradient(spec, legendre_solve(spec, 0.75).t_star)
         grad -= np.dot(grad, x) * x
-        trial = x - rates.DESCENT_INITIAL_STEP * grad
-        expected = rates._canonical(trial / np.linalg.norm(trial))
+        expected = x - rates.DESCENT_INITIAL_STEP * grad
+        expected /= np.linalg.norm(expected)
         seen = []
         objective = rates._sphere_objective
         monkeypatch.setattr(rates, "_sphere_objective",
@@ -647,16 +648,33 @@ class TestDescent:
         assert np.array_equal(seen[0], x)
         assert np.array_equal(seen[1], expected)
 
-    def test_reordering_start_reaches_the_optimum(self, monkeypatch):
-        # from (0.6, 0.5, 0.4, 0.1) the descent's trials swap coordinates,
-        # so its secant pairs are carried through the canonical permutation;
-        # it still ends on the all-equal rate
-        raws = []
-        canonical = rates._canonical
-        monkeypatch.setattr(rates, "_canonical",
-                            lambda c: raws.append(c.copy()) or canonical(c))
+    def test_x_star_is_sorted_and_nonnegative(self, monkeypatch):
+        # both structured starts moved to a coordinate axis (rate inf below
+        # alpha = 1), so a random start gives x_star; the descents end on
+        # signed representatives of the all-equal optimum, and rate_k
+        # reports the one with |coords| sorted descending
+        axis = classmethod(lambda cls, k: UnitVector(np.eye(k)[0]))
+        monkeypatch.setattr(UnitVector, "uniform", axis)
+        monkeypatch.setattr(UnitVector, "two_sparse", axis)
+        ends = []
+        descend = rates._descend
+
+        def recording(*args):
+            result = descend(*args)
+            ends.append(result[1])
+            return result
+
+        monkeypatch.setattr(rates, "_descend", recording)
+        res = rate_k(R, 6, 1.5, OptimizerSettings(random_restarts=2, seed=404))
+        assert res.descents[0].rate == res.descents[1].rate == math.inf
+        assert all(np.any(x < 0.0) for x in ends[2:])
+        c = res.x_star.coords
+        assert np.all(c >= 0.0) and np.all(np.diff(c) <= 0.0)
+        assert np.max(np.abs(c - 1.0 / math.sqrt(6.0))) <= 1e-5
+
+    def test_reordering_start_reaches_the_optimum(self):
+        # from (0.6, 0.5, 0.4, 0.1) the descent ends on the all-equal rate
         sol, x, descent = _descend(R, np.array([0.6, 0.5, 0.4, 0.1]), 0.75)
-        assert any(np.any(np.diff(np.abs(c)) > 0.0) for c in raws[1:])
         assert descent.converged and 0 < descent.steps < rates.DESCENT_MAX_ITERATIONS
         all_equal = rate_k(R, 4, 0.75, OptimizerSettings(random_restarts=0)).rate
         assert abs(sol.rate - all_equal) <= 1e-12
@@ -740,6 +758,14 @@ class TestPhaseTransition:
 
     def test_k3(self):
         assert phase_transition_alpha_star_k(3) == pytest.approx(0.425, abs=0.015)
+
+    def test_k_points_pinned(self):
+        # the values the numeric two-coordinate solve gave, to the last bit
+        pins = (1.0, 0.42453502655029296, 0.34179317474365234, 0.3256602859497071,
+                0.3088982009887695, 0.30000514984130866, 0.29309230804443376,
+                0.2881101608276368, 0.28420070648193374, 0.28109592437744146,
+                0.27855731964111335)
+        assert tuple(phase_transition_alpha_star_k(k) for k in range(2, 13)) == pins
 
     def test_k2_degenerate(self):
         assert phase_transition_alpha_star_k(2) == 1.0
