@@ -22,18 +22,18 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .core import EntryDistribution, UnitVector, derive_rng, sample_matrix
+from .core import EntryDistribution, derive_rng, sample_matrix
 from .errors import DomainError
 from .mclab import TailSide, estimate_tails, spectrum_histogram, zero_eigen_rate
 from .rates import (
-    CgfSpec,
     OptimizerSettings,
     grid_covering,
-    legendre_solve,
     phase_transition_alpha_star,
     phase_transition_alpha_star_k,
     rate_k,
+    rate_wishart,
     rogers_covering,
+    wishart_t_star,
 )
 from .sdpic import ber_experiment, stage_trace
 
@@ -189,21 +189,16 @@ def _rows(columns: list[str], rows) -> tuple[list[str], list[dict]]:
 
 def _run_rate(config: ExperimentConfig):
     dist = EntryDistribution.parse(config.dist)
-    rows = []
     if config.k is None:
         if dist is not EntryDistribution.STD_NORMAL:
             raise DomainError("--k is required unless --dist normal (k-independent rate)")
-        spec = CgfSpec.for_direction(dist, UnitVector.uniform(2))
-        for a in config.alpha_grid:
-            sol = legendre_solve(spec, a)
-            rows.append((a, sol.rate, sol.t_star, sol.converged, 0))
+        rows = [(a, rate_wishart(a), wishart_t_star(a), True, 0) for a in config.alpha_grid]
     else:
         opts = OptimizerSettings(seed=config.seed)
         if config.restarts is not None:
             opts = dataclasses.replace(opts, random_restarts=config.restarts)
-        for a in config.alpha_grid:
-            res = rate_k(dist, config.k, a, opts)
-            rows.append((a, res.rate, res.t_star, res.converged, res.restarts_used))
+        results = [rate_k(dist, config.k, a, opts) for a in config.alpha_grid]
+        rows = [(r.alpha, r.rate, r.t_star, r.converged, r.restarts_used) for r in results]
     return _rows(["alpha", "rate", "t_star", "converged", "restarts_used"], rows)
 
 

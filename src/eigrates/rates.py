@@ -15,10 +15,12 @@ root solver that also locates the phase transitions, and minimizes over the
 sphere by multi-start limited-memory Riemannian BFGS.  By the envelope
 theorem the rate's gradient in x is -d Lambda_x/dx at the optimal tilt, so
 each descent step takes its gradient from the solve it has already done,
-and the curvature estimate is built from those gradients alone.  The
-descent iterates on the sphere itself; only the reported optimum is mapped
-to its sorted, nonnegative representative.  The phase scans compare each
-strategy with the closed-form two-coordinate transform, rate_two_sparse.
+and the curvature estimate is built from those gradients alone; before the
+first secant pair the gradient step doubles its scale while negative
+curvature refuses the pairs.  The descent iterates on the sphere itself;
+only the reported optimum is mapped to its sorted, nonnegative
+representative.  The phase scans compare each strategy with the
+closed-form two-coordinate transform, rate_two_sparse.
 """
 
 from __future__ import annotations
@@ -595,9 +597,10 @@ def mgf_bound_check(dist: EntryDistribution, x: UnitVector, t: float) -> bool:
 
 # Limited-memory quasi-Newton sphere descent: iteration cap, the gain below
 # which a gradient step ends a descent as converged (and below which two
-# starts' rates tie), the gradient step's length factor (the inverse
-# Hessian before any secant pair), and how many secant pairs are kept.  The
-# gradient is analytic (_cgf_gradient at the solve's optimal tilt).
+# starts' rates tie), the gradient step's base length factor (the inverse
+# Hessian before any secant pair; _descend doubles it after each full
+# gradient step whose pair is refused), and how many secant pairs are kept.
+# The gradient is analytic (_cgf_gradient at the solve's optimal tilt).
 DESCENT_MAX_ITERATIONS = 200
 DESCENT_IMPROVEMENT_TOL = 1e-9
 DESCENT_INITIAL_STEP = 0.25
@@ -631,7 +634,6 @@ class RateResult:
 
     alpha: float
     rate: float
-    infinite: bool
     t_star: float
     x_star: UnitVector
     restarts_used: int
@@ -652,19 +654,18 @@ def _sphere_objective(dist: EntryDistribution, coords: np.ndarray,
     return spec, legendre_solve(spec, alpha)
 
 
-def _two_loop(grad: np.ndarray, s: np.ndarray, y: np.ndarray,
-              rho: np.ndarray) -> np.ndarray:
-    """H g for the limited-memory inverse BFGS matrix of the pairs (s, y),
-    oldest first, with H0 = (s.y / y.y) I from the newest pair (Shanno-Phua)
-    or DESCENT_INITIAL_STEP * I before the first pair."""
+def _two_loop(grad: np.ndarray, pairs: list, h0: float) -> np.ndarray:
+    """H g for the limited-memory inverse BFGS matrix of the secant triples
+    (s, y, 1/s.y), oldest first, with H0 = (s.y / y.y) I from the newest
+    pair (Shanno-Phua) or h0 I before the first pair."""
     r = grad.copy()
-    a = np.empty(rho.size)
-    for i in reversed(range(rho.size)):
-        a[i] = rho[i] * np.dot(s[i], r)
-        r -= a[i] * y[i]
-    r *= 1.0 / (rho[-1] * np.dot(y[-1], y[-1])) if rho.size else DESCENT_INITIAL_STEP
-    for i in range(rho.size):
-        r += (a[i] - rho[i] * np.dot(y[i], r)) * s[i]
+    a = []
+    for s, y, rho in reversed(pairs):
+        a.append(rho * np.dot(s, r))
+        r -= a[-1] * y
+    r *= 1.0 / (pairs[-1][2] * np.dot(pairs[-1][1], pairs[-1][1])) if pairs else h0
+    for (s, y, rho), a_i in zip(pairs, reversed(a)):
+        r += (a_i - rho * np.dot(y, r)) * s
     return r
 
 
@@ -679,11 +680,14 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
     (x + step d)/|x + step d| on the sphere itself, and on every accepted
     step the pairs and the old gradient move to the new point by tangent
     projection: O(k) memory and work per pair, no k x k array.  With no
-    pairs the trial is the gradient step -DESCENT_INITIAL_STEP * g.  A
-    quasi-Newton step that gains less than DESCENT_IMPROVEMENT_TOL drops the
-    pairs and the descent goes on from the gradient step.  A gradient step
-    that gains less than that ends the descent, converged only if its
-    first-order gain DESCENT_INITIAL_STEP |g|^2 is below the tolerance too.
+    pairs the trial is the gradient step -h0 g, h0 = DESCENT_INITIAL_STEP
+    doubled after each full-length gradient step whose pair is refused
+    (negative curvature, as beside a saddle, where a fixed step crawls).  A
+    step that gains less than DESCENT_IMPROVEMENT_TOL drops the pairs and
+    h0's growth, and the descent goes on from the base gradient step; a base
+    gradient step that gains less than that ends the descent, converged
+    only if its first-order gain DESCENT_INITIAL_STEP |g|^2 is below the
+    tolerance too.
     A solve whose optimal tilt is infinite (an atom, or a level beyond the
     support) has no gradient: the descent ends there, converged.  The end
     point is returned as reached; rate_k maps the one it reports to
@@ -691,9 +695,9 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
     """
     x = start / np.linalg.norm(start)
     spec, best = _sphere_objective(dist, x, alpha)
-    s = y = np.empty((0, x.size))
-    rho = np.empty(0)
-    last = None  # (the accepted step, the gradient before it), moved to x
+    h0 = DESCENT_INITIAL_STEP
+    pairs = []  # secant triples (s, y, 1/s.y) at x, oldest first
+    last = None  # (the accepted step, the gradient before it, full length), moved to x
     steps = 0
     converged = False
     for _ in range(DESCENT_MAX_ITERATIONS):
@@ -706,41 +710,38 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
             converged = True
             break
         if last is not None:
-            sy = float(np.dot(last[0], grad - last[1]))
+            y = grad - last[1]
+            sy = float(np.dot(last[0], y))
             if sy > 0.0:
-                s = np.vstack((s, last[0]))[-DESCENT_SECANT_PAIRS:]
-                y = np.vstack((y, grad - last[1]))[-DESCENT_SECANT_PAIRS:]
-                rho = np.append(rho, 1.0 / sy)[-DESCENT_SECANT_PAIRS:]
-        d = -_two_loop(grad, s, y, rho)
-        if np.dot(grad, d) >= 0.0:
-            d = -DESCENT_INITIAL_STEP * grad
+                pairs = (pairs + [(last[0], y, 1.0 / sy)])[-DESCENT_SECANT_PAIRS:]
+            elif not pairs and last[2]:
+                h0 *= 2.0
+        d = -_two_loop(grad, pairs, h0)
         slope = float(np.dot(grad, d))
         improvement = 0.0
         step = 1.0
-        # halving down to a gradient step of 1e-13 on the H0 scale
+        # halving down to a gradient step of 1e-13 on the base scale
         while step * DESCENT_INITIAL_STEP > 1e-13:
             trial = x + step * d
             trial /= np.linalg.norm(trial)
             cand_spec, cand = _sphere_objective(dist, trial, alpha)
             if cand.rate < best.rate + 1e-4 * step * slope:
                 improvement = best.rate - cand.rate
-                moved = np.vstack((step * d, grad, s, y))
+                moved = np.vstack([step * d, grad] + [p[i] for i in (0, 1) for p in pairs])
                 moved -= np.outer(moved @ trial, trial)  # transport to trial
-                s, y = moved[2:2 + rho.size], moved[2 + rho.size:]
-                last = (moved[0], moved[1])
+                pairs = [(s, y, p[2]) for p, s, y in zip(pairs, moved[2:], moved[2 + len(pairs):])]
+                last = (moved[0], moved[1], step == 1.0)
                 x, spec, best = trial, cand_spec, cand
                 steps += 1
                 break
             step *= 0.5
         if improvement < DESCENT_IMPROVEMENT_TOL:
-            if not rho.size:
+            if not pairs and h0 == DESCENT_INITIAL_STEP:
                 # stationary only if the gradient step was not expected to
                 # gain more: a stalled search on a steep slope is no optimum
                 converged = -slope < DESCENT_IMPROVEMENT_TOL
                 break
-            s = y = np.empty((0, x.size))
-            rho = np.empty(0)
-            last = None
+            pairs, last, h0 = [], None, DESCENT_INITIAL_STEP
     return best, x, Descent(best.rate, steps, converged)
 
 
@@ -784,7 +785,6 @@ def rate_k(dist: EntryDistribution, k: int, alpha: float,
     return RateResult(
         alpha=alpha,
         rate=best.rate,
-        infinite=math.isinf(best.rate),
         t_star=best.t_star,
         x_star=UnitVector.of(_canonical(best_x)),
         restarts_used=len(starts),
