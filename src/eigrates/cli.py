@@ -267,7 +267,7 @@ def run_compare(rates_path: str, mc_path: str):
     Verdict per row: "contained" when the empirical rate sits inside
     [0.5 I, 1.5 I] (the wide band acknowledging the subexponential
     prefactor), "below"/"above" when outside, "no_hits" when the MC run
-    saw none.
+    saw none.  The files must share the entry law, and k if the rate file has one.
     """
     rate_config, rate_rows = read_output(rates_path)
     mc_config, mc_rows = read_output(mc_path)
@@ -275,6 +275,8 @@ def run_compare(rates_path: str, mc_path: str):
         raise DomainError(
             f"distribution mismatch: {rate_config.dist!r} vs {mc_config.dist!r}"
         )
+    if rate_config.k is not None and rate_config.k != mc_config.k:
+        raise DomainError(f"k mismatch: {rate_config.k} vs {mc_config.k}")
     mc_rows = [r for r in mc_rows if "alpha" in r]
     report = []
     for mc_row in mc_rows:
@@ -387,18 +389,23 @@ def _parser() -> argparse.ArgumentParser:
 
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _config_from_args(args: argparse.Namespace,
                       parser: argparse.ArgumentParser) -> ExperimentConfig:
     values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ExperimentConfig)}
-    if values["seed"] is None:
-        values["seed"] = _default_seed()
     try:
-        if values["n_list"]:
+        if values["seed"] is None:
+            values["seed"] = _default_seed()
+        if values["n_list"] is not None:
             values["n_list"] = tuple(int(v) for v in values["n_list"].split(","))
-        if values["alpha_grid"]:
+        if values["alpha_grid"] is not None:
             values["alpha_grid"] = parse_alpha_grid(values["alpha_grid"])
         if values["s"] not in (None, "inf"):
             int(values["s"])  # only to reject a malformed stage count here

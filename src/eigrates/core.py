@@ -48,8 +48,11 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Sub-generator for (seed, index...) derived by seed-sequence hashing.
 
     Chunked trial loops draw chunk c from derive_rng(seed, c), so parallel
-    and serial execution orders see identical streams.
+    and serial execution orders see identical streams.  Every seeded draw
+    passes here, the one gate that refuses a negative seed (DomainError).
     """
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
     )
@@ -250,11 +253,7 @@ class UnitVector:
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator) -> "UnitVector":
-        while True:
-            g = rng.standard_normal(k)
-            norm = float(np.linalg.norm(g))
-            if norm > 1e-12:
-                return cls(g / norm)
+        return cls.of(rng.standard_normal(k))
 
 
 # ---------------------------------------------------------------------------

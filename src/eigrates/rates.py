@@ -58,9 +58,9 @@ _CGF_DOMAIN = {
 }
 
 
-@functools.lru_cache(maxsize=4)
-def _hermgauss(nodes: int):
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+@functools.cache
+def _hermgauss():
+    x, w = np.polynomial.hermite.hermgauss(_QUAD_NODES)
     # E[g(Z)] for standard normal Z: sum w_i g(sqrt(2) x_i) / sqrt(pi)
     return np.sqrt(2.0) * x, np.log(w) - 0.5 * math.log(math.pi)
 
@@ -116,25 +116,19 @@ class CgfSpec:
             self._s2 = s * s
         return self._s2
 
-    def ess_sup_s2(self) -> float:
+    def support_edge(self, side: int) -> float:
+        """sup S^2 (side 1) or inf S^2 (side -1); for uniform entries the sup
+        3 (sum_j |x_j|)^2, the only edge their upper tail needs."""
         if self.dist is EntryDistribution.RADEMACHER:
-            return float(np.max(self.squared_support()))
-        if self.dist is EntryDistribution.UNIFORM_SYM:
-            s = float(np.sum(np.abs(self.x.coords)))
-            return 3.0 * s * s
-        return math.inf
-
-    def ess_inf_s2(self) -> float:
-        if self.dist is EntryDistribution.RADEMACHER:
-            return float(np.min(self.squared_support()))
-        return 0.0
+            s2 = self.squared_support()
+            return float(np.max(s2) if side > 0 else np.min(s2))
+        s = float(np.sum(np.abs(self.x.coords)))
+        return 3.0 * s * s
 
     def atom_log_prob(self, value: float) -> float:
-        """log P(S^2 = value) from the enumerated support."""
+        """log P(S^2 = value) for a value of the enumerated support."""
         s2 = self.squared_support()
         hits = int(np.count_nonzero(np.isclose(s2, value, rtol=1e-12, atol=1e-12)))
-        if hits == 0:
-            return -math.inf
         return math.log(hits) - (self.x.k - 1) * LOG2
 
 
@@ -208,7 +202,7 @@ def _uniform_rule(spec: CgfSpec, t: float):
     its accuracy at every t; centred at 0 it lost the peak once mu neared
     its largest node, 27.4.
     """
-    z, log_w = _hermgauss(_QUAD_NODES)
+    z, log_w = _hermgauss()
     root = math.sqrt(6.0 * t)
     mu = root * float(np.sum(np.abs(spec.x.coords)))
     z = z + mu
@@ -320,32 +314,32 @@ def _check_level(dist: EntryDistribution, alpha: float) -> None:
 
 
 def legendre_solve(spec: CgfSpec, alpha: float) -> LegendreSolve:
+    """sup_t (t alpha - Lambda(t)) over t >= 0 when alpha >= 1 (side 1) and
+    over t <= 0 otherwise (side -1).  With edge the end of the bounded S^2
+    support on that side (+/-1 and uniform entries), a level farther out
+    than edge (1 + side 1e-12) + side 1e-12 has rate inf, and one within
+    1e-12 (1 + edge) of a positive edge has the atom's rate
+    -log P(S^2 = edge), inf for uniform entries; both report t_star =
+    side inf (Cramer's theorem; Dembo and Zeitouni 1998, Sec. 2.2).
+    """
     _check_level(spec.dist, alpha)
 
     if spec.dist is EntryDistribution.STD_NORMAL:
         # S is standard normal along every direction
         return LegendreSolve(rate_wishart(alpha), wishart_t_star(alpha), False, True)
 
-    ess_sup = spec.ess_sup_s2()
-    ess_inf = spec.ess_inf_s2()
-    if alpha >= 1.0:
-        # upper tail, t >= 0; the +/-1 and uniform supports are bounded
-        if alpha > ess_sup * (1.0 + 1e-12) + _ATOL:
-            return LegendreSolve(math.inf, math.inf, True, True)
-        if alpha >= ess_sup * (1.0 - 1e-12) - _ATOL:
-            if spec.dist is EntryDistribution.RADEMACHER:
-                rate = 0.0 - spec.atom_log_prob(ess_sup)  # +0.0 for a sure atom
-            else:
-                rate = math.inf  # continuous law: no atom at the ess sup
-            return LegendreSolve(rate, math.inf, True, True)
-        return _solve_transform(spec, alpha, side=+1)
-    # lower tail, t <= 0
-    if alpha < ess_inf * (1.0 - 1e-12) - _ATOL:
-        return LegendreSolve(math.inf, -math.inf, True, True)
-    if alpha <= ess_inf * (1.0 + 1e-12) + _ATOL and ess_inf > 0.0:
-        rate = 0.0 - spec.atom_log_prob(ess_inf)
-        return LegendreSolve(rate, -math.inf, True, True)
-    return _solve_transform(spec, alpha, side=-1)
+    side = 1 if alpha >= 1.0 else -1
+    edge = spec.support_edge(side)
+    lo, hi = edge * (1.0 - 1e-12) - _ATOL, edge * (1.0 + 1e-12) + _ATOL
+    if (alpha > hi) if side > 0 else (alpha < lo):
+        return LegendreSolve(math.inf, side * math.inf, True, True)
+    if lo <= alpha <= hi and edge > 0.0:
+        if spec.dist is EntryDistribution.RADEMACHER:
+            rate = 0.0 - spec.atom_log_prob(edge)  # +0.0 for a sure atom
+        else:
+            rate = math.inf  # continuous law: no atom at the ess sup
+        return LegendreSolve(rate, side * math.inf, True, True)
+    return _solve_transform(spec, alpha, side)
 
 
 def _solve_transform(spec: CgfSpec, alpha: float, side: int) -> LegendreSolve:
@@ -372,17 +366,13 @@ def _solve_transform(spec: CgfSpec, alpha: float, side: int) -> LegendreSolve:
     lo, hi = (0.0, None) if side > 0 else (None, 0.0)
     root = _bracketed_root(residual, lo, hi, 0.0, 1e-14, 1e-13 * max(1.0, alpha), outward)
     counts = (root.newton_steps, root.bisection_steps, root.expansions)
+    # t = 0 is always admissible and gives 0, so the sup is never negative.
     if root.at_edge:
         t_at = math.nextafter(edge, 0.0)
         val = t_at * alpha - _tilted(spec, t_at)[0]
-        return LegendreSolve(_clip_rate(val), t_at, True, False, *counts)
+        return LegendreSolve(max(val, 0.0), t_at, True, False, *counts)
     rate = root.t * alpha - root.value[2]
-    return LegendreSolve(_clip_rate(rate), root.t, False, True, *counts)
-
-
-def _clip_rate(rate: float) -> float:
-    # t = 0 is always admissible and gives 0, so the sup is never negative.
-    return max(rate, 0.0)
+    return LegendreSolve(max(rate, 0.0), root.t, False, True, *counts)
 
 
 @dataclass

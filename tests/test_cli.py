@@ -113,6 +113,11 @@ class TestRateCommand:
         ["rate", "--dist", "normal", "--alpha-grid", "1:2", "--out", "o.csv"],
         ["mc", "--dist", "normal", "--k", 2, "--n", 8, "--alpha-grid", "1:2:-0.5",
          "--side", "max_above", "--trials", 10, "--out", "o.jsonl"],
+        # an empty grid or n list is malformed, not a run with no rows
+        ["rate", "--dist", "rademacher", "--k", 3, "--alpha-grid", "", "--out", "o.csv"],
+        ["mc", "--dist", "normal", "--k", 2, "--n", 8, "--alpha-grid", "",
+         "--side", "max_above", "--trials", 10, "--out", "o.jsonl"],
+        ["zero", "--k", 2, "--l", 1, "--n-list", "", "--trials", 10, "--out", "o.jsonl"],
     ])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
@@ -121,6 +126,38 @@ class TestRateCommand:
             run(args)
         assert exc.value.code == 2
         assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
+
+    @pytest.mark.parametrize("args", [
+        ["phase"],
+        ["mc", "--dist", "normal", "--k", 2, "--n", 8, "--alpha-grid", "1.3",
+         "--side", "max_above", "--trials", 10],
+    ])
+    def test_malformed_env_seed_exit_2(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.setenv("EIGRATES_SEED", "abc")
+        out = tmp_path / "o.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--out", out])
+        assert exc.value.code == 2
+        assert "EIGRATES_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, env", [
+        (["rate", "--dist", "rademacher", "--k", 3, "--alpha-grid", 1.5, "--seed", -1], None),
+        (["mc", "--dist", "normal", "--k", 2, "--n", 8, "--alpha-grid", "1.3",
+          "--side", "max_above", "--trials", 10], "-4"),
+        (["zero", "--k", 2, "--l", 1, "--n-list", 14, "--trials", 10, "--seed", -1], None),
+        (["sdpic", "--k", 3, "--n", 16, "--s", "inf", "--trials", 10, "--seed", -1], None),
+        (["hist", "--dist", "normal", "--k", 4, "--n", 8, "--trials", 10, "--bins", 2,
+          "--seed", -1], None),
+    ])
+    def test_negative_seed_exit_3(self, tmp_path, monkeypatch, capsys, args, env):
+        if env is not None:
+            monkeypatch.setenv("EIGRATES_SEED", env)
+        out = tmp_path / "o.out"
+        assert run(args + ["--out", out]) == EXIT_DOMAIN
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "domain" and "seed" in record["message"]
+        assert not out.exists()
 
     def test_parser_built_once(self, tmp_path, capsys):
         cli._parser.cache_clear()
@@ -356,6 +393,22 @@ class TestCompare:
         for rates, mc in ((rate_file, uniform_mc), (stray, mc_file), (rate_file, stray)):
             assert run(["compare", "--rates", rates, "--mc", mc, "--out", out]) == EXIT_DOMAIN
             assert not out.exists()
+
+    def test_k_mismatch_is_refused(self, tmp_path, capsys):
+        # a +/-1 curve for k = 3 says nothing about a k = 8 run
+        rate_file, out = tmp_path / "rk3.csv", tmp_path / "o"
+        assert run(["rate", "--dist", "rademacher", "--k", 3, "--alpha-grid", 1.5,
+                    "--restarts", 0, "--out", rate_file]) == EXIT_OK
+        for k in (3, 8):
+            assert run(["mc", "--dist", "rademacher", "--k", k, "--n", 40, "--alpha-grid", 1.5,
+                        "--side", "max_above", "--trials", 1000, "--seed", 2,
+                        "--out", tmp_path / f"mc{k}.jsonl"]) == EXIT_OK
+        assert len(run_compare(str(rate_file), str(tmp_path / "mc3.jsonl"))) == 1
+        capsys.readouterr()
+        assert run(["compare", "--rates", rate_file, "--mc", tmp_path / "mc8.jsonl",
+                    "--out", out]) == EXIT_DOMAIN
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_below_and_no_hits_verdicts(self, tmp_path):
         # k = 8 at n = 8 reaches 1.4 almost surely (rate near 0, far below I);

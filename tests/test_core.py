@@ -88,6 +88,12 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_negative_seed_is_a_domain_error(self):
+        for draw in (lambda: derive_rng(-1), lambda: derive_rng(-3, 0),
+                     lambda: sample_matrix(R, 2, 3, seed=-1)):
+            with pytest.raises(DomainError, match="seed"):
+                draw()
+
     @pytest.mark.parametrize("k, n, seed, rows", [
         (3, 8, 1, ["------++", "--+-----", "++-+-++-"]),
         (2, 5, 12345, ["+-++-", "--+-+"]),

@@ -232,6 +232,41 @@ class TestLegendre:
         rate_below, _ = legendre(spec, 0.2)
         assert math.isinf(rate_below)
 
+    def test_support_edge_rule(self):
+        # (law, direction, level, rate or None for a finite solve, t_star or
+        # None for a finite tilt): the band is edge (1 -/+ 1e-12) -/+ 1e-12 on
+        # both tails, an atom counts only where the edge is positive, and a
+        # uniform upper edge is no atom
+        two_log2, lower_atom = 2.0 * math.log(2.0), -math.log(0.75)
+        cases = [
+            (R, UnitVector.uniform(1), 1.0, 0.0, math.inf),
+            (R, UnitVector.uniform(3), 3.0 * (1.0 + 5e-13), two_log2, math.inf),
+            (R, UnitVector.uniform(3), 3.0 * (1.0 - 5e-13), two_log2, math.inf),
+            (R, UnitVector.uniform(3), 3.0 * (1.0 + 2e-12), math.inf, math.inf),
+            (R, UnitVector.uniform(3), 3.0 * (1.0 - 2e-12), None, None),
+            (R, UnitVector.uniform(3), (1.0 + 5e-13) / 3.0, lower_atom, -math.inf),
+            (R, UnitVector.uniform(3), (1.0 - 5e-13) / 3.0, lower_atom, -math.inf),
+            (R, UnitVector.uniform(3), 1.0 / 3.0 - 1e-11, math.inf, -math.inf),
+            (R, UnitVector.two_sparse(3), 1e-13, None, None),
+            (U, UnitVector.uniform(2), 6.0 * (1.0 - 5e-13), math.inf, math.inf),
+        ]
+        for dist, x, alpha, rate, t_star in cases:
+            sol = legendre_solve(CgfSpec.for_direction(dist, x), alpha)
+            at_edge = t_star is not None
+            assert (sol.boundary, sol.converged) == (at_edge, True), (dist, x, alpha)
+            if at_edge:
+                assert sol.t_star == t_star
+                assert sol.rate == pytest.approx(rate, abs=1e-15)
+                assert math.copysign(1.0, sol.rate) == 1.0
+            else:
+                assert math.isfinite(sol.t_star) and math.isfinite(sol.rate)
+        near = legendre_solve(spec_for(R, 3), 3.0 * (1.0 - 2e-12))
+        assert near.rate == pytest.approx(two_log2, abs=1e-9)
+        assert near.t_star > 0.0
+        sparse = legendre_solve(CgfSpec.for_direction(R, UnitVector.two_sparse(3)), 1e-13)
+        assert sparse.rate == pytest.approx(math.log(2.0), abs=1e-9)
+        assert sparse.t_star < 0.0
+
     def test_never_negative(self):
         rng = make_rng(8)
         for _ in range(40):
