@@ -41,10 +41,6 @@ LOG2 = math.log(2.0)
 # Sign-pattern enumeration is exact but costs 2^(k-1) per CGF evaluation.
 ENUMERATION_MAX_K = 24
 
-# |t| cap for the transform search; reaching it means the derivative never
-# straddled the target level inside the numerically safe window.
-T_EDGE = 50.0
-
 # Gauss-Hermite rule size for the symmetric-uniform CGF.
 _QUAD_NODES = 201
 
@@ -278,16 +274,13 @@ def _coth_terms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class LegendreSolve:
-    """One transform solve: the rate, the optimal tilt, and how it ended.
-
-    The counters are the root solver's: Newton and bisection steps inside
+    """One transform solve: the rate, the optimal tilt (+/-inf at a support
+    edge), and the root solver's counters: Newton and bisection steps inside
     the bracket, and the outward probes that built it.
     """
 
     rate: float
     t_star: float
-    boundary: bool
-    converged: bool
     newton_steps: int = 0
     bisection_steps: int = 0
     expansions: int = 0
@@ -326,19 +319,19 @@ def legendre_solve(spec: CgfSpec, alpha: float) -> LegendreSolve:
 
     if spec.dist is EntryDistribution.STD_NORMAL:
         # S is standard normal along every direction
-        return LegendreSolve(rate_wishart(alpha), wishart_t_star(alpha), False, True)
+        return LegendreSolve(rate_wishart(alpha), wishart_t_star(alpha))
 
     side = 1 if alpha >= 1.0 else -1
     edge = spec.support_edge(side)
     lo, hi = edge * (1.0 - 1e-12) - _ATOL, edge * (1.0 + 1e-12) + _ATOL
     if (alpha > hi) if side > 0 else (alpha < lo):
-        return LegendreSolve(math.inf, side * math.inf, True, True)
+        return LegendreSolve(math.inf, side * math.inf)
     if lo <= alpha <= hi and edge > 0.0:
         if spec.dist is EntryDistribution.RADEMACHER:
             rate = 0.0 - spec.atom_log_prob(edge)  # +0.0 for a sure atom
         else:
             rate = math.inf  # continuous law: no atom at the ess sup
-        return LegendreSolve(rate, side * math.inf, True, True)
+        return LegendreSolve(rate, side * math.inf)
     return _solve_transform(spec, alpha, side)
 
 
@@ -346,18 +339,14 @@ def _solve_transform(spec: CgfSpec, alpha: float, side: int) -> LegendreSolve:
     """Solve Lambda'(t) = alpha over t >= 0 (side=+1) or t <= 0 (-1).
 
     Lambda is convex, so Lambda' - alpha is increasing and its root is the
-    optimal tilt.  The bracket grows outward from t = 0 by doubling up to
-    |t| = T_EDGE (the laws solved here have no finite domain edge on the
-    searched side); if the derivative never straddles alpha inside that
-    window, the transform is taken just inside the edge and the solve is
-    marked unconverged.
+    optimal tilt.  The bracket grows outward from t = 0 by doubling until
+    Lambda' straddles alpha.  S^2 is bounded and legendre_solve sends only
+    levels inside its support here, where Lambda' tends to the support edge
+    as |t| grows, so the root is finite.
     """
-    edge = side * T_EDGE
 
-    def outward(t: float) -> float | None:
-        if t == edge:
-            return None
-        return side * min(max(2.0 * abs(t), 1.0), T_EDGE)
+    def outward(t: float) -> float:
+        return side * max(2.0 * abs(t), 1.0)
 
     def residual(t: float):
         lam, deriv, curv = _tilted(spec, t)
@@ -365,21 +354,16 @@ def _solve_transform(spec: CgfSpec, alpha: float, side: int) -> LegendreSolve:
 
     lo, hi = (0.0, None) if side > 0 else (None, 0.0)
     root = _bracketed_root(residual, lo, hi, 0.0, 1e-14, 1e-13 * max(1.0, alpha), outward)
-    counts = (root.newton_steps, root.bisection_steps, root.expansions)
-    # t = 0 is always admissible and gives 0, so the sup is never negative.
-    if root.at_edge:
-        t_at = math.nextafter(edge, 0.0)
-        val = t_at * alpha - _tilted(spec, t_at)[0]
-        return LegendreSolve(max(val, 0.0), t_at, True, False, *counts)
     rate = root.t * alpha - root.value[2]
-    return LegendreSolve(max(rate, 0.0), root.t, False, True, *counts)
+    # t = 0 is always admissible and gives 0, so the sup is never negative.
+    return LegendreSolve(max(rate, 0.0), root.t,
+                         root.newton_steps, root.bisection_steps, root.expansions)
 
 
 @dataclass
 class _Root:
     """Where _bracketed_root stopped: the last point, f there, the bracket
-    (an end is None while it is open) and the step counts.  at_edge means
-    the bracket was still open when outward ran out of probes."""
+    (an end is None while it is open) and the step counts."""
 
     t: float
     value: tuple
@@ -388,7 +372,6 @@ class _Root:
     newton_steps: int = 0
     bisection_steps: int = 0
     expansions: int = 0
-    at_edge: bool = False
 
 
 # Newton and bisection steps allowed in one solve.
@@ -402,10 +385,9 @@ def _bracketed_root(f, lo, hi, t, xtol, ftol=0.0, outward=None) -> _Root:
     other moves hi.  A Newton step is taken when the slope is positive and
     the step lands strictly inside the bracket, or, while an end is still
     None, no farther than the probe outward(t); otherwise the step is the
-    midpoint, or that probe.  outward returning None ends the search at the
-    edge.  Stops when hi - lo <= xtol * max(1, |lo|, |hi|), |value| < ftol,
-    a Newton step would not move t, or after _MAX_STEPS Newton and
-    bisection steps.
+    midpoint, or that probe.  Stops when hi - lo <= xtol * max(1, |lo|,
+    |hi|), |value| < ftol, a Newton step would not move t, or after
+    _MAX_STEPS Newton and bisection steps.
     """
     root = _Root(t, (), lo, hi)
     while True:
@@ -420,11 +402,7 @@ def _bracketed_root(f, lo, hi, t, xtol, ftol=0.0, outward=None) -> _Root:
         if (abs(val) < ftol or root.newton_steps + root.bisection_steps >= _MAX_STEPS
                 or closed and hi - lo <= xtol * max(1.0, abs(lo), abs(hi))):
             return root
-        if not closed:
-            probe = outward(t)
-            if probe is None:
-                root.at_edge = True
-                return root
+        probe = None if closed else outward(t)
         newton = slope is not None and slope > 0.0
         t_new = t - val / slope if newton else math.nan
         if t_new == t:
@@ -509,11 +487,8 @@ def chernoff_squared_entry(dist: EntryDistribution, a: float) -> float:
 
     This is the k = 1 transform, along S = C_1: 0 at a = 1 and infinite
     elsewhere for +/-1 entries, (a - 1 - log a)/2 for normal entries, and a
-    numeric transform on a >= 1 for uniform entries.  The numeric tilt is
-    searched on |t| <= T_EDGE; for uniform entries the optimal tilt passes
-    T_EDGE near a = 2.98, and beyond, the value is the supremum over the
-    window, finite but below the transform.  At a = 2.975 the tilt is
-    about 40 and the transform about 4.476.
+    numeric transform on 1 <= a < 3 for uniform entries, whose optimal tilt
+    grows like 1/(3 - a): about 50 at a = 2.98 and 1000 at a = 2.999.
     """
     return legendre_solve(CgfSpec.for_direction(dist, UnitVector.of([1.0])), a).rate
 

@@ -190,7 +190,7 @@ def cube_moments(x, t):
 
 
 class TestUniformRule:
-    @pytest.mark.parametrize("t", [20.0, 30.0, 49.0])
+    @pytest.mark.parametrize("t", [20.0, 30.0, 49.0, 100.0, 1000.0])
     def test_large_tilt_against_cube_rule(self, t):
         # at t = 49, sqrt(6t) sum|x| = 26.2 sits at the largest node of a rule
         # centred at 0, which was off by 0.030 in Lambda with Lambda'' < 0
@@ -252,9 +252,9 @@ class TestLegendre:
         ]
         for dist, x, alpha, rate, t_star in cases:
             sol = legendre_solve(CgfSpec.for_direction(dist, x), alpha)
-            at_edge = t_star is not None
-            assert (sol.boundary, sol.converged) == (at_edge, True), (dist, x, alpha)
-            if at_edge:
+            on_edge = t_star is not None
+            assert math.isinf(sol.t_star) == on_edge, (dist, x, alpha)
+            if on_edge:
                 assert sol.t_star == t_star
                 assert sol.rate == pytest.approx(rate, abs=1e-15)
                 assert math.copysign(1.0, sol.rate) == 1.0
@@ -293,24 +293,50 @@ class TestLegendre:
         spec = CgfSpec.for_direction(R, UnitVector.uniform(8))
         sol = legendre_solve(spec, 0.75)
         assert (sol.newton_steps, sol.bisection_steps, sol.expansions) == (5, 0, 0)
-        assert sol.converged and not sol.boundary
+        assert math.isfinite(sol.t_star)
         at_atom = legendre_solve(spec, 8.0)  # all signs equal: S^2 = k
         assert at_atom.rate == pytest.approx(7 * math.log(2.0), abs=1e-12)
         assert (at_atom.newton_steps, at_atom.bisection_steps, at_atom.expansions) == (0, 0, 0)
 
-    def test_window_edge_is_reported(self):
-        # the uniform upper tail at a = 2.99 needs a tilt beyond T_EDGE
-        spec = spec_for(U, coords=[1.0])
-        sol = legendre_solve(spec, 2.99)
-        assert sol.boundary and not sol.converged
-        assert sol.t_star == math.nextafter(50.0, 0.0)
-        assert sol.rate == pytest.approx(sol.t_star * 2.99 - cgf(spec, sol.t_star), abs=1e-12)
+    @pytest.mark.parametrize("alpha, want", [
+        (2.98, 4.700426616447),  # t* about 50
+        (2.99, 5.395257395565),  # t* about 100
+        (2.999, 7.699348025951),  # t* about 1000
+    ])
+    def test_uniform_far_tilt(self, alpha, want):
+        # the bracket doubles until it closes, however far the tilt; values
+        # from an adaptive quadrature of E exp(3 t u^2) and a root solve of
+        # the tilted mean
+        sol = legendre_solve(spec_for(U, coords=[1.0]), alpha)
+        assert math.isfinite(sol.t_star)
+        assert sol.rate == pytest.approx(want, abs=1e-10)
+
+    def test_two_point_law_near_its_edges(self):
+        # at k = 2, S^2 takes two values with probability 1/2 each, so the
+        # transform is KL(p || 1/2) with p = (a - lo)/(hi - lo); the levels
+        # sit 1e-3 to 3e-12 relative inside an edge, those outside its band
+        rng = make_rng(2121)
+        solves = 0
+        for _ in range(30):
+            spec = CgfSpec.for_direction(R, UnitVector.random(2, rng))
+            lo, hi = spec.support_edge(-1), spec.support_edge(1)
+            for rel in (1e-3, 1e-6, 1e-9, 3e-12):
+                for alpha, edge in ((hi * (1.0 - rel), hi), (lo * (1.0 + rel), lo)):
+                    if abs(alpha - edge) <= edge * 1e-12 + 1e-12:
+                        continue  # the edge rule's band
+                    solves += 1
+                    p = (alpha - lo) / (hi - lo)
+                    want = p * math.log(2.0 * p) + (1.0 - p) * math.log(2.0 * (1.0 - p))
+                    sol = legendre_solve(spec, alpha)
+                    assert math.isfinite(sol.t_star), (spec.x, alpha)
+                    assert sol.rate == pytest.approx(want, abs=1e-12), (spec.x, alpha)
+        assert solves >= 210
 
     def test_normal_is_the_closed_form_beyond_the_window(self):
-        # at alpha = 1/200 the optimal tilt is -99.5, outside |t| <= T_EDGE,
-        # where the window-limited supremum is 2.0576
+        # at alpha = 1/200 the optimal tilt is -99.5; a solve capped at
+        # |t| <= 50 would give 2.0576
         sol = legendre_solve(spec_for(N, 2), 0.005)
-        assert sol.converged and not sol.boundary
+        assert math.isfinite(sol.t_star)
         assert sol.rate == rate_wishart(0.005) == pytest.approx(2.151658683274018, abs=1e-15)
         assert sol.t_star == wishart_t_star(0.005) == -99.5
         assert legendre_solve(spec_for(N, 2), math.inf).rate == math.inf
@@ -743,6 +769,14 @@ class TestDescent:
         sol, x, descent = _descend(U, starts[-1], 1.2)
         assert descent.converged and descent.steps < 40
         assert abs(sol.rate - 0.011375183867488481) <= 1e-12
+
+    def test_uniform_near_the_top_of_the_support(self):
+        # at k = 2 the sup of S^2 is 6; at 5.99 the all-equal tilt is about
+        # 200, and the value is a quadrature of the triangular law of S
+        res = rate_k(U, 2, 5.99)
+        assert res.rate == pytest.approx(12.872049416773, abs=1e-9)
+        assert math.isfinite(res.t_star)
+        assert np.allclose(res.x_star.coords, UnitVector.uniform(2).coords, rtol=0.0, atol=1e-12)
 
     def test_uniform_starts_converge(self):
         assert rate_k(U, 3, 1.2).converged
