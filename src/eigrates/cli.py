@@ -264,10 +264,13 @@ def _run_hist(config: ExperimentConfig):
 def run_compare(rates_path: str, mc_path: str):
     """Join a rate curve with MC tail records on alpha and band-check them.
 
-    Verdict per row: "contained" when the empirical rate sits inside
-    [0.5 I, 1.5 I] (the wide band acknowledging the subexponential
-    prefactor), "below"/"above" when outside, "no_hits" when the MC run
-    saw none.  The files must share the entry law, and k if the rate file has one.
+    A record joins only a curve point on its tail: alpha <= 1 for a
+    min_below run, alpha >= 1 for max_above.  Its interval is the JSONL
+    "ci" pair or the CSV ci_low, ci_high cells.  Verdict per row:
+    "contained" when the empirical rate sits inside [0.5 I, 1.5 I] (the
+    wide band acknowledging the subexponential prefactor), "below"/"above"
+    when outside, "no_hits" when the MC run saw none.  The files must share
+    the entry law, and k if the rate file has one.
     """
     rate_config, rate_rows = read_output(rates_path)
     mc_config, mc_rows = read_output(mc_path)
@@ -277,14 +280,14 @@ def run_compare(rates_path: str, mc_path: str):
         )
     if rate_config.k is not None and rate_config.k != mc_config.k:
         raise DomainError(f"k mismatch: {rate_config.k} vs {mc_config.k}")
-    mc_rows = [r for r in mc_rows if "alpha" in r]
+    below = TailSide.parse(mc_config.side) is TailSide.MIN_BELOW
     report = []
     for mc_row in mc_rows:
         alpha = mc_row["alpha"]
-        match = [r for r in rate_rows if abs(r["alpha"] - alpha) <= 1e-9]
-        if not match:
+        rate_val = next((r["rate"] for r in rate_rows if abs(r["alpha"] - alpha) <= 1e-9
+                         and (r["alpha"] <= 1.0 if below else r["alpha"] >= 1.0)), None)
+        if rate_val is None:
             continue
-        rate_val = match[0]["rate"]
         emp = mc_row.get("empirical_rate")
         if emp is None:
             verdict = "no_hits"
@@ -296,13 +299,9 @@ def run_compare(rates_path: str, mc_path: str):
             verdict = "above"
         else:
             verdict = "contained"
-        report.append({
-            "alpha": alpha,
-            "rate": rate_val,
-            "empirical_rate": emp,
-            "ci": mc_row.get("ci"),
-            "verdict": verdict,
-        })
+        ci_low, ci_high = mc_row.get("ci") or (mc_row.get("ci_low"), mc_row.get("ci_high"))
+        report.append({"alpha": alpha, "rate": rate_val, "empirical_rate": emp, "verdict": verdict,
+                       "ci": None if ci_low is None else [ci_low, ci_high]})
     if not report:
         raise DomainError("no common alpha keys between the rate and MC files")
     return report
@@ -321,6 +320,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"eigrates {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    dists = [dist.value for dist in EntryDistribution]
 
     def add_common(p, formats=("csv", "jsonl")):
         # only formats the subcommand writes in full; the first is the default
@@ -330,7 +330,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file path")
 
     p = sub.add_parser("rate", help="rate-function curve over an alpha grid")
-    p.add_argument("--dist", required=True, choices=["rademacher", "uniform", "normal"])
+    p.add_argument("--dist", required=True, choices=dists)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--alpha-grid", required=True)
     p.add_argument("--restarts", type=int, default=None)
@@ -341,11 +341,11 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("mc", help="Monte Carlo eigenvalue tail estimate")
-    p.add_argument("--dist", required=True, choices=["rademacher", "uniform", "normal"])
+    p.add_argument("--dist", required=True, choices=dists)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha-grid", required=True)
-    p.add_argument("--side", required=True, choices=["min_below", "max_above"])
+    p.add_argument("--side", required=True, choices=[side.value for side in TailSide])
     p.add_argument("--trials", type=int, required=True)
     add_common(p, ("jsonl", "csv"))
 
@@ -373,7 +373,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("hist", help="pooled eigenvalue histogram")
-    p.add_argument("--dist", required=True, choices=["rademacher", "uniform", "normal"])
+    p.add_argument("--dist", required=True, choices=dists)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)

@@ -117,19 +117,11 @@ class EntryDistribution(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "EntryDistribution":
-        key = name.strip().lower()
-        aliases = {
-            "rademacher": cls.RADEMACHER,
-            "pm1": cls.RADEMACHER,
-            "uniform": cls.UNIFORM_SYM,
-            "uniform_sym": cls.UNIFORM_SYM,
-            "normal": cls.STD_NORMAL,
-            "std_normal": cls.STD_NORMAL,
-            "gaussian": cls.STD_NORMAL,
-        }
-        if key not in aliases:
-            raise DomainError(f"unknown entry distribution {name!r}")
-        return aliases[key]
+        """The law whose value is `name`, exactly; DomainError otherwise."""
+        try:
+            return cls(name)
+        except ValueError:
+            raise DomainError(f"unknown entry distribution {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +262,9 @@ def sample_matrix(dist: EntryDistribution, k: int, n: int, seed: int) -> SampleM
 
 
 def covariance(c: SampleMatrix) -> CovMatrix:
-    """W = (1/n) C C^T, symmetrized to kill BLAS round-off asymmetry."""
-    w = c.entries @ c.entries.T / c.n
-    w = (w + w.T) / 2.0
-    return CovMatrix(values=w, n=c.n)
+    """W = (1/n) C C^T, exactly symmetric as built: numpy computes C C^T by
+    one BLAS syrk call and copies its triangle to the other."""
+    return CovMatrix(values=c.entries @ c.entries.T / c.n, n=c.n)
 
 
 def spectrum(w: CovMatrix) -> Spectrum:
@@ -321,13 +312,12 @@ def trace_stat(w: CovMatrix) -> float:
 
 
 def mp_edges(beta: float) -> tuple[float, float]:
-    """Support edges ((1 - sqrt(beta))_+^2, (1 + sqrt(beta))^2) of the bulk law."""
+    """Edges ((1 - sqrt(beta))^2, (1 + sqrt(beta))^2) of the continuous part of
+    the bulk law at beta = k/n, which holds the min(k, n) nonzero eigenvalues."""
     if beta < 0:
         raise DomainError(f"aspect ratio must be >= 0, got {beta}")
     root = math.sqrt(beta)
-    lower = max(1.0 - root, 0.0) ** 2
-    upper = (1.0 + root) ** 2
-    return lower, upper
+    return (1.0 - root) ** 2, (1.0 + root) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +346,10 @@ def sample_batch(dist: EntryDistribution, rng: np.random.Generator,
 
 
 def covariance_batch(entries: np.ndarray) -> np.ndarray:
-    """(m, k, k) stack of (1/n) C C^T for an (m, k, n) stack of C."""
-    n = entries.shape[-1]
-    w = np.einsum("mkn,mln->mkl", entries, entries) / n
-    return (w + np.swapaxes(w, -1, -2)) / 2.0
+    """(m, k, k) stack of (1/n) C C^T for an (m, k, n) stack of C, exactly
+    symmetric as built: einsum sums the same products in the same order
+    for W_kl and W_lk."""
+    return np.einsum("mkn,mln->mkl", entries, entries) / entries.shape[-1]
 
 
 def gram_batch(dist: EntryDistribution, rng: np.random.Generator,
@@ -411,7 +401,8 @@ def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarra
         lower = np.zeros((size, k, r))
         lower[:, np.arange(r), np.arange(r)] = diagonal[start:start + size]
         lower[:, rows, cols] = rng.standard_normal((size, rows.size))
-        # matmul of contiguous operands is several times faster than einsum here
+        # matmul of contiguous operands is several times faster than einsum
+        # here, but this gemm is not always exactly symmetric: average it
         block = lower @ np.ascontiguousarray(np.swapaxes(lower, -1, -2)) / n
         w[start:start + size] = (block + np.swapaxes(block, -1, -2)) / 2.0
     return w

@@ -63,11 +63,11 @@ class TailSide(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "TailSide":
-        key = name.strip().lower()
-        for side in cls:
-            if key == side.value:
-                return side
-        raise DomainError(f"unknown tail side {name!r}")
+        """The side whose value is `name`, exactly; DomainError otherwise."""
+        try:
+            return cls(name)
+        except ValueError:
+            raise DomainError(f"unknown tail side {name!r}") from None
 
 
 def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
@@ -418,12 +418,10 @@ def spectrum_histogram(dist: EntryDistribution, k: int, n: int, trials: int,
                        bins: int, seed: int) -> SpectrumHistogram:
     """Pooled eigenvalue histogram over `trials` matrices, unit total mass.
 
-    Also reports the eigenvalue fraction outside the bulk support edges
-    for aspect ratio beta = k/n, widened by 0.05 on each side.  At k > n,
-    W has rank n: the k - n smallest eigenvalues of each trial are its
-    structural zeros and count as inside, and the other n are checked
-    against the edges of the nonzero part, (sqrt(beta) - 1)^2 and
-    (sqrt(beta) + 1)^2.
+    Also reports the eigenvalue fraction outside the bulk edges
+    mp_edges(k/n), widened by 0.05 on each side.  At k > n, W has rank n:
+    the k - n smallest eigenvalues of each trial are its structural zeros
+    and count as inside, and the other n are checked against the edges.
     """
     _check_trials(k, n, trials)
     if bins < 1 or 10 * bins > trials * k:
@@ -432,8 +430,6 @@ def spectrum_histogram(dist: EntryDistribution, k: int, n: int, trials: int,
     counts, edges = np.histogram(lam, bins=bins)
     mass = counts / lam.size
     lo_edge, hi_edge = mp_edges(k / n)
-    if k > n:
-        lo_edge = (math.sqrt(k / n) - 1.0) ** 2
     nonzero = lam[:, max(0, k - n):]
     outside = np.count_nonzero((nonzero < lo_edge - 0.05) | (nonzero > hi_edge + 0.05))
     return SpectrumHistogram(dist=dist, k=k, n=n, trials=trials, seed=seed,

@@ -113,13 +113,14 @@ class CgfSpec:
         return self._s2
 
     def support_edge(self, side: int) -> float:
-        """sup S^2 (side 1) or inf S^2 (side -1); for uniform entries the sup
-        3 (sum_j |x_j|)^2, the only edge their upper tail needs."""
+        """sup S^2 (side 1) or inf S^2 (side -1).  Uniform and normal S have a
+        density at 0, so inf S^2 = 0; sup S^2 is 3 (sum_j |x_j|)^2 or inf."""
         if self.dist is EntryDistribution.RADEMACHER:
             s2 = self.squared_support()
             return float(np.max(s2) if side > 0 else np.min(s2))
         s = float(np.sum(np.abs(self.x.coords)))
-        return 3.0 * s * s
+        upper = 3.0 * s * s if self.dist is EntryDistribution.UNIFORM_SYM else math.inf
+        return upper if side > 0 else 0.0
 
     def atom_log_prob(self, value: float) -> float:
         """log P(S^2 = value) for a value of the enumerated support."""

@@ -426,6 +426,47 @@ class TestCompare:
             verdicts[alpha] = [r["verdict"] for r in report]
         assert verdicts == {"1.4": ["below"], "3": ["no_hits"]}
 
+    def test_csv_mc_file_carries_its_interval(self, tmp_path):
+        # the same run written as JSON lines and as CSV reports the same rows,
+        # each with its Clopper-Pearson interval
+        rate_file = tmp_path / "rates.csv"
+        assert run(["rate", "--dist", "normal", "--alpha-grid", "1.2:1.4:0.2",
+                    "--out", rate_file]) == EXIT_OK
+        reports = []
+        for fmt in ("jsonl", "csv"):
+            mc_file = tmp_path / f"mc.{fmt}"
+            assert run(["mc", "--dist", "normal", "--k", 2, "--n", 60, "--alpha-grid",
+                        "1.2:1.4:0.2", "--side", "max_above", "--trials", 4000, "--seed", 11,
+                        "--format", fmt, "--out", mc_file]) == EXIT_OK
+            reports.append(run_compare(str(rate_file), str(mc_file)))
+        assert reports[0] == reports[1]
+        _, rows = read_output(tmp_path / "mc.csv")
+        assert [r["ci"] for r in reports[1]] == [[r["ci_low"], r["ci_high"]] for r in rows]
+        assert all(lo < hi for lo, hi in (r["ci"] for r in reports[1]))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_records_join_only_their_tail(self, tmp_path, fmt):
+        # a curve point at alpha < 1 is a lower-tail rate and one at alpha > 1
+        # an upper-tail rate; alpha = 1 (rate 0) belongs to both tails
+        rate_file = tmp_path / "rates.csv"
+        assert run(["rate", "--dist", "normal", "--alpha-grid", "0.5:1.5:0.5",
+                    "--out", rate_file]) == EXIT_OK
+        joined = {}
+        for side in ("min_below", "max_above"):
+            mc_file = tmp_path / f"{side}.{fmt}"
+            assert run(["mc", "--dist", "normal", "--k", 2, "--n", 40, "--alpha-grid",
+                        "0.5:1.5:0.5", "--side", side, "--trials", 2000, "--seed", 5,
+                        "--format", fmt, "--out", mc_file]) == EXIT_OK
+            joined[side] = [r["alpha"] for r in run_compare(str(rate_file), str(mc_file))]
+        assert joined == {"min_below": [0.5, 1.0], "max_above": [1.0, 1.5]}
+        # a lower-tail run at a level above 1 has nothing to join
+        mc_file = tmp_path / f"far.{fmt}"
+        assert run(["mc", "--dist", "normal", "--k", 2, "--n", 40, "--alpha-grid", "1.5",
+                    "--side", "min_below", "--trials", 200, "--seed", 5,
+                    "--format", fmt, "--out", mc_file]) == EXIT_OK
+        with pytest.raises(DomainError):
+            run_compare(str(rate_file), str(mc_file))
+
 
 def test_cli_import_leaves_out_scipy_stats():
     src = os.path.dirname(os.path.dirname(eigrates.__file__))

@@ -105,11 +105,15 @@ class TestSampling:
         entries = sample_matrix(R, k, n, seed).entries
         assert ["".join("+" if v > 0 else "-" for v in row) for row in entries] == rows
 
-    def test_parse_aliases(self):
-        assert EntryDistribution.parse("normal") is N
-        assert EntryDistribution.parse("gaussian") is N
-        with pytest.raises(DomainError):
-            EntryDistribution.parse("cauchy")
+    def test_parse_takes_only_the_enum_values(self):
+        # one spelling per law: the enum value, which the CLI and every
+        # output file's config use
+        for dist in EntryDistribution:
+            assert EntryDistribution.parse(dist.value) is dist
+        for name in ("gaussian", "pm1", "uniform_sym", "std_normal", " normal ", "Normal",
+                     "cauchy"):
+            with pytest.raises(DomainError, match="unknown entry distribution"):
+                EntryDistribution.parse(name)
 
 
 class TestCovariance:
@@ -330,6 +334,13 @@ class TestMpEdges:
         with pytest.raises(DomainError):
             mp_edges(-0.1)
 
+    def test_past_the_square_case(self):
+        # at k > n the n nonzero eigenvalues: the same formula, with lower
+        # edge (sqrt(beta) - 1)^2 > 0
+        assert mp_edges(4.0) == (1.0, 9.0)
+        for beta in (5.0 / 3.0, 2.0, 24.0):
+            assert mp_edges(beta)[0] == (math.sqrt(beta) - 1.0) ** 2 > 0.0
+
 
 class TestUnitVector:
     def test_validates_norm(self):
@@ -372,6 +383,24 @@ class TestBatchHelpers:
         a = sample_batch(R, derive_rng(9, 0), 2, 3, 5)
         b = derive_rng(9, 0).integers(0, 2, size=(2, 3, 5)) * 2 - 1
         assert np.array_equal(a, b.astype(float))
+
+
+class TestExactSymmetry:
+    # W is exactly symmetric as built (syrk in covariance, einsum in
+    # covariance_batch, packed +/-1 distances, the averaged Bartlett gemm),
+    # so no caller symmetrizes it again
+    KS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 16, 24, 32, 40, 64)
+    NS = (1, 2, 3, 5, 7, 8, 16, 33, 64, 100, 257)
+
+    @pytest.mark.parametrize("dist", [R, U, N])
+    def test_every_builder(self, dist):
+        for k in self.KS:
+            for n in self.NS:
+                w = covariance(sample_matrix(dist, k, n, 1000 * k + n)).values
+                assert np.array_equal(w, w.T), (k, n)
+                for w in (covariance_batch(sample_batch(dist, derive_rng(k, n), 3, k, n)),
+                          gram_batch(dist, derive_rng(n, k), 3, k, n)):
+                    assert np.array_equal(w, np.swapaxes(w, -1, -2)), (k, n)
 
 
 class TestRandomBits:

@@ -189,10 +189,12 @@ class TestEstimateTail:
         assert estimate_tails(N, 2, 10, (), TailSide.MAX_ABOVE, 10, 5) == []
 
     def test_side_parse(self):
-        assert TailSide.parse("min_below") is TailSide.MIN_BELOW
-        assert TailSide.parse("MAX_ABOVE") is TailSide.MAX_ABOVE
-        with pytest.raises(DomainError):
-            TailSide.parse("sideways")
+        # one spelling per side: the enum value
+        for side in TailSide:
+            assert TailSide.parse(side.value) is side
+        for name in ("MAX_ABOVE", " min_below", "sideways"):
+            with pytest.raises(DomainError, match="unknown tail side"):
+                TailSide.parse(name)
 
 
 class TestTailScreen:

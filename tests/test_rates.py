@@ -232,6 +232,19 @@ class TestLegendre:
         rate_below, _ = legendre(spec, 0.2)
         assert math.isinf(rate_below)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_support_edges_of_every_law(self, k):
+        # (inf S^2, sup S^2): uniform and normal S have a density at 0, a
+        # uniform sum reaches sqrt(3) sum_j |x_j|, a normal one is unbounded
+        for x in (UnitVector.uniform(k), UnitVector.random(k, make_rng(k))):
+            uniform, normal, sign = (CgfSpec.for_direction(dist, x) for dist in (U, N, R))
+            reach = 3.0 * float(np.sum(np.abs(x.coords))) ** 2
+            assert uniform.support_edge(-1) == 0.0
+            assert uniform.support_edge(1) == pytest.approx(reach, rel=1e-15)
+            assert (normal.support_edge(-1), normal.support_edge(1)) == (0.0, math.inf)
+            s2 = sign.squared_support()
+            assert (sign.support_edge(-1), sign.support_edge(1)) == (s2.min(), s2.max())
+
     def test_support_edge_rule(self):
         # (law, direction, level, rate or None for a finite solve, t_star or
         # None for a finite tilt): the band is edge (1 -/+ 1e-12) -/+ 1e-12 on
