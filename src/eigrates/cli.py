@@ -269,11 +269,15 @@ def run_compare(rates_path: str, mc_path: str):
     "ci" pair or the CSV ci_low, ci_high cells.  Verdict per row:
     "contained" when the empirical rate sits inside [0.5 I, 1.5 I] (the
     wide band acknowledging the subexponential prefactor), "below"/"above"
-    when outside, "no_hits" when the MC run saw none.  The files must share
-    the entry law, and k if the rate file has one.
+    when outside, "no_hits" when the MC run saw none.  The files must be a
+    rate and an mc output that share the entry law, and k if the rate file
+    has one.
     """
     rate_config, rate_rows = read_output(rates_path)
     mc_config, mc_rows = read_output(mc_path)
+    for flag, config, wanted in (("--rates", rate_config, "rate"), ("--mc", mc_config, "mc")):
+        if config.subcommand != wanted:
+            raise DomainError(f"{flag} takes a `{wanted}` output, not `{config.subcommand}`")
     if rate_config.dist != mc_config.dist:
         raise DomainError(
             f"distribution mismatch: {rate_config.dist!r} vs {mc_config.dist!r}"

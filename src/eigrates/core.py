@@ -330,8 +330,8 @@ def mp_edges(beta: float) -> tuple[float, float]:
 # for eigenvalues, without spectrum()'s eigenvectors or certificate.  Tests
 # cross-check them against a Jacobi reference.
 
-# Entries (or W entries) drawn at a time by gram_batch, which bounds its
-# scratch memory.
+# Entries (or W entries) in one gram_blocks block, which bounds the W and
+# the scratch memory that a trial loop holds at a time.
 GRAM_BLOCK_ENTRIES = 1 << 20
 
 def sample_batch(dist: EntryDistribution, rng: np.random.Generator,
@@ -354,32 +354,45 @@ def covariance_batch(entries: np.ndarray) -> np.ndarray:
 
 def gram_batch(dist: EntryDistribution, rng: np.random.Generator,
                m: int, k: int, n: int) -> np.ndarray:
-    """(m, k, k) stack of W = (1/n) C C^T for m fresh k x n entry matrices.
+    """(m, k, k) stack of W = (1/n) C C^T for m fresh k x n entry matrices,
+    the blocks of gram_blocks joined.  For +/-1 and uniform entries, bit for
+    bit covariance_batch(sample_batch(dist, rng, m, k, n)), leaving rng in
+    the same state; normal-entry W has the same law but is drawn by the
+    Bartlett decomposition: see _wishart_gram.
+    """
+    w = np.empty((m, k, k))
+    start = 0
+    for block in gram_blocks(dist, rng, m, k, n):
+        w[start:start + len(block)] = block
+        start += len(block)
+    return w
 
-    For +/-1 and uniform entries, bit for bit
-    covariance_batch(sample_batch(dist, rng, m, k, n)), leaving rng in the
-    same state, but drawn GRAM_BLOCK_ENTRIES entries at a time.  For +/-1
-    entries no float C is built: see _sign_gram.  Normal-entry W has the
-    same law but is drawn by the Bartlett decomposition: see _wishart_gram.
+
+def gram_blocks(dist: EntryDistribution, rng: np.random.Generator,
+                m: int, k: int, n: int):
+    """gram_batch's m W, with its draws in its order, as (rows, k, k) blocks
+    of GRAM_BLOCK_ENTRIES // (k max(n, k)) trials (k*n entries and k*k
+    products per trial) or, for normal entries, GRAM_BLOCK_ENTRIES // k^2,
+    at least 1 and the last shorter.  Exhausted, it leaves rng as
+    gram_batch does.  For +/-1 entries no float C is built: see _sign_gram.
     """
     if dist is EntryDistribution.STD_NORMAL:
-        return _wishart_gram(rng, m, k, n)
-    w = np.empty((m, k, k))
-    # k*n entries and k*k products per trial: size the block by the larger
+        yield from _wishart_gram(rng, m, k, n)
+        return
     step = max(1, GRAM_BLOCK_ENTRIES // (k * max(n, k)))
     for start in range(0, m, step):
         size = min(step, m - start)
         if dist is EntryDistribution.RADEMACHER:
-            w[start:start + size] = _sign_gram(rng, size, k, n)
+            yield _sign_gram(rng, size, k, n)
         else:
-            w[start:start + size] = covariance_batch(sample_batch(dist, rng, size, k, n))
-    return w
+            yield covariance_batch(sample_batch(dist, rng, size, k, n))
 
 
-def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:
+def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int):
     """W = (1/n) L L^T for m normal-entry k x n matrices, by the Bartlett
     decomposition (Muirhead, Aspects of Multivariate Statistical Theory,
-    1982, Sec. 3.2).  nW is real Wishart W_k(n, I), and so is L L^T for the
+    1982, Sec. 3.2), yielded in blocks of GRAM_BLOCK_ENTRIES // k^2
+    trials.  nW is real Wishart W_k(n, I), and so is L L^T for the
     lower trapezoidal k x r matrix L, r = min(k, n), with (0-based)
     L_ii = sqrt(chi2(n - i)) for i < r, L_ij standard normal for j < i and
     j < r, and zeros elsewhere.  The rows from index r on are full normal
@@ -387,14 +400,14 @@ def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarra
     and r (2k - r - 1)/2 normal draws instead of kn.
 
     The stream: all m x r chi-squares first, then each trial's strictly
-    lower entries in row-major order, GRAM_BLOCK_ENTRIES // k^2 trials at
-    a time.  Consecutive normal draws continue one stream, so W does not
-    depend on the block size.
+    lower entries in row-major order, one block at a time.  Consecutive
+    normal draws continue one stream, so W does not depend on the block
+    size.
     """
     r = min(k, n)
-    diagonal = np.sqrt(rng.chisquare(n - np.arange(r), size=(m, r)))
+    diagonal = rng.chisquare(n - np.arange(r), size=(m, r))
+    np.sqrt(diagonal, out=diagonal)
     rows, cols = np.tril_indices(k, -1, r)
-    w = np.empty((m, k, k))
     step = max(1, GRAM_BLOCK_ENTRIES // (k * k))
     for start in range(0, m, step):
         size = min(step, m - start)
@@ -404,8 +417,7 @@ def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarra
         # matmul of contiguous operands is several times faster than einsum
         # here, but this gemm is not always exactly symmetric: average it
         block = lower @ np.ascontiguousarray(np.swapaxes(lower, -1, -2)) / n
-        w[start:start + size] = (block + np.swapaxes(block, -1, -2)) / 2.0
-    return w
+        yield (block + np.swapaxes(block, -1, -2)) / 2.0
 
 
 def _sign_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:

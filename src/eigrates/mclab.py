@@ -10,11 +10,13 @@ Trials run in chunks of CHUNK_TRIALS whose generators derive from
 count, not on execution order, and chunks could run in parallel.  Each
 experiment's fixed chunk size is part of its stream.
 
-Tail counts at k >= 3 screen each chunk first: a batched Cholesky
-factorization (core.cholesky_completes) of cI - W or W - cI, at a level
-moved by a relative guard of SCREEN_GUARD towards the bulk, proves that
-most W of a far tail reach no level, and LAPACK solves only the rest, so
-every count is the one that solving every W gives.
+Within a chunk, W arrives in core.gram_blocks' blocks, and each block is
+solved before the next is drawn, so no chunk-sized W stack is held.  Tail
+counts at k >= 3 screen each block first: a batched Cholesky factorization
+(core.cholesky_completes) of cI - W or W - cI, at a level moved by a
+relative guard of SCREEN_GUARD towards the bulk, proves that most W of a
+far tail reach no level, and LAPACK solves only the rest, so every count
+is the one that solving every W gives.
 """
 
 from __future__ import annotations
@@ -34,17 +36,13 @@ from .core import (
     bottom_eigenvalues_vanish,
     cholesky_completes,
     eigvalues_batch,
-    gram_batch,
+    gram_blocks,
     mp_edges,
 )
 from .errors import DomainError
 
 CHUNK_TRIALS = 1 << 16
 CI_LEVEL = 0.95  # two-sided level of every Clopper-Pearson interval
-
-# W entries gathered at a time for the eigen solve of the trials that the
-# tail screen keeps, which bounds that copy.
-SOLVE_BLOCK_ENTRIES = 1 << 18
 
 # Relative guard of the tail screen's level: see _tail_screen.
 SCREEN_GUARD = 1e-9
@@ -135,20 +133,20 @@ class TailEstimate:
 
 
 def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int, screen=None):
-    """Ascending eigenvalues of `trials` sampled W, one (rows, k) array per chunk,
-    each from _eigvalues.
+    """Ascending eigenvalues of `trials` sampled W, one (rows, k) array per
+    block of core.gram_blocks in each chunk, each from _eigvalues.
 
     +/-1 W take at most comb(2^(k-1) + n - 1, n) values (one per multiset
     of column classes, as in enumerate_exact).  When that is at most
-    CHUNK_TRIALS and LAPACK is called (k >= 3), a chunk solves each
+    CHUNK_TRIALS and LAPACK is called (k >= 3), a block solves each
     distinct W once.  The screen (see _tail_screen) applies at k >= 3 only:
     at k <= 2 eigvalues_batch's closed forms cost less than it.
     """
     dedup = (dist is EntryDistribution.RADEMACHER and k >= 3
              and _multisets_at_most(1 << (k - 1), n, CHUNK_TRIALS))
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
-        yield _eigvalues(gram_batch(dist, rng, size, k, n), n if dedup else None,
-                         screen if k >= 3 else None)
+        for w in gram_blocks(dist, rng, size, k, n):
+            yield _eigvalues(w, n if dedup else None, screen if k >= 3 else None)
 
 
 def _multisets_at_most(classes: int, n: int, cap: int) -> bool:
@@ -173,34 +171,24 @@ def _eigvalues(w: np.ndarray, n: int | None, screen) -> np.ndarray:
     an exact integer key; sdpic.ber_experiment decodes each distinct (W, Z)
     of an s=inf pool by the same key) is screened and solved once, and its
     eigenvalues are scattered back.  A screen (level, sign) drops each W
-    whose Cholesky factorization at the guarded level completes.  The kept
-    rows are solved in blocks of SOLVE_BLOCK_ENTRIES W entries, so at most
-    one block is copied at a time, and a block kept whole is solved in
-    place.  eigvalsh treats each matrix of a stack alone, so the
-    eigenvalues are bit for bit those of solving every row.
+    whose Cholesky factorization at the guarded level completes, and the
+    kept rows are solved in one call (w is one block of core.gram_blocks,
+    so the copy is bounded).  eigvalsh treats each matrix of a stack alone,
+    so the eigenvalues are bit for bit those of solving every row.
     """
-    # w stays bound until the scatter: freeing the chunk earlier made the
-    # +/-1 (3, 8) tail op about 15% slower (heap layout, not work)
     distinct, inverse = w, None
     if n is not None:
         first, inverse = _sign_gram_classes(w, n)
         distinct = w[first]
-    keep = np.ones(len(distinct), dtype=bool)
     if screen is not None:
         level, sign = screen
         guard = SCREEN_GUARD * (1.0 + abs(level) + float(np.einsum("mii->m", distinct).max()))
         keep = ~cholesky_completes(distinct, level + sign * guard, sign)
-    if inverse is not None:
-        # the kept rows, renumbered onto the kept distinct matrices
-        inverse = (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
-    lam = np.empty((np.count_nonzero(keep), w.shape[-1]))
-    step = max(1, SOLVE_BLOCK_ENTRIES // w[0].size)
-    solved = 0
-    for start in range(0, len(distinct), step):
-        block, rows = distinct[start:start + step], keep[start:start + step]
-        block_lam = eigvalues_batch(block if rows.all() else block[rows])
-        lam[solved:solved + len(block_lam)] = block_lam
-        solved += len(block_lam)
+        if inverse is not None:
+            # the kept rows, renumbered onto the kept distinct matrices
+            inverse = (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
+        distinct = distinct[keep]
+    lam = eigvalues_batch(distinct)
     return lam if inverse is None else lam[inverse]
 
 

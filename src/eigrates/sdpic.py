@@ -34,7 +34,7 @@ from .core import (
     covariance,
     derive_rng,
     eigvalues_batch,
-    gram_batch,
+    gram_blocks,
 )
 from .errors import DimensionError, DomainError
 from .mclab import _binomial, _check_trials, _record
@@ -373,16 +373,18 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     never exceeds the per-user sum; users whose last steps agree to a
     relative 1e-9 tie, and the lowest index wins.
 
-    The infinite mode decodes only the trials that CONTRACTION_SCREEN does
-    not settle, pooled across chunks into stacks of at least CHUNK_TRIALS
-    rows (or all that remain).  A trial's outcome depends only on its
-    (W, Z), so each distinct pair of a pool is decoded once (found by
-    core._sign_gram_classes, an exact integer key with Z's bits as
-    extra columns) and its estimate scattered back; coins, errors and oscillation
-    attribution stay per trial.  The screened trials are provably
-    error-free, and each trial's arithmetic does not depend on its stack,
-    so the counts equal those of decoding every trial.  weight applies to
-    finite stages only.
+    A chunk's W comes one core.gram_blocks block at a time, after its bits
+    and coins, and no chunk-sized W stack is held: a finite stage decodes
+    each block, and the infinite mode screens each block and pools only the
+    trials that CONTRACTION_SCREEN does not settle, across chunks, into
+    stacks of at least CHUNK_TRIALS rows (or all that remain).  A trial's
+    outcome depends only on its (W, Z), so each distinct pair of a pool is
+    decoded once (found by core._sign_gram_classes, an exact integer key
+    with Z's bits as extra columns) and its estimate scattered back; coins,
+    errors and oscillation attribution stay per trial.  The screened trials
+    are provably error-free, and each trial's arithmetic does not depend on
+    its stack or block, so the counts equal those of decoding every trial.
+    weight applies to finite stages only.
     """
     _check_trials(k, n, trials)
     _check_stage(s, weight)
@@ -400,18 +402,26 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     # s=inf: unscreened trials wait here until a chunk's worth is in, since
     # a small stack spends its 1,000 stages on call overhead, not arithmetic
     pending = []
+    eye = np.eye(k)
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
         bits = EntryDistribution.RADEMACHER.sample(rng, (size, k))
         coins = EntryDistribution.RADEMACHER.sample(rng, (size, k))
-        w = gram_batch(EntryDistribution.RADEMACHER, rng, size, k, n)
         drawn += size
+        wrong = np.empty((size, k), dtype=bool)
+        start = 0
+        for w in gram_blocks(EntryDistribution.RADEMACHER, rng, size, k, n):
+            block = slice(start, start + len(w))
+            start += len(w)
+            if infinite_mode:
+                # only trials the contraction screen does not settle can err
+                q = _row_max(sum(np.abs(w[:, :, j] - eye[j]) for j in range(k)))  # ||I - W||_inf
+                rest = q > CONTRACTION_SCREEN
+                pending.append((w[rest], bits[block][rest], coins[block][rest]))
+            else:
+                est = _partial_sum(w, bits[block], s, 1.0 if weight is None else weight)
+                wrong[block] = _decide_batch(est, coins[block]) != bits[block]
 
         if infinite_mode:
-            # only trials the contraction screen does not settle can err
-            eye = np.eye(k)
-            q = _row_max(sum(np.abs(w[:, :, j] - eye[j]) for j in range(k)))  # ||I - W||_inf
-            rest = q > CONTRACTION_SCREEN
-            pending.append((w[rest], bits[rest], coins[rest]))
             if sum(len(b) for _, b, _ in pending) < CHUNK_TRIALS and drawn < trials:
                 continue
             w, bits, coins = (np.concatenate(part) for part in zip(*pending))
@@ -442,9 +452,6 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
             top = step >= np.max(step, axis=1, keepdims=True) * (1.0 - _TIE_RTOL)
             marked[quiet, np.argmax(top, axis=1)] = True
             wrong[osc] = marked
-        else:
-            est = _partial_sum(w, bits, s, 1.0 if weight is None else weight)
-            wrong = _decide_batch(est, coins) != bits
 
         any_errors += int(np.count_nonzero(np.any(wrong, axis=1)))
         per_user += np.count_nonzero(wrong, axis=0)

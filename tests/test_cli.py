@@ -394,6 +394,19 @@ class TestCompare:
             assert run(["compare", "--rates", rates, "--mc", mc, "--out", out]) == EXIT_DOMAIN
             assert not out.exists()
 
+    @pytest.mark.parametrize("flag, wanted, got", [("--rates", "rate", "mc"),
+                                                   ("--mc", "mc", "rate")])
+    def test_file_of_the_wrong_subcommand_is_refused(self, tmp_path, capsys, flag, wanted, got):
+        # one file as both: an mc output has no rate column and a rate output
+        # no tail side, so the first flag that names the wrong one is refused
+        files = dict(zip(("rate", "mc"), self._write_pair(tmp_path)))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run(["compare", "--rates", files[got], "--mc", files[got],
+                    "--out", out]) == EXIT_DOMAIN
+        assert f"{flag} takes a `{wanted}` output, not `{got}`" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_mismatch_is_refused(self, tmp_path, capsys):
         # a +/-1 curve for k = 3 says nothing about a k = 8 run
         rate_file, out = tmp_path / "rk3.csv", tmp_path / "o"

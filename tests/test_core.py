@@ -435,8 +435,10 @@ class TestGramBatch:
     # For +/-1 and uniform entries gram_batch must replay the entry path
     # exactly: same W bits, same stream.  Normal-entry W is a Bartlett draw,
     # and must follow its documented layout whatever the block size.
-    def assert_layout(self, dist, m, k, n, seed=3):
-        expected_rng, rng = derive_rng(seed, k, n), derive_rng(seed, k, n)
+    def assert_layout(self, dist, m, k, n, step, seed=3):
+        # gram_batch, and the blocks of gram_blocks joined: full blocks of
+        # `step` trials and a shorter last one
+        expected_rng = derive_rng(seed, k, n)
         if dist is R:  # the entries numpy's own bounded draw gives
             entries = (expected_rng.integers(0, 2, size=(m, k, n)) * 2 - 1).astype(np.float64)
             expected = covariance_batch(entries)
@@ -444,10 +446,15 @@ class TestGramBatch:
             expected = covariance_batch(sample_batch(dist, expected_rng, m, k, n))
         else:
             expected = bartlett_gram(expected_rng, m, k, n)
+        rng, block_rng = derive_rng(seed, k, n), derive_rng(seed, k, n)
         w = gram_batch(dist, rng, m, k, n)
         assert w.dtype == expected.dtype and w.shape == (m, k, k)
         assert np.array_equal(w, expected)
-        assert repr(rng.bit_generator.state) == repr(expected_rng.bit_generator.state)
+        blocks = list(core.gram_blocks(dist, block_rng, m, k, n))
+        assert [len(b) for b in blocks] == [step] * (m // step) + [m % step] * (m % step > 0)
+        assert np.array_equal(np.concatenate(blocks), expected)
+        for generator in (rng, block_rng):
+            assert repr(generator.bit_generator.state) == repr(expected_rng.bit_generator.state)
 
     @pytest.mark.parametrize("dist", [R, U, N])
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
@@ -458,13 +465,13 @@ class TestGramBatch:
             step = max(1, (1 << 12) // (k * k))
         else:
             step = max(1, (1 << 12) // (k * max(n, k)))
-        self.assert_layout(dist, 3 * step + 2, k, n)
+        self.assert_layout(dist, 3 * step + 2, k, n, step)
 
     @pytest.mark.parametrize("dist", [R, U, N])
     def test_default_block(self, dist):
         k, n = 8, 65
         step = core.GRAM_BLOCK_ENTRIES // (k * (k if dist is N else n))
-        self.assert_layout(dist, step + 7, k, n)
+        self.assert_layout(dist, step + 7, k, n, step)
 
     @pytest.mark.parametrize("dist", [R, U, N])
     def test_scratch_is_bounded_when_k_exceeds_n(self, dist):

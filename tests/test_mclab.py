@@ -23,7 +23,14 @@ from eigrates import (
     zero_eigen_rate,
 )
 from eigrates import mclab, ber_experiment
-from eigrates.core import _chunks, covariance_batch, eigvalues_batch, gram_batch, sample_batch
+from eigrates.core import (
+    GRAM_BLOCK_ENTRIES,
+    _chunks,
+    covariance_batch,
+    eigvalues_batch,
+    gram_batch,
+    sample_batch,
+)
 from eigrates.mclab import _multisets, _sign_matrix_counts
 import wishart_reference
 
@@ -151,7 +158,7 @@ class TestEstimateTail:
             raise AssertionError("math.comb called")
         keys = []
         monkeypatch.setattr(math, "comb", no_comb)
-        monkeypatch.setattr(mclab, "gram_batch", lambda dist, rng, m, k, n: np.zeros((m, k, k)))
+        monkeypatch.setattr(mclab, "gram_blocks", lambda dist, rng, m, k, n: [np.zeros((m, k, k))])
         monkeypatch.setattr(mclab, "_eigvalues", lambda w, n, screen: keys.append(n) or w[:, 0])
         next(mclab._spectra(R, k, n, 1, 0))
         assert keys == [key]
@@ -262,7 +269,8 @@ class TestTailScreen:
 
     @pytest.mark.parametrize("k, n", [(3, 30), (6, 3)])
     def test_screens_distinct_sign_matrices_only(self, monkeypatch, k, n):
-        # a deduplicated +/-1 chunk screens each distinct W once
+        # each gram block of a deduplicated +/-1 chunk screens each of its
+        # distinct W once: a chunk has 6 blocks at (3, 30), 3 at (6, 3)
         screened = []
         screen = mclab.cholesky_completes
 
@@ -273,7 +281,21 @@ class TestTailScreen:
         trials = mclab.CHUNK_TRIALS
         estimate_tail(R, k, n, 1.5, TailSide.MAX_ABOVE, trials, 8)
         distinct = math.comb((1 << (k - 1)) + n - 1, n)
-        assert len(screened) == 1 and screened[0] <= distinct < trials
+        assert len(screened) == {(3, 30): 6, (6, 3): 3}[k, n]
+        assert max(screened) <= distinct and sum(screened) < trials
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("dist", [R, U, N])
+    def test_estimate_tail_holds_no_chunk_stack(self, dist):
+        # at k = n = 32 a 2^13-trial chunk of W takes 64 MiB, a gram block 8
+        tracemalloc.start()
+        try:
+            estimate_tail(dist, 32, 32, 3.0, TailSide.MAX_ABOVE, 1 << 13, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * GRAM_BLOCK_ENTRIES
 
 
 class TestNormalTailOracle:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -509,6 +510,16 @@ class TestBerExperiment:
             ber_experiment(2, 8, 2, trials=0, seed=1)
         with pytest.raises(DomainError):
             ber_experiment(2, 8, 2, trials=10, seed=1, weight=-1.0)
+
+    def test_memory_holds_no_chunk_stack(self):
+        # at k = n = 32 a 2^14-trial chunk of W takes 128 MiB, a gram block 8
+        tracemalloc.start()
+        try:
+            ber_experiment(32, 32, 6, 1 << 14, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * core.GRAM_BLOCK_ENTRIES
 
     def test_weight_rejected_at_infinite_stage(self):
         # the infinite mode runs the unweighted recursion, so a weight
