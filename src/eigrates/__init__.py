@@ -12,12 +12,10 @@ from .core import (
     UnitVector,
     covariance,
     derive_rng,
-    make_rng,
     mp_edges,
     quadratic_form,
     sample_matrix,
     spectrum,
-    trace_stat,
 )
 from .errors import (
     ConvergenceError,
@@ -49,7 +47,6 @@ from .rates import (
     cgf_derivative,
     chernoff_squared_entry,
     grid_covering,
-    legendre,
     legendre_solve,
     mgf_bound_check,
     phase_transition_alpha_star,

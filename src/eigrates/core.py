@@ -39,11 +39,6 @@ ZERO_EIG_TOL = 1e-9
 # Seeding
 # ---------------------------------------------------------------------------
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox) for an explicit 64-bit seed."""
-    return derive_rng(seed)
-
-
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Sub-generator for (seed, index...) derived by seed-sequence hashing.
 
@@ -177,6 +172,7 @@ class CovMatrix:
 
     @property
     def trace(self) -> float:
+        """Trace of W; an upper bound for the largest eigenvalue."""
         return float(np.trace(self.values))
 
 
@@ -256,7 +252,7 @@ def sample_matrix(dist: EntryDistribution, k: int, n: int, seed: int) -> SampleM
     """Draw a k x n matrix of i.i.d. entries; bit-identical for equal arguments."""
     if k < 1 or n < 1:
         raise DimensionError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     entries = dist.sample(rng, (k, n))
     return SampleMatrix(dist=dist, k=k, n=n, entries=entries, seed=seed)
 
@@ -306,11 +302,6 @@ def quadratic_form(c: SampleMatrix, x: UnitVector) -> float:
     return float(np.dot(s, s) / c.n)
 
 
-def trace_stat(w: CovMatrix) -> float:
-    """Trace of W; an always-valid upper bound for the largest eigenvalue."""
-    return w.trace
-
-
 def mp_edges(beta: float) -> tuple[float, float]:
     """Edges ((1 - sqrt(beta))^2, (1 + sqrt(beta))^2) of the continuous part of
     the bulk law at beta = k/n, which holds the min(k, n) nonzero eigenvalues."""
@@ -334,17 +325,6 @@ def mp_edges(beta: float) -> tuple[float, float]:
 # the scratch memory that a trial loop holds at a time.
 GRAM_BLOCK_ENTRIES = 1 << 20
 
-def sample_batch(dist: EntryDistribution, rng: np.random.Generator,
-                 m: int, k: int, n: int) -> np.ndarray:
-    """m independent k x n entry matrices as an (m, k, n) stack.
-
-    For +/-1 and uniform entries, gram_batch gives bit for bit
-    covariance_batch of this stack; for normal entries it draws W by the
-    Bartlett decomposition instead, from another stream.
-    """
-    return dist.sample(rng, (m, k, n))
-
-
 def covariance_batch(entries: np.ndarray) -> np.ndarray:
     """(m, k, k) stack of (1/n) C C^T for an (m, k, n) stack of C, exactly
     symmetric as built: einsum sums the same products in the same order
@@ -352,29 +332,18 @@ def covariance_batch(entries: np.ndarray) -> np.ndarray:
     return np.einsum("mkn,mln->mkl", entries, entries) / entries.shape[-1]
 
 
-def gram_batch(dist: EntryDistribution, rng: np.random.Generator,
-               m: int, k: int, n: int) -> np.ndarray:
-    """(m, k, k) stack of W = (1/n) C C^T for m fresh k x n entry matrices,
-    the blocks of gram_blocks joined.  For +/-1 and uniform entries, bit for
-    bit covariance_batch(sample_batch(dist, rng, m, k, n)), leaving rng in
-    the same state; normal-entry W has the same law but is drawn by the
-    Bartlett decomposition: see _wishart_gram.
-    """
-    w = np.empty((m, k, k))
-    start = 0
-    for block in gram_blocks(dist, rng, m, k, n):
-        w[start:start + len(block)] = block
-        start += len(block)
-    return w
-
-
 def gram_blocks(dist: EntryDistribution, rng: np.random.Generator,
                 m: int, k: int, n: int):
-    """gram_batch's m W, with its draws in its order, as (rows, k, k) blocks
-    of GRAM_BLOCK_ENTRIES // (k max(n, k)) trials (k*n entries and k*k
-    products per trial) or, for normal entries, GRAM_BLOCK_ENTRIES // k^2,
-    at least 1 and the last shorter.  Exhausted, it leaves rng as
-    gram_batch does.  For +/-1 entries no float C is built: see _sign_gram.
+    """W = (1/n) C C^T for m fresh k x n entry matrices, as (rows, k, k)
+    blocks of GRAM_BLOCK_ENTRIES // (k max(n, k)) trials (k*n entries and
+    k*k products per trial) or, for normal entries, GRAM_BLOCK_ENTRIES //
+    k^2, at least 1 and the last shorter.
+
+    For +/-1 and uniform entries the joined blocks are bit for bit
+    covariance_batch(dist.sample(rng, (m, k, n))), and once exhausted the
+    generator leaves rng in the same state; for +/-1 entries no float C is
+    built: see _sign_gram.  Normal-entry W has the same law but is drawn
+    by the Bartlett decomposition, from another stream: see _wishart_gram.
     """
     if dist is EntryDistribution.STD_NORMAL:
         yield from _wishart_gram(rng, m, k, n)
@@ -385,7 +354,7 @@ def gram_blocks(dist: EntryDistribution, rng: np.random.Generator,
         if dist is EntryDistribution.RADEMACHER:
             yield _sign_gram(rng, size, k, n)
         else:
-            yield covariance_batch(sample_batch(dist, rng, size, k, n))
+            yield covariance_batch(dist.sample(rng, (size, k, n)))
 
 
 def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int):
@@ -415,9 +384,14 @@ def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int):
         lower[:, np.arange(r), np.arange(r)] = diagonal[start:start + size]
         lower[:, rows, cols] = rng.standard_normal((size, rows.size))
         # matmul of contiguous operands is several times faster than einsum
-        # here, but this gemm is not always exactly symmetric: average it
-        block = lower @ np.ascontiguousarray(np.swapaxes(lower, -1, -2)) / n
-        yield (block + np.swapaxes(block, -1, -2)) / 2.0
+        # here, but this gemm is not always exactly symmetric: average it,
+        # in place, so that only the block itself is held across the yield
+        block = lower @ np.ascontiguousarray(np.swapaxes(lower, -1, -2))
+        del lower
+        block /= n
+        block += np.swapaxes(block, -1, -2)
+        block /= 2.0
+        yield block
 
 
 def _sign_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:

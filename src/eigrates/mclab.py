@@ -31,6 +31,7 @@ from scipy.special import betaincinv
 
 from .core import (
     EntryDistribution,
+    GRAM_BLOCK_ENTRIES,
     _chunks,
     _sign_gram_classes,
     bottom_eigenvalues_vanish,
@@ -49,10 +50,6 @@ SCREEN_GUARD = 1e-9
 
 # kn cap for exact enumeration over the 2^(kn) sign matrices.
 ENUM_MAX_BITS = 24
-
-# Column and Gram entries (k*(n+k) per multiset) in one enumerate_exact
-# chunk, which bounds its memory.
-ENUM_CHUNK_ENTRIES = 1 << 20
 
 
 class TailSide(enum.Enum):
@@ -292,7 +289,8 @@ def enumerate_exact(k: int, n: int, predicate) -> float:
     classes: each gives its integer Gram matrix G, one eigenvalue
     evaluation of W = G/n, and the exact count 2^n n!/prod(m_c!) of the
     sign matrices it stands for.  The result is (#hits) / 2^(k*n), for
-    k*n <= 24.
+    k*n <= 24.  Multisets go in batches of at most GRAM_BLOCK_ENTRIES
+    column and Gram entries (k*(n+k) per multiset), which bounds the memory.
     """
     bits = k * n
     if bits > ENUM_MAX_BITS:
@@ -302,7 +300,7 @@ def enumerate_exact(k: int, n: int, predicate) -> float:
     # class c holds the columns +/-v with v_0 = +1, v_(i+1) = (-1)^(bit i of c)
     shifts = np.arange(k - 1)
     hits = 0
-    for rows in _multisets(1 << (k - 1), n, max(1, ENUM_CHUNK_ENTRIES // (k * (n + k)))):
+    for rows in _multisets(1 << (k - 1), n, max(1, GRAM_BLOCK_ENTRIES // (k * (n + k)))):
         cols = np.ones(rows.shape + (k,), dtype=np.int64)
         cols[..., 1:] = 1 - 2 * ((rows[..., None] >> shifts) & 1)
         gram = np.einsum("bni,bnj->bij", cols, cols)

@@ -287,16 +287,6 @@ class LegendreSolve:
     expansions: int = 0
 
 
-def legendre(spec: CgfSpec, alpha: float) -> tuple[float, float]:
-    """sup_t (t*alpha - Lambda(t)) with t restricted by the sign of alpha - 1.
-
-    Returns (rate, t_star); t_star is +/-inf when the optimum sits at the
-    support boundary (alpha at or beyond the essential range of S^2).
-    """
-    sol = legendre_solve(spec, alpha)
-    return sol.rate, sol.t_star
-
-
 def _check_level(dist: EntryDistribution, alpha: float) -> None:
     """Reject a level no transform of this entry law accepts (NaN included)."""
     if not alpha > 0:

@@ -170,8 +170,7 @@ def _partial_sum(w: np.ndarray, z: np.ndarray, s: int, weight: float = 1.0,
 
 
 def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
-               visit=None, product=_stack_product
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+               product=_stack_product) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """est(s) = est(1) - (W - I) est(s-1) over a (t, k, k) stack, s <= cap.
 
     The stages run in blocks of up to b (_block_stages), each iterate
@@ -184,8 +183,7 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     only then is the stack compacted, into a new buffer sized for it.
     Each row's arithmetic is independent of the others and of its
     block, so the results do not depend on when the tests or compaction
-    happen.  Without tol, visit(stage, est) sees every stage, each in an
-    array of its own.  Returns (est, stages, converged, ahead): each
+    happen.  Returns (est, stages, converged, ahead): each
     trial's last estimate and stage, whether it stopped early, and
     est(cap + 1) on the rows that did not (NaN elsewhere).
     """
@@ -195,8 +193,6 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     converged = np.zeros(len(z), dtype=bool)
     rows, wa, e1a, ea = np.arange(len(z)), w, est1, est1
     with np.errstate(over="ignore", invalid="ignore"):
-        if visit is not None:
-            visit(1, est1)
         (buf, change), stage = _block_buffers(est1), 1  # buf[0] holds est(stage)
         while stage < cap and not converged[rows].all():
             m = min(len(buf) - 1, cap - stage)
@@ -208,9 +204,6 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
                 np.subtract(scratch, buf[j], out=scratch)
                 np.subtract(e1a, scratch, out=buf[j + 1])
             ea = buf[m]
-            if visit is not None:
-                for j in range(1, m + 1):
-                    visit(stage + j, buf[j].copy())
             if tol is not None:
                 np.subtract(buf[1:m + 1], buf[:m], out=change[:m])
                 below = _row_max(np.abs(change[:m], out=change[:m])) < tol
@@ -312,19 +305,18 @@ def iterate_to_limit(c: SampleMatrix, z: np.ndarray) -> tuple[np.ndarray, int, b
 
 def stage_trace(c: SampleMatrix, z: np.ndarray, max_stage: int,
                 coin_seed: int) -> list[tuple[int, float, int]]:
-    """Per-stage (stage, ||est - Z||_inf, bit errors) rows for plotting."""
+    """Per-stage (stage, ||est - Z||_inf, bit errors) rows, with sdpic_stage's bits."""
     w, zb = _instance(c, z)
     z = zb[0]
     bits = np.sign(z)
     rows = []
-    if max_stage < 1:
-        return rows
-
-    def visit(stage, est):
-        errors = int(np.count_nonzero(decide_bits(est[0], coin_seed) != bits))
-        rows.append((stage, float(np.max(np.abs(est[0] - z))), errors))
-
-    _recursion(w, zb, max_stage, visit=visit, product=_matrix_product)
+    est = est1 = _matrix_product(w, zb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stage in range(1, max_stage + 1):
+            if stage > 1:
+                est = est1 - (_matrix_product(w, est) - est)
+            errors = int(np.count_nonzero(decide_bits(est[0], coin_seed) != bits))
+            rows.append((stage, float(np.max(np.abs(est[0] - z))), errors))
     return rows
 
 
@@ -384,6 +376,8 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     errors and oscillation attribution stay per trial.  The screened trials
     are provably error-free, and each trial's arithmetic does not depend on
     its stack or block, so the counts equal those of decoding every trial.
+    A finite stage decodes each block in _sign_gram's trials-last layout:
+    a copy changes einsum's round-off, and so which exact zeros go to a coin.
     weight applies to finite stages only.
     """
     _check_trials(k, n, trials)

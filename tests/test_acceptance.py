@@ -19,10 +19,10 @@ from eigrates import (
     UnitVector,
     clopper_pearson,
     covariance,
+    derive_rng,
     enumerate_exact,
     estimate_tail,
-    legendre,
-    make_rng,
+    legendre_solve,
     phase_transition_alpha_star,
     phase_transition_alpha_star_k,
     quadratic_form,
@@ -32,13 +32,12 @@ from eigrates import (
     sdpic_closed,
     sdpic_stage,
     spectrum,
-    trace_stat,
     weighted_sdpic,
     wishart_t_star,
     zero_count_at_least,
     zero_eigen_rate,
 )
-from eigrates.core import covariance_batch, eigvalues_batch, sample_batch
+from eigrates.core import covariance_batch, eigvalues_batch
 from eigrates.mclab import TailSide, max_above, min_below
 from eigrates.sdpic import ber_experiment
 
@@ -61,9 +60,9 @@ def test_c01_wishart_closed_form():
     worst_rate = worst_tilt = 0.0
     for alpha in np.arange(0.05, 5.0 + 1e-12, 0.05):
         alpha = float(alpha)
-        rate, t_star = legendre(spec, alpha)
-        worst_rate = max(worst_rate, abs(rate - rate_wishart(alpha)))
-        worst_tilt = max(worst_tilt, abs(t_star - wishart_t_star(alpha)))
+        sol = legendre_solve(spec, alpha)
+        worst_rate = max(worst_rate, abs(sol.rate - rate_wishart(alpha)))
+        worst_tilt = max(worst_tilt, abs(sol.t_star - wishart_t_star(alpha)))
     assert worst_rate <= 1e-9, worst_rate
     assert worst_tilt <= 1e-8, worst_tilt
     _report(1, f"normal-entry transform max |d_rate|={worst_rate:.1e}, max |d_t*|={worst_tilt:.1e}",
@@ -72,7 +71,7 @@ def test_c01_wishart_closed_form():
 
 def test_c02_rademacher_mgf_domination():
     started = time.monotonic()
-    rng = make_rng(202)
+    rng = derive_rng(202)
     t_grid = np.arange(-1.0, 0.49 + 1e-12, 0.01)
     bound = -0.5 * np.log1p(-2.0 * t_grid)
     worst = -math.inf
@@ -167,7 +166,7 @@ def test_c07_sdpic_algebraic_identity():
     # convergent regime grow geometrically and carry the comparison scale
     # with them (float64 cannot hold an absolute 1e-10 at magnitude 1e5+).
     started = time.monotonic()
-    rng = make_rng(707)
+    rng = derive_rng(707)
     worst_scaled = 0.0
     for _ in range(1000):
         k = int(rng.integers(1, 17))
@@ -189,7 +188,7 @@ def test_c07_sdpic_algebraic_identity():
 
 def test_c08_error_free_implication():
     started = time.monotonic()
-    rng = make_rng(808)
+    rng = derive_rng(808)
     total = 0
     condition_true = 0
     violations = 0
@@ -198,7 +197,7 @@ def test_c08_error_free_implication():
         k = int(rng.integers(2, 17))
         n = int(rng.integers(16, 129))
         s = int(rng.integers(1, 4))
-        entries = sample_batch(R, rng, batch, k, n)
+        entries = R.sample(rng, (batch, k, n))
         w = covariance_batch(entries)
         lam = eigvalues_batch(w)
         eps = np.maximum(1.0 - lam[:, 0], lam[:, -1] - 1.0)
@@ -262,7 +261,7 @@ def test_c10_oracle_equivalence():
 
 def test_c11_core_invariants():
     started = time.monotonic()
-    rng = make_rng(1111)
+    rng = derive_rng(1111)
     dists = [R, U, N]
     for i in range(10**4):
         k = int(rng.integers(1, 9))
@@ -277,7 +276,7 @@ def test_c11_core_invariants():
         assert np.max(np.abs(q @ np.diag(sp.eigenvalues) @ q.T - w.values)) <= 1e-9
         x = UnitVector.random(k, rng)
         assert abs(quadratic_form(c, x) - x.coords @ w.values @ x.coords) <= 1e-10
-        assert sp.lambda_max <= trace_stat(w) + 1e-9
+        assert sp.lambda_max <= w.trace + 1e-9
         if dist is R:
             assert sp.lambda_max <= k + 1e-9
     _report(11, "PSD, trace, reconstruction, quadratic-form identity, and "

@@ -15,20 +15,16 @@ from eigrates import (
     UnitVector,
     covariance,
     derive_rng,
-    make_rng,
     mp_edges,
     quadratic_form,
     sample_matrix,
     spectrum,
-    trace_stat,
 )
 from eigrates import core
 from eigrates.core import (
     bottom_eigenvalues_vanish,
     covariance_batch,
     eigvalues_batch,
-    gram_batch,
-    sample_batch,
 )
 from jacobi_reference import jacobi_eigh
 from wishart_reference import bartlett_gram
@@ -52,7 +48,7 @@ class TestSampling:
     @pytest.mark.parametrize("dist", [R, U, N])
     def test_normalization(self, dist):
         # mean 0, variance 1 for every entry law
-        draws = dist.sample(make_rng(99), 1_200_000)
+        draws = dist.sample(derive_rng(99), 1_200_000)
         assert abs(draws.mean()) < 5e-3
         assert abs(draws.var() - 1.0) < 5e-3
 
@@ -247,7 +243,7 @@ class TestSpectrumAgainstJacobi:
 
         def perturbed(a):
             vals, vecs = eigh(a)
-            return vals, vecs + 1e-6 * make_rng(1).standard_normal(vecs.shape)
+            return vals, vecs + 1e-6 * derive_rng(1).standard_normal(vecs.shape)
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(ConvergenceError) as err:
@@ -277,14 +273,14 @@ class TestQuadraticForm:
 
     def test_rademacher_upper_bound(self):
         # Cauchy-Schwarz: each column term is at most sum of squares = k
-        rng = make_rng(77)
+        rng = derive_rng(77)
         for _ in range(50):
             c = sample_matrix(R, 5, 11, int(rng.integers(1 << 30)))
             x = UnitVector.random(5, rng)
             assert quadratic_form(c, x) <= 5.0 + 1e-12
 
     def test_matches_bilinear_form(self):
-        rng = make_rng(13)
+        rng = derive_rng(13)
         worst = 0.0
         for _ in range(100):
             k = int(rng.integers(1, 9))
@@ -303,17 +299,17 @@ class TestQuadraticForm:
 class TestTraceStat:
     def test_rademacher_trace_is_k(self):
         w = covariance(sample_matrix(R, 6, 30, 2))
-        assert trace_stat(w) == pytest.approx(6.0, abs=1e-12)
+        assert w.trace == pytest.approx(6.0, abs=1e-12)
 
     def test_identity(self):
-        assert trace_stat(CovMatrix(np.eye(3), n=5)) == 3.0
+        assert CovMatrix(np.eye(3), n=5).trace == 3.0
 
     def test_bounds_lambda_max(self):
-        rng = make_rng(3)
+        rng = derive_rng(3)
         for _ in range(30):
             c = sample_matrix(N, int(rng.integers(1, 7)), 12, int(rng.integers(1 << 30)))
             w = covariance(c)
-            assert spectrum(w).lambda_max <= trace_stat(w) + 1e-9
+            assert spectrum(w).lambda_max <= w.trace + 1e-9
 
 
 class TestMpEdges:
@@ -370,8 +366,8 @@ class TestBatchHelpers:
     # the Monte Carlo fast path must agree with the certified Jacobi solver
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_eigvalues_batch_matches_jacobi(self, k):
-        rng = make_rng(50 + k)
-        entries = sample_batch(R, rng, 64, k, 12)
+        rng = derive_rng(50 + k)
+        entries = R.sample(rng, (64, k, 12))
         w = covariance_batch(entries)
         lam = eigvalues_batch(w)
         for i in range(64):
@@ -380,7 +376,7 @@ class TestBatchHelpers:
 
     def test_batch_sampling_matches_single(self):
         # same generator state gives the same draws regardless of packing
-        a = sample_batch(R, derive_rng(9, 0), 2, 3, 5)
+        a = R.sample(derive_rng(9, 0), (2, 3, 5))
         b = derive_rng(9, 0).integers(0, 2, size=(2, 3, 5)) * 2 - 1
         assert np.array_equal(a, b.astype(float))
 
@@ -398,8 +394,8 @@ class TestExactSymmetry:
             for n in self.NS:
                 w = covariance(sample_matrix(dist, k, n, 1000 * k + n)).values
                 assert np.array_equal(w, w.T), (k, n)
-                for w in (covariance_batch(sample_batch(dist, derive_rng(k, n), 3, k, n)),
-                          gram_batch(dist, derive_rng(n, k), 3, k, n)):
+                for w in (covariance_batch(dist.sample(derive_rng(k, n), (3, k, n))),
+                          *core.gram_blocks(dist, derive_rng(n, k), 3, k, n)):
                     assert np.array_equal(w, np.swapaxes(w, -1, -2)), (k, n)
 
 
@@ -432,29 +428,27 @@ class TestRandomBits:
 
 
 class TestGramBatch:
-    # For +/-1 and uniform entries gram_batch must replay the entry path
-    # exactly: same W bits, same stream.  Normal-entry W is a Bartlett draw,
-    # and must follow its documented layout whatever the block size.
+    # For +/-1 and uniform entries the joined blocks of gram_blocks must
+    # replay the entry path exactly: same W bits, same stream.  Normal-entry
+    # W is a Bartlett draw, and must follow its documented layout whatever
+    # the block size.
     def assert_layout(self, dist, m, k, n, step, seed=3):
-        # gram_batch, and the blocks of gram_blocks joined: full blocks of
-        # `step` trials and a shorter last one
+        # full blocks of `step` trials and a shorter last one
         expected_rng = derive_rng(seed, k, n)
         if dist is R:  # the entries numpy's own bounded draw gives
             entries = (expected_rng.integers(0, 2, size=(m, k, n)) * 2 - 1).astype(np.float64)
             expected = covariance_batch(entries)
         elif dist is U:
-            expected = covariance_batch(sample_batch(dist, expected_rng, m, k, n))
+            expected = covariance_batch(dist.sample(expected_rng, (m, k, n)))
         else:
             expected = bartlett_gram(expected_rng, m, k, n)
-        rng, block_rng = derive_rng(seed, k, n), derive_rng(seed, k, n)
-        w = gram_batch(dist, rng, m, k, n)
+        rng = derive_rng(seed, k, n)
+        blocks = list(core.gram_blocks(dist, rng, m, k, n))
+        assert [len(b) for b in blocks] == [step] * (m // step) + [m % step] * (m % step > 0)
+        w = np.concatenate(blocks)
         assert w.dtype == expected.dtype and w.shape == (m, k, k)
         assert np.array_equal(w, expected)
-        blocks = list(core.gram_blocks(dist, block_rng, m, k, n))
-        assert [len(b) for b in blocks] == [step] * (m // step) + [m % step] * (m % step > 0)
-        assert np.array_equal(np.concatenate(blocks), expected)
-        for generator in (rng, block_rng):
-            assert repr(generator.bit_generator.state) == repr(expected_rng.bit_generator.state)
+        assert repr(rng.bit_generator.state) == repr(expected_rng.bit_generator.state)
 
     @pytest.mark.parametrize("dist", [R, U, N])
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
@@ -480,15 +474,16 @@ class TestGramBatch:
         m, k = 2000, 64
         tracemalloc.start()
         try:
-            gram_batch(dist, derive_rng(5), m, k, 1)
+            for _ in core.gram_blocks(dist, derive_rng(5), m, k, 1):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * m * k * k + 6 * 8 * core.GRAM_BLOCK_ENTRIES
+        assert peak < 6 * 8 * core.GRAM_BLOCK_ENTRIES < 8 * m * k * k
 
 
 class TestBartlettLaw:
-    # Bartlett W against the entry path covariance_batch(sample_batch(N, ...)),
+    # Bartlett W against the entry path covariance_batch(N.sample(...)),
     # which has the same law: tail counts as a two-sample check, moments
     # against E W = I and n Var W_ij = 1 + delta_ij, each within 5 standard
     # errors.  (5, 3) has k > n, so W has rank n.
@@ -507,9 +502,10 @@ class TestBartlettLaw:
     @pytest.mark.parametrize("k, n", [(4, 10), (8, 64), (5, 3)])
     def test_tail_counts_match_the_entry_path(self, k, n):
         m = self.TRIALS
-        bartlett = eigvalues_batch(gram_batch(N, derive_rng(41, k, n, 0), m, k, n))
+        bartlett = eigvalues_batch(np.concatenate(
+            list(core.gram_blocks(N, derive_rng(41, k, n, 0), m, k, n))))
         entries = eigvalues_batch(covariance_batch(
-            sample_batch(N, derive_rng(41, k, n, 1), m, k, n)))
+            N.sample(derive_rng(41, k, n, 1), (m, k, n))))
         for a, b in zip(self.tail_events(bartlett, k, n), self.tail_events(entries, k, n)):
             p_a, p_b = np.mean(a), np.mean(b)
             pooled = (p_a + p_b) / 2
@@ -520,7 +516,7 @@ class TestBartlettLaw:
     @pytest.mark.parametrize("k, n", [(4, 10), (8, 64), (5, 3)])
     def test_moments(self, k, n):
         m = self.TRIALS
-        w = gram_batch(N, derive_rng(43, k, n), m, k, n)
+        w = np.concatenate(list(core.gram_blocks(N, derive_rng(43, k, n), m, k, n)))
         identity = np.eye(k)
         deviation = w - identity
         mean_se = deviation.std(axis=0) / math.sqrt(m)
@@ -531,7 +527,8 @@ class TestBartlettLaw:
 
     def test_rank_when_k_exceeds_n(self):
         k, n = 5, 3
-        lam = eigvalues_batch(gram_batch(N, derive_rng(47), self.TRIALS, k, n))
+        lam = eigvalues_batch(np.concatenate(
+            list(core.gram_blocks(N, derive_rng(47), self.TRIALS, k, n))))
         assert np.all(bottom_eigenvalues_vanish(lam, k - n))
         assert not np.any(bottom_eigenvalues_vanish(lam, k - n + 1))
 
@@ -544,7 +541,7 @@ class TestSignGramClasses:
     def test_first_and_inverse_rebuild_the_stack(self, k, n, with_extra):
         # (9, 2) and (17, 1) pack their keys into two and three int64 words
         rng = derive_rng(4)
-        w = gram_batch(R, rng, 5000, k, n)
+        w = np.concatenate(list(core.gram_blocks(R, rng, 5000, k, n)))
         extra = rng.integers(-2, 3, size=(5000, 2)) if with_extra else None
         first, inverse = core._sign_gram_classes(w, n, extra)
         assert np.array_equal(w[first][inverse], w)
@@ -617,7 +614,7 @@ class TestCholeskyCompletes:
     def test_scratch_is_bounded(self):
         # blocks of CHOLESKY_BLOCK_ENTRIES floats: no copy of the whole stack
         m, k = 1 << 16, 8
-        w = gram_batch(R, derive_rng(63), m, k, 64)
+        w = np.concatenate(list(core.gram_blocks(R, derive_rng(63), m, k, 64)))
         tracemalloc.start()
         try:
             core.cholesky_completes(w, 1.9, -1.0)

@@ -15,7 +15,7 @@ from eigrates import (
     enumerate_exact,
     estimate_tail,
     estimate_tails,
-    legendre,
+    legendre_solve,
     max_above,
     min_below,
     spectrum_histogram,
@@ -28,8 +28,7 @@ from eigrates.core import (
     _chunks,
     covariance_batch,
     eigvalues_batch,
-    gram_batch,
-    sample_batch,
+    gram_blocks,
 )
 from eigrates.mclab import _multisets, _sign_matrix_counts
 import wishart_reference
@@ -112,7 +111,7 @@ class TestEstimateTail:
         def draw(rng, size):
             if dist is N:
                 return wishart_reference.bartlett_gram(rng, size, k, n)
-            return covariance_batch(sample_batch(dist, rng, size, k, n))
+            return covariance_batch(dist.sample(rng, (size, k, n)))
         lam_min = np.concatenate([eigvalues_batch(draw(derive_rng(seed, c), size))[:, 0]
                                   for c, size in enumerate(sizes)])
         # levels at the last chunk's own eigenvalues: another stream misses them
@@ -126,8 +125,9 @@ class TestEstimateTail:
         # +/-1 chunks solve each distinct W once when there are at most
         # CHUNK_TRIALS column-class multisets; (8, 2) has 8,256, (8, 64) far more
         seed, trials = 21, mclab.CHUNK_TRIALS + 3000
-        lam = np.concatenate([eigvalues_batch(gram_batch(R, rng, size, k, n))
-                              for rng, size in _chunks(seed, trials, mclab.CHUNK_TRIALS)])
+        lam = np.concatenate([eigvalues_batch(w)
+                              for rng, size in _chunks(seed, trials, mclab.CHUNK_TRIALS)
+                              for w in gram_blocks(R, rng, size, k, n)])
         solved = []
         monkeypatch.setattr(mclab, "eigvalues_batch",
                             lambda w: solved.append(len(w)) or eigvalues_batch(w))
@@ -169,7 +169,7 @@ class TestEstimateTail:
         # screen or one at the median of either extreme eigenvalue, which
         # keeps the rows at or beyond it; (9, 2) and (17, 1) pack their keys
         # into more than one int64 word
-        w = gram_batch(R, derive_rng(2), 5000, k, n)
+        w = np.concatenate(list(gram_blocks(R, derive_rng(2), 5000, k, n)))
         lam = eigvalues_batch(w)
         upper, lower = float(np.median(lam[:, -1])), float(np.median(lam[:, 0]))
         screens = [(None, np.ones(len(w), dtype=bool)),
@@ -289,13 +289,14 @@ class TestMemoryBound:
     @pytest.mark.parametrize("dist", [R, U, N])
     def test_estimate_tail_holds_no_chunk_stack(self, dist):
         # at k = n = 32 a 2^13-trial chunk of W takes 64 MiB, a gram block 8
+        # (normal entries peak near 34 MiB, the others near 25)
         tracemalloc.start()
         try:
             estimate_tail(dist, 32, 32, 3.0, TailSide.MAX_ABOVE, 1 << 13, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 8 * GRAM_BLOCK_ENTRIES
+        assert peak < 5 * 8 * GRAM_BLOCK_ENTRIES
 
 
 class TestNormalTailOracle:
@@ -367,7 +368,7 @@ class TestEnumerateExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 8 * mclab.ENUM_CHUNK_ENTRIES
+        assert peak < 6 * 8 * GRAM_BLOCK_ENTRIES
 
     @pytest.mark.parametrize("k,n", [(1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (8, 3),
                                      (12, 2), (24, 1)])
@@ -465,7 +466,7 @@ class TestSpectrumHistogram:
         # zeros of each trial count as inside
         k, n, trials, seed = 5, 3, 4000, 9
         h = spectrum_histogram(U, k, n, trials, 20, seed)
-        c = np.concatenate([sample_batch(U, rng, size, k, n)
+        c = np.concatenate([U.sample(rng, (size, k, n))
                             for rng, size in _chunks(seed, trials, mclab.CHUNK_TRIALS)])
         nonzero = np.linalg.eigvalsh(np.swapaxes(c, -1, -2) @ c / n)
         lo, hi = (math.sqrt(k / n) - 1.0) ** 2, (math.sqrt(k / n) + 1.0) ** 2
@@ -494,7 +495,7 @@ class TestChernoffSideBound:
         x = UnitVector.uniform(2)
         spec = CgfSpec.for_direction(R, x)
         n, trials, alpha = 30, 40000, 0.5
-        rate, _ = legendre(spec, alpha)
+        rate = legendre_solve(spec, alpha).rate
         hits = 0
         chunk = 8000
         for index in range(trials // chunk):

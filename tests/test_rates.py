@@ -17,9 +17,7 @@ from eigrates import (
     chernoff_squared_entry,
     derive_rng,
     grid_covering,
-    legendre,
     legendre_solve,
-    make_rng,
     mgf_bound_check,
     phase_transition_alpha_star,
     phase_transition_alpha_star_k,
@@ -89,7 +87,7 @@ class TestCgf:
     @pytest.mark.parametrize("dist", [R, U, N])
     def test_slope_one_at_origin(self, dist):
         # Lambda'(0) = E[S^2] = 1 on the unit sphere
-        rng = make_rng(11)
+        rng = derive_rng(11)
         for _ in range(5):
             spec = CgfSpec.for_direction(dist, UnitVector.random(4, rng))
             h = 1e-5
@@ -111,7 +109,7 @@ class TestCgf:
     def test_uniform_matches_monte_carlo(self):
         # independent check of the Gaussian-mixture quadrature
         spec = spec_for(U, 3, coords=[2.0, -1.0, 0.5])
-        rng = make_rng(5)
+        rng = derive_rng(5)
         s = spec.x.coords @ U.sample(rng, (3, 2_000_000))
         for t in (0.05, 0.2):
             mc = math.log(np.mean(np.exp(t * s * s)))
@@ -131,7 +129,7 @@ class TestCgf:
 class TestTilted:
     def test_uniform_moments_at_origin(self):
         # Lambda'(0) = E S^2 = 1 and Lambda''(0) = Var S^2 = 2 - (6/5) sum x^4
-        rng = make_rng(13)
+        rng = derive_rng(13)
         for k in (1, 2, 3, 6):
             x = UnitVector.random(k, rng)
             lam, slope, curv = _tilted(CgfSpec.for_direction(U, x), 0.0)
@@ -205,38 +203,38 @@ class TestUniformRule:
 
 class TestLegendre:
     def test_wishart_example(self):
-        rate, t_star = legendre(spec_for(N, 3), 2.0)
-        assert rate == pytest.approx(0.5 * (1.0 - math.log(2.0)), abs=1e-10)
-        assert t_star == pytest.approx(0.25, abs=1e-8)
+        sol = legendre_solve(spec_for(N, 3), 2.0)
+        assert sol.rate == pytest.approx(0.5 * (1.0 - math.log(2.0)), abs=1e-10)
+        assert sol.t_star == pytest.approx(0.25, abs=1e-8)
 
     def test_mean_case(self):
-        rate, t_star = legendre(spec_for(R, 2), 1.0)
-        assert abs(rate) <= 1e-12
-        assert abs(t_star) <= 1e-7
+        sol = legendre_solve(spec_for(R, 2), 1.0)
+        assert abs(sol.rate) <= 1e-12
+        assert abs(sol.t_star) <= 1e-7
 
     def test_two_atom_boundary(self):
         # sup_t (2t - log((exp(2t)+1)/2)) = log 2, reached only in the limit
         spec = spec_for(R, 2)
-        rate, t_star = legendre(spec, 2.0)
-        assert rate == pytest.approx(math.log(2.0), abs=1e-12)
-        assert math.isinf(t_star)
-        rate_beyond, _ = legendre(spec, 2.0 + 1e-6)
+        sol = legendre_solve(spec, 2.0)
+        assert sol.rate == pytest.approx(math.log(2.0), abs=1e-12)
+        assert math.isinf(sol.t_star)
+        rate_beyond = legendre_solve(spec, 2.0 + 1e-6).rate
         assert math.isinf(rate_beyond)
 
     def test_lower_support_boundary(self):
         # uniform direction with k=3 has S^2 >= 1/3 with mass 3/4 at 1/3
         spec = spec_for(R, 3)
-        rate, t_star = legendre(spec, 1.0 / 3.0)
-        assert rate == pytest.approx(-math.log(0.75), abs=1e-12)
-        assert t_star == -math.inf
-        rate_below, _ = legendre(spec, 0.2)
+        sol = legendre_solve(spec, 1.0 / 3.0)
+        assert sol.rate == pytest.approx(-math.log(0.75), abs=1e-12)
+        assert sol.t_star == -math.inf
+        rate_below = legendre_solve(spec, 0.2).rate
         assert math.isinf(rate_below)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_support_edges_of_every_law(self, k):
         # (inf S^2, sup S^2): uniform and normal S have a density at 0, a
         # uniform sum reaches sqrt(3) sum_j |x_j|, a normal one is unbounded
-        for x in (UnitVector.uniform(k), UnitVector.random(k, make_rng(k))):
+        for x in (UnitVector.uniform(k), UnitVector.random(k, derive_rng(k))):
             uniform, normal, sign = (CgfSpec.for_direction(dist, x) for dist in (U, N, R))
             reach = 3.0 * float(np.sum(np.abs(x.coords))) ** 2
             assert uniform.support_edge(-1) == 0.0
@@ -281,12 +279,12 @@ class TestLegendre:
         assert sparse.t_star < 0.0
 
     def test_never_negative(self):
-        rng = make_rng(8)
+        rng = derive_rng(8)
         for _ in range(40):
             k = int(rng.integers(2, 7))
             spec = CgfSpec.for_direction(R, UnitVector.random(k, rng))
             alpha = float(rng.uniform(0.05, 2.5))
-            rate, _ = legendre(spec, alpha)
+            rate = legendre_solve(spec, alpha).rate
             assert rate >= 0.0
             if abs(alpha - 1.0) > 0.02 and math.isfinite(rate):
                 assert rate > 0.0
@@ -295,11 +293,11 @@ class TestLegendre:
         for dist in (R, U, N):
             for alpha in (0.0, math.nan):
                 with pytest.raises(DomainError):
-                    legendre(spec_for(dist, 2), alpha)
+                    legendre_solve(spec_for(dist, 2), alpha)
 
     def test_uniform_lower_tail_unsupported(self):
         with pytest.raises(UnsupportedDomainError):
-            legendre(spec_for(U, 2), 0.7)
+            legendre_solve(spec_for(U, 2), 0.7)
 
     def test_solver_counters(self):
         # pinned: a forced bisection or a wasted probe would change them
@@ -328,7 +326,7 @@ class TestLegendre:
         # at k = 2, S^2 takes two values with probability 1/2 each, so the
         # transform is KL(p || 1/2) with p = (a - lo)/(hi - lo); the levels
         # sit 1e-3 to 3e-12 relative inside an edge, those outside its band
-        rng = make_rng(2121)
+        rng = derive_rng(2121)
         solves = 0
         for _ in range(30):
             spec = CgfSpec.for_direction(R, UnitVector.random(2, rng))
@@ -358,7 +356,7 @@ class TestLegendre:
         # direct sup over a dense t grid as an independent oracle
         spec = CgfSpec.for_direction(R, UnitVector.of([2.0, 1.0, 1.0]))
         for alpha in (0.6, 1.4):
-            rate, _ = legendre(spec, alpha)
+            rate = legendre_solve(spec, alpha).rate
             ts = np.linspace(-6.0, 6.0, 20001)
             grid = max(t * alpha - cgf(spec, float(t)) for t in ts)
             assert rate == pytest.approx(grid, abs=1e-6)
@@ -494,13 +492,13 @@ class TestMgfBoundCheck:
         assert mgf_bound_check(dist, UnitVector.uniform(3), 0.0)
 
     def test_rademacher_extreme_tilt(self):
-        rng = make_rng(21)
+        rng = derive_rng(21)
         for k in (2, 5, 9, 12):
             assert mgf_bound_check(R, UnitVector.random(k, rng), -1.0)
 
     @pytest.mark.parametrize("dist", [R, U, N])
     def test_random_pairs(self, dist):
-        rng = make_rng(31)
+        rng = derive_rng(31)
         for _ in range(200):
             k = int(rng.integers(2, 11))
             x = UnitVector.random(k, rng)
@@ -536,17 +534,17 @@ class TestRateK:
         best = math.inf
         for theta in np.linspace(0.0, math.pi / 4.0, 300):
             x = UnitVector.of([math.cos(theta), math.sin(theta)])
-            val, _ = legendre(CgfSpec.for_direction(R, x), 0.5)
+            val = legendre_solve(CgfSpec.for_direction(R, x), 0.5).rate
             best = min(best, val)
         assert res.rate == pytest.approx(best, abs=1e-6)
         assert res.rate == pytest.approx(rate_two_sparse(0.5), abs=1e-7)
 
     def test_infimum_below_any_direction(self):
-        rng = make_rng(17)
+        rng = derive_rng(17)
         res = rate_k(R, 4, 1.4, FAST_OPTS)
         for _ in range(50):
             x = UnitVector.random(4, rng)
-            val, _ = legendre(CgfSpec.for_direction(R, x), 1.4)
+            val = legendre_solve(CgfSpec.for_direction(R, x), 1.4).rate
             assert res.rate <= val + 1e-9
 
     def test_alpha_monotonicity(self):
@@ -622,7 +620,7 @@ class TestCgfGradient:
         (U, range(2, 5), (1.5, 2.0, 2.5)),
     ])
     def test_matches_central_differences(self, dist, ks, alphas):
-        rng = make_rng(41)
+        rng = derive_rng(41)
         checked = 0
         for k in ks:
             for alpha in alphas:
@@ -636,7 +634,7 @@ class TestCgfGradient:
         assert checked >= 2 * len(ks) * len(alphas)
 
     def test_normal_is_zero(self):
-        spec = CgfSpec.for_direction(N, UnitVector.random(5, make_rng(3)))
+        spec = CgfSpec.for_direction(N, UnitVector.random(5, derive_rng(3)))
         assert np.array_equal(_cgf_gradient(spec, 0.3), np.zeros(5))
         res = rate_k(N, 5, 2.0, FAST_OPTS)
         assert all(d.steps == 0 and d.converged for d in res.descents)
@@ -644,7 +642,7 @@ class TestCgfGradient:
     def test_k24_needs_no_pattern_matrix(self):
         # a 2^23 x 24 sign-pattern matrix would take 1.5 GiB; the gradient's
         # scratch is the tilted weights and the halves it folds them into
-        x = UnitVector.random(24, make_rng(9))
+        x = UnitVector.random(24, derive_rng(9))
         spec = CgfSpec.for_direction(R, x)
         sol = legendre_solve(spec, 1.5)
         tracemalloc.start()
@@ -656,7 +654,7 @@ class TestCgfGradient:
         assert peak < 2 * 8 * 2 ** 23
         # the directional derivative along a tangent agrees with a central
         # difference of the rate
-        d = make_rng(10).standard_normal(24)
+        d = derive_rng(10).standard_normal(24)
         d -= np.dot(d, x.coords) * x.coords
         d /= np.linalg.norm(d)
         h = 1e-6
@@ -707,7 +705,7 @@ class TestDescent:
         # with no secant pair the direction is -DESCENT_INITIAL_STEP * g, so
         # the first trial is the steepest-descent step to the last bit, on
         # the sphere itself: neither the start nor the trial is re-sorted
-        start = make_rng(17).standard_normal(6)
+        start = derive_rng(17).standard_normal(6)
         x = start / np.linalg.norm(start)
         spec = CgfSpec.for_direction(R, UnitVector(x))
         grad = -_cgf_gradient(spec, legendre_solve(spec, 0.75).t_star)

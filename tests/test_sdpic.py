@@ -19,7 +19,6 @@ from eigrates import (
     derive_rng,
     error_free_condition,
     iterate_to_limit,
-    make_rng,
     mf_decode,
     run_decode,
     sample_matrix,
@@ -30,7 +29,7 @@ from eigrates import (
     weighted_sdpic,
 )
 from eigrates import core, sdpic
-from eigrates.core import covariance_batch, eigvalues_batch, sample_batch
+from eigrates.core import covariance_batch, eigvalues_batch
 
 R = EntryDistribution.RADEMACHER
 
@@ -53,7 +52,7 @@ def chunk_zero_instances(k, n, trials, seed):
     rng = derive_rng(seed, 0)
     bits = (rng.integers(0, 2, size=(trials, k)) * 2 - 1).astype(np.float64)
     rng.integers(0, 2, size=(trials, k))  # the tie-break coins
-    entries = sample_batch(R, rng, trials, k, n)
+    entries = R.sample(rng, (trials, k, n))
     return [(SampleMatrix(R, k, n, entries[t], seed=0), bits[t]) for t in range(trials)]
 
 
@@ -67,7 +66,7 @@ def chunk_zero_stack(k, n, trials, seed):
     rng = derive_rng(seed, 0)
     bits = (rng.integers(0, 2, size=(trials, k)) * 2 - 1).astype(np.float64)
     rng.integers(0, 2, size=(trials, k))  # the tie-break coins
-    return core.gram_batch(R, rng, trials, k, n), bits
+    return np.concatenate(list(core.gram_blocks(R, rng, trials, k, n))), bits
 
 
 def eager_recursion(w, z, cap, tol=None, visit=None, product=sdpic._stack_product):
@@ -101,12 +100,23 @@ def eager_recursion(w, z, cap, tol=None, visit=None, product=sdpic._stack_produc
     return est, stages, converged, ahead
 
 
+def eager_trace(c, z, stages, coin_seed):
+    """stage_trace's rows built from eager_recursion's per-stage iterates."""
+    iterates = []
+    eager_recursion(*sdpic._instance(c, z), stages, product=sdpic._matrix_product,
+                    visit=lambda s, e: iterates.append((s, e[0].copy())))
+    assert [s for s, _ in iterates] == list(range(1, stages + 1))
+    return [(s, float(np.max(np.abs(e - z))),
+             int(np.count_nonzero(decide_bits(e, coin_seed) != z))) for s, e in iterates]
+
+
 def mixed_stack(k, t, seed):
     """W stack whose trials converge at many stages, hit the cap, or overflow."""
-    rng = make_rng(seed)
-    w = covariance_batch(sample_batch(EntryDistribution.STD_NORMAL, rng, t, k, 4 * k))
+    rng = derive_rng(seed)
+    w = covariance_batch(EntryDistribution.STD_NORMAL.sample(rng, (t, k, 4 * k)))
     w *= rng.uniform(0.2, 1.6, size=(t, 1, 1))
-    w[: t // 8] = core.gram_batch(R, rng, t // 8, k, 2 * k)  # singular and lambda_max >= 2
+    # singular and lambda_max >= 2
+    w[: t // 8] = np.concatenate(list(core.gram_blocks(R, rng, t // 8, k, 2 * k)))
     z = (rng.integers(0, 2, size=(t, k)) * 2 - 1).astype(np.float64)
     return w, z
 
@@ -141,6 +151,26 @@ PINNED_INFINITE_MODE = {
          (0.00024379955314601253, 0.0004867319861444924)),
 }
 
+# ber_experiment's full records at finite stages, where estimates that are
+# exactly zero go to a coin, so the counts follow the decode's round-off.
+PINNED_FINITE_MODE = [
+    ((4, 6, 3, 20000, 3), {},
+     {"experiment": "sdpic_ber", "k": 4, "n": 6, "s": 3, "weight": None, "trials": 20000,
+      "any_user_error_count": 4021, "per_user_error_counts": [989, 1069, 1063, 1000],
+      "p_hat": 0.20105, "empirical_rate": 0.267366940939809, "seed": 3, "cap_hit_count": 0,
+      "oscillation_count": 0, "ci": [0.19551425728734234, 0.20667277734871126]}),
+    ((4, 12, 5, 20000, 9), {},
+     {"experiment": "sdpic_ber", "k": 4, "n": 12, "s": 5, "weight": None, "trials": 20000,
+      "any_user_error_count": 413, "per_user_error_counts": [110, 89, 110, 108],
+      "p_hat": 0.02065, "empirical_rate": 0.3233366632979246, "seed": 9, "cap_hit_count": 0,
+      "oscillation_count": 0, "ci": [0.018724031418748736, 0.022717015692593562]}),
+    ((6, 10, 4, 20000, 2), {"weight": 1.5},
+     {"experiment": "sdpic_ber", "k": 6, "n": 10, "s": 4, "weight": 1.5, "trials": 20000,
+      "any_user_error_count": 802, "per_user_error_counts": [163, 157, 152, 178, 158, 161],
+      "p_hat": 0.0401, "empirical_rate": 0.3216378944669614, "seed": 2, "cap_hit_count": 0,
+      "oscillation_count": 0, "ci": [0.03742298433478585, 0.04291173101851218]}),
+]
+
 
 class TestMfDecode:
     def test_orthogonal_codes_are_exact(self):
@@ -152,7 +182,7 @@ class TestMfDecode:
         assert mf_decode(c, np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_equals_w_times_z(self):
-        rng = make_rng(3)
+        rng = derive_rng(3)
         for _ in range(20):
             k, n = int(rng.integers(1, 8)), int(rng.integers(4, 40))
             c = sample_matrix(R, k, n, int(rng.integers(1 << 30)))
@@ -216,7 +246,7 @@ class TestStagesAndClosedForm:
     @given(st.integers(1, 12), st.integers(4, 40), st.integers(1, 24), st.integers(0, 2**20))
     def test_recursion_equals_partial_sum(self, k, n, s, seed):
         c = sample_matrix(R, k, n, seed)
-        z = random_bits(make_rng(seed + 1), k)
+        z = random_bits(derive_rng(seed + 1), k)
         a = sdpic_stage(c, z, s)
         b = sdpic_closed(c, z, s)
         scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
@@ -224,7 +254,7 @@ class TestStagesAndClosedForm:
 
     def test_matches_spectral_form_in_convergent_regime(self):
         # [I - (I-W)^s] Z computed through the eigendecomposition
-        rng = make_rng(8)
+        rng = derive_rng(8)
         found = 0
         while found < 10:
             c = sample_matrix(R, 3, 40, int(rng.integers(1 << 30)))
@@ -240,7 +270,7 @@ class TestStagesAndClosedForm:
                 assert np.max(np.abs(sdpic_closed(c, z, s) - oracle)) <= 1e-9
 
     def test_convergence_toward_z(self):
-        rng = make_rng(12)
+        rng = derive_rng(12)
         c = sample_matrix(R, 3, 60, 44)
         sp = spectrum(covariance(c))
         assert 0.0 < sp.lambda_min and sp.lambda_max < 2.0
@@ -257,7 +287,7 @@ def _scale_to_half():
 
 class TestWeighted:
     def test_weight_one_is_bit_identical(self):
-        rng = make_rng(5)
+        rng = derive_rng(5)
         for _ in range(30):
             k, n, s = int(rng.integers(1, 10)), int(rng.integers(4, 40)), int(rng.integers(1, 20))
             c = sample_matrix(R, k, n, int(rng.integers(1 << 30)))
@@ -270,7 +300,7 @@ class TestWeighted:
 
     def test_large_weight_always_converges(self):
         # taking M > k guarantees lambda_max <= k < M
-        rng = make_rng(6)
+        rng = derive_rng(6)
         checked = 0
         while checked < 10:
             c = sample_matrix(R, 3, 30, int(rng.integers(1 << 30)))
@@ -315,7 +345,7 @@ class TestDecideBits:
         assert 0.4 < np.mean(np.array(draws) == 1.0) < 0.6
 
     def test_positive_scale_invariance(self):
-        rng = make_rng(7)
+        rng = derive_rng(7)
         for _ in range(20):
             est = rng.standard_normal(6)
             est[rng.integers(0, 6)] = 0.0
@@ -347,7 +377,7 @@ class TestErrorFreeCondition:
 
     def test_threshold_form(self):
         # condition is equivalent to eps < k ** (-1/(2s))
-        rng = make_rng(9)
+        rng = derive_rng(9)
         for _ in range(200):
             k = int(rng.integers(2, 12))
             s = int(rng.integers(1, 5))
@@ -368,7 +398,7 @@ class TestDecodeAndLimit:
         assert set(np.unique(state.decided)) <= {-1.0, 1.0}
 
     def test_iterate_to_limit_converges(self):
-        rng = make_rng(14)
+        rng = derive_rng(14)
         while True:
             c = sample_matrix(R, 3, 50, int(rng.integers(1 << 30)))
             sp = spectrum(covariance(c))
@@ -427,10 +457,10 @@ class TestBerExperiment:
 
     def test_error_free_condition_implies_no_errors(self):
         # spot-check of the implication on batched instances
-        rng = make_rng(10)
+        rng = derive_rng(10)
         violations = 0
         for s in (1, 2, 3):
-            entries = sample_batch(R, rng, 500, 4, 32)
+            entries = R.sample(rng, (500, 4, 32))
             w = covariance_batch(entries)
             lam = eigvalues_batch(w)
             eps = np.maximum(1.0 - lam[:, 0], lam[:, -1] - 1.0)
@@ -497,6 +527,10 @@ class TestBerExperiment:
                 "empirical_rate": rate, "seed": 909, "cap_hit_count": caps,
                 "oscillation_count": osc, "ci": list(ci),
             }
+
+    def test_finite_mode_records_are_pinned(self):
+        for args, kwargs, record in PINNED_FINITE_MODE:
+            assert ber_experiment(*args, **kwargs).record() == record
 
     def test_weighted_mode_runs(self):
         est = ber_experiment(3, 16, 4, trials=5000, seed=3, weight=4.0)
@@ -568,26 +602,22 @@ class TestRecursionKeepsItsBits:
                                              product=product), expected)
 
     def test_visit_without_tolerance(self):
+        # with no tol every trial runs to the cap; stage_trace, the one
+        # per-stage reader of the recursion, gives rows built from the same
+        # stage's iterate of the reference recursion, bit for bit
         w, z = mixed_stack(3, 200, seed=5)
-        seen, seen_eager = [], []
-        got = sdpic._recursion(w, z, 60, visit=lambda s, e: seen.append((s, e.copy())))
-        expected = eager_recursion(w, z, 60, visit=lambda s, e: seen_eager.append((s, e.copy())))
-        assert_same_results(got, expected)
-        assert [s for s, _ in seen] == list(range(1, 61))
-        for (sa, a), (sb, b) in zip(seen, seen_eager, strict=True):
-            assert sa == sb and np.array_equal(a, b, equal_nan=True)
+        assert_same_results(sdpic._recursion(w, z, 60), eager_recursion(w, z, 60))
+        c, z = sample_matrix(R, 3, 40, 4), np.array([1.0, -1.0, 1.0])
+        assert stage_trace(c, z, 60, coin_seed=5) == eager_trace(c, z, 60, 5)
 
     def test_visit_arrays_stay_valid(self):
-        # the iterates of a block share one buffer, reused block after
-        # block: an array that visit keeps uncopied must keep its stage
-        w, z = mixed_stack(3, 200, seed=6)
-        cap = 4 * sdpic._block_stages(200, 3) + 5
-        kept, seen_eager = [], []
-        sdpic._recursion(w, z, cap, visit=lambda s, e: kept.append(e))
-        eager_recursion(w, z, cap, visit=lambda s, e: seen_eager.append(e.copy()))
-        assert len(kept) == cap
-        for a, b in zip(kept, seen_eager, strict=True):
-            assert np.array_equal(a, b, equal_nan=True)
+        # on a diverging instance each row keeps its stage: the rows equal
+        # the reference's, and a shorter trace is their prefix
+        c, z = divergent_instance(), np.ones(8)
+        rows = stage_trace(c, z, 60, coin_seed=5)
+        assert rows == eager_trace(c, z, 60, 5)
+        assert rows[-1][1] > 1e20
+        assert stage_trace(c, z, 17, coin_seed=5) == rows[:17]
 
     def test_rows_stop_at_every_offset_of_a_block(self):
         # scalar trials whose contraction |1 - w| spreads their stops over
@@ -633,7 +663,7 @@ class TestRecursionKeepsItsBits:
         assert_same_results(sdpic._recursion(w, z, 300, sdpic.INFTY_TOL), expected)
 
     def test_instance_laws_through_iterate_to_limit(self):
-        rng = make_rng(12)
+        rng = derive_rng(12)
         laws = (R, EntryDistribution.UNIFORM_SYM, EntryDistribution.STD_NORMAL)
         outcomes = set()
         for i in range(48):  # every (law, k) pair twice

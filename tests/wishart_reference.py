@@ -67,9 +67,10 @@ def total_mass(n: int, larger: bool) -> float:
 
 
 def bartlett_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:
-    """W = L L^T / n for m trials, drawn in one shot in core.gram_batch's
-    normal-entry stream layout: the m x r chi-squares (r = min(k, n)), then
-    every trial's strictly lower normals, row by row."""
+    """W = L L^T / n for m trials, drawn in one shot in the normal-entry
+    stream layout of core.gram_blocks, whose blocks joined it must equal:
+    the m x r chi-squares (r = min(k, n)), then every trial's strictly
+    lower normals, row by row."""
     r = min(k, n)
     chi2 = rng.chisquare(n - np.arange(r), size=(m, r))
     rows, cols = np.tril_indices(k, -1, r)
