@@ -335,26 +335,32 @@ def covariance_batch(entries: np.ndarray) -> np.ndarray:
 def gram_blocks(dist: EntryDistribution, rng: np.random.Generator,
                 m: int, k: int, n: int):
     """W = (1/n) C C^T for m fresh k x n entry matrices, as (rows, k, k)
-    blocks of GRAM_BLOCK_ENTRIES // (k max(n, k)) trials (k*n entries and
-    k*k products per trial) or, for normal entries, GRAM_BLOCK_ENTRIES //
-    k^2, at least 1 and the last shorter.
+    blocks of _block_sizes' trials or, for normal entries,
+    GRAM_BLOCK_ENTRIES // k^2, at least 1 and the last shorter.
 
     For +/-1 and uniform entries the joined blocks are bit for bit
     covariance_batch(dist.sample(rng, (m, k, n))), and once exhausted the
     generator leaves rng in the same state; for +/-1 entries no float C is
-    built: see _sign_gram.  Normal-entry W has the same law but is drawn
-    by the Bartlett decomposition, from another stream: see _wishart_gram.
+    built: each block is _sign_gram of _sign_distances.  Normal-entry W has
+    the same law but is drawn by the Bartlett decomposition, from another
+    stream: see _wishart_gram.
     """
     if dist is EntryDistribution.STD_NORMAL:
         yield from _wishart_gram(rng, m, k, n)
         return
-    step = max(1, GRAM_BLOCK_ENTRIES // (k * max(n, k)))
-    for start in range(0, m, step):
-        size = min(step, m - start)
+    for size in _block_sizes(m, k, n):
         if dist is EntryDistribution.RADEMACHER:
-            yield _sign_gram(rng, size, k, n)
+            yield _sign_gram(_sign_distances(rng, size, k, n), k, n)
         else:
             yield covariance_batch(dist.sample(rng, (size, k, n)))
+
+
+def _block_sizes(m: int, k: int, n: int):
+    """Trials per block of m entry matrices: GRAM_BLOCK_ENTRIES // (k max(n, k))
+    (k*n entries and k*k products per trial), at least 1, the last shorter."""
+    step = max(1, GRAM_BLOCK_ENTRIES // (k * max(n, k)))
+    for start in range(0, m, step):
+        yield min(step, m - start)
 
 
 def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int):
@@ -394,50 +400,80 @@ def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int):
         yield block
 
 
-def _sign_gram(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:
-    """W for m +/-1 matrices from the bits EntryDistribution.sample draws.
+def _sign_distances(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndarray:
+    """Distances d_ij = popcount(b_i XOR b_j), i < j, of m +/-1 matrices from
+    the bits EntryDistribution.sample draws, as an (m, k(k-1)/2) array in
+    np.triu_indices(k, 1) order, of the smallest unsigned type that holds
+    n (uint8 up to n = 255, uint16 up to 65,535).  Row i and row j of C
+    differ in d_ij entries, so n W_ij = n - 2 d_ij.
 
-    The bits (1 is the entry +1) go into rows zero-padded to whole words
-    of 1, 2, 4 or 8 bytes (the smallest that holds a row, else 8), and one
-    flat packbits turns row i into the words b_i.  n W_ij = n - 2d with
-    d = popcount(b_i XOR b_j) is an integer, so W = (nW)/n is the
-    correctly rounded quotient that the exact float sums of
-    covariance_batch give too.
+    The bits are drawn in blocks of _block_sizes' trials, which bounds the
+    scratch.  They (1 is the entry +1) go into rows zero-padded to whole
+    words of 1, 2, 4 or 8 bytes (the smallest that holds a row, else 8),
+    one flat packbits turns row i into the words b_i, and only the
+    k(k-1)/2 pairs i < j are XORed.
     """
     row_bytes = -(-n // 8)
     word = min(8, 1 << (row_bytes - 1).bit_length())  # bytes
     width = -(-row_bytes // word) * word * 8  # padded bits per row
-    bits = np.zeros((m, k, width), dtype=bool)
-    bits[..., :n] = random_bits(rng, (m, k, n))
-    words = np.packbits(bits, bitorder="little").view(f"u{word}").reshape(m, k, -1)
-    # trials last, so each XOR and popcount runs along all m trials at once
-    words = np.ascontiguousarray(words.transpose(1, 2, 0))
-    differ = np.bitwise_count(words[:, None] ^ words[None, :]).sum(axis=2, dtype=np.intp)
-    # the n + 1 possible quotients (n - 2d)/n, looked up by d
-    return ((n - 2 * np.arange(n + 1)) / n)[differ.transpose(2, 0, 1)]
-
-
-def _sign_gram_classes(w: np.ndarray, n: int, extra: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of the distinct rows of an (m, k, k) stack of +/-1 W,
-    each row keyed with its row of the optional (m, c) integer columns extra:
-    w[first] holds each distinct row once, at its first index, and
-    w[first][inverse] is w again (so is extra[first][inverse]).
-
-    The key is exact, with no hashing: the strict upper triangle as
-    integer distances (n - nW_ij)/2 in 0..n, bit_length(n) bits each,
-    packed into int64 words, then the extra columns, sorted row by row.
-    The diagonal is 1.  The key needs at least one column (k >= 2 or extra).
-    """
-    m, k = w.shape[0], w.shape[-1]
-    upper = k * (k - 1) // 2
-    bits = int(n).bit_length()
-    per_word = max(1, min(upper, 63 // bits))
-    n_words = -(-upper // per_word)
-    distance = np.zeros((m, n_words * per_word), dtype=np.int64)
     rows, cols = np.triu_indices(k, 1)
-    distance[:, :upper] = np.rint((1.0 - w[:, rows, cols]) * (n / 2))
-    words = (distance.reshape(m, n_words, per_word) << bits * np.arange(per_word)).sum(axis=-1)
+    distances = np.empty((m, rows.size), dtype=np.min_scalar_type(n))
+    start = 0
+    for size in _block_sizes(m, k, n):
+        bits = np.zeros((size, k, width), dtype=bool)
+        bits[..., :n] = random_bits(rng, (size, k, n))
+        words = np.packbits(bits, bitorder="little").view(f"u{word}").reshape(size, k, -1)
+        # trials last, so each XOR and popcount runs along all trials at once
+        words = np.ascontiguousarray(words.transpose(1, 2, 0))
+        differ = np.bitwise_count(words[rows] ^ words[cols])
+        distances[start:start + size] = differ.sum(axis=1, dtype=distances.dtype).T
+        start += size
+    return distances
+
+
+def _sign_gram(distances: np.ndarray, k: int, n: int) -> np.ndarray:
+    """W of each row of an (m, k(k-1)/2) block of _sign_distances, as an
+    (m, k, k) stack with trials last in memory, the layout whose einsum
+    round-off sdpic's finite-stage decode keeps.
+
+    n W_ij = n - 2 d_ij is an integer, so W = (nW)/n is the correctly
+    rounded quotient that the exact float sums of covariance_batch give
+    too.  The diagonal is 1 (distance 0).
+    """
+    m, upper = distances.shape
+    rows, cols = np.triu_indices(k, 1)
+    pair = np.full((k, k), upper)  # the diagonal reads the zero row
+    pair[rows, cols] = pair[cols, rows] = np.arange(upper)
+    padded = np.zeros((upper + 1, m), dtype=distances.dtype)
+    padded[:upper] = distances.T
+    # the n + 1 possible quotients (n - 2d)/n, looked up by d
+    return ((n - 2 * np.arange(n + 1)) / n)[padded[pair].transpose(2, 0, 1)]
+
+
+def _sign_gram_classes(distances: np.ndarray, n: int, extra: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the distinct rows of an (m, k(k-1)/2) block of
+    +/-1 distances in 0..n (from _sign_distances), each row keyed with its
+    row of the optional (m, c) integer columns extra:
+    distances[first] holds each distinct row once, at its first index, and
+    distances[first][inverse] is distances again (so is
+    extra[first][inverse]).  Equal distances are equal W.
+
+    The key is exact, with no hashing: the distances, bit_length(n) bits
+    each, packed into 16-bit words (one all-zero word at k = 1, where every
+    W is [[1]]; wider ones if n needs more bits), then the extra columns,
+    sorted row by row.  numpy sorts 16-bit keys stably by radix, several
+    times faster than 64-bit ones.
+    """
+    m, upper = distances.shape
+    bits = int(n).bit_length()
+    word = np.promote_types(distances.dtype, np.uint16)
+    per_word = max(1, min(upper, 8 * word.itemsize // bits))
+    words = np.zeros((m, max(1, -(-upper // per_word))), dtype=word)
+    for j in range(min(upper, per_word)):
+        # columns j, j + per_word, ... are digit j of words 0, 1, ...
+        digit = distances[:, j::per_word]
+        words[:, :digit.shape[1]] |= digit.astype(word) << bits * j
     if extra is not None:
         words = np.concatenate([words, extra], axis=1)
     order = np.lexsort(words.T)

@@ -11,12 +11,14 @@ count, not on execution order, and chunks could run in parallel.  Each
 experiment's fixed chunk size is part of its stream.
 
 Within a chunk, W arrives in core.gram_blocks' blocks, and each block is
-solved before the next is drawn, so no chunk-sized W stack is held.  Tail
-counts at k >= 3 screen each block first: a batched Cholesky factorization
-(core.cholesky_completes) of cI - W or W - cI, at a level moved by a
-relative guard of SCREEN_GUARD towards the bulk, proves that most W of a
-far tail reach no level, and LAPACK solves only the rest, so every count
-is the one that solving every W gives.
+solved before the next is drawn, so no chunk-sized W stack is held.  +/-1
+chunks with few enough possible W keep each trial as its k(k-1)/2 integer
+distances instead, and solve each distinct W once, weighted by its trial
+count.  Tail counts at k >= 3 screen W first: a batched Cholesky
+factorization (core.cholesky_completes) of cI - W or W - cI, at a level
+moved by a relative guard of SCREEN_GUARD towards the bulk, proves that
+most W of a far tail reach no level, and LAPACK solves only the rest, so
+every count is the one that solving every W gives.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .core import (
     EntryDistribution,
     GRAM_BLOCK_ENTRIES,
     _chunks,
+    _sign_distances,
+    _sign_gram,
     _sign_gram_classes,
     bottom_eigenvalues_vanish,
     cholesky_completes,
@@ -130,20 +134,38 @@ class TailEstimate:
 
 
 def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int, screen=None):
-    """Ascending eigenvalues of `trials` sampled W, one (rows, k) array per
-    block of core.gram_blocks in each chunk, each from _eigvalues.
+    """(lam, count) for `trials` sampled W: the ascending eigenvalues of
+    (rows, k) W that _eigvalues keeps, and the (rows,) number of trials
+    each row stands for.
 
     +/-1 W take at most comb(2^(k-1) + n - 1, n) values (one per multiset
     of column classes, as in enumerate_exact).  When that is at most
-    CHUNK_TRIALS and LAPACK is called (k >= 3), a block solves each
-    distinct W once.  The screen (see _tail_screen) applies at k >= 3 only:
-    at k <= 2 eigvalues_batch's closed forms cost less than it.
+    CHUNK_TRIALS, a chunk draws its trials as core._sign_distances, finds
+    the distinct ones once (core._sign_gram_classes, an exact integer key;
+    sdpic.ber_experiment decodes each distinct (W, Z) of an s=inf pool by
+    the same key), and builds float W for those alone, in pieces of at
+    most GRAM_BLOCK_ENTRIES // k^2 rows, each W counted as often as it was
+    drawn.  A chunk's distances take at most 8.5 MiB and their key 1.1 MiB
+    (both at k = 17, n = 1).
+    Otherwise each row is one trial of a
+    core.gram_blocks block.  The screen (see _tail_screen) applies at
+    k >= 3 only: at k <= 2 eigvalues_batch's closed forms cost less than it.
     """
-    dedup = (dist is EntryDistribution.RADEMACHER and k >= 3
-             and _multisets_at_most(1 << (k - 1), n, CHUNK_TRIALS))
+    dedup = dist is EntryDistribution.RADEMACHER and _multisets_at_most(1 << (k - 1), n,
+                                                                        CHUNK_TRIALS)
+    screen = screen if k >= 3 else None
+    step = max(1, GRAM_BLOCK_ENTRIES // (k * k))
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
-        for w in gram_blocks(dist, rng, size, k, n):
-            yield _eigvalues(w, n if dedup else None, screen if k >= 3 else None)
+        if not dedup:
+            for w in gram_blocks(dist, rng, size, k, n):
+                yield _eigvalues(w, np.ones(len(w), dtype=np.int64), screen)
+            continue
+        distances = _sign_distances(rng, size, k, n)
+        first, inverse = _sign_gram_classes(distances, n)
+        count = np.bincount(inverse)
+        for start in range(0, len(first), step):
+            piece = slice(start, start + step)
+            yield _eigvalues(_sign_gram(distances[first[piece]], k, n), count[piece], screen)
 
 
 def _multisets_at_most(classes: int, n: int, cap: int) -> bool:
@@ -160,33 +182,23 @@ def _multisets_at_most(classes: int, n: int, cap: int) -> bool:
     return True
 
 
-def _eigvalues(w: np.ndarray, n: int | None, screen) -> np.ndarray:
-    """Ascending eigenvalues of the rows of an (m, k, k) stack of W that
-    the screen keeps (every row without one), in order.
+def _eigvalues(w: np.ndarray, count: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, count) of the rows of an (m, k, k) stack of W that the screen
+    keeps (every row without one), in order: their ascending eigenvalues
+    and their entries of the (m,) trial counts.
 
-    With n, w holds +/-1 W, and each distinct matrix (core._sign_gram_classes,
-    an exact integer key; sdpic.ber_experiment decodes each distinct (W, Z)
-    of an s=inf pool by the same key) is screened and solved once, and its
-    eigenvalues are scattered back.  A screen (level, sign) drops each W
-    whose Cholesky factorization at the guarded level completes, and the
-    kept rows are solved in one call (w is one block of core.gram_blocks,
-    so the copy is bounded).  eigvalsh treats each matrix of a stack alone,
-    so the eigenvalues are bit for bit those of solving every row.
+    A screen (level, sign) drops each W whose Cholesky factorization at
+    the guarded level completes, and the kept rows are solved in one call
+    (w holds at most GRAM_BLOCK_ENTRIES entries, so the copy is bounded).
+    eigvalsh treats each matrix of a stack alone, so the eigenvalues are
+    bit for bit those of solving every row.
     """
-    distinct, inverse = w, None
-    if n is not None:
-        first, inverse = _sign_gram_classes(w, n)
-        distinct = w[first]
     if screen is not None:
         level, sign = screen
-        guard = SCREEN_GUARD * (1.0 + abs(level) + float(np.einsum("mii->m", distinct).max()))
-        keep = ~cholesky_completes(distinct, level + sign * guard, sign)
-        if inverse is not None:
-            # the kept rows, renumbered onto the kept distinct matrices
-            inverse = (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
-        distinct = distinct[keep]
-    lam = eigvalues_batch(distinct)
-    return lam if inverse is None else lam[inverse]
+        guard = SCREEN_GUARD * (1.0 + abs(level) + float(np.einsum("mii->m", w).max()))
+        keep = ~cholesky_completes(w, level + sign * guard, sign)
+        w, count = w[keep], count[keep]
+    return eigvalues_batch(w), count
 
 
 def _tail_screen(alphas, side: TailSide):
@@ -218,13 +230,14 @@ def _tail_screen(alphas, side: TailSide):
 
 def _count_events(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
                   predicates, screen=None) -> list[int]:
-    """Hits of each event over the same `trials` W, on one pass of _spectra;
-    the screen (see _spectra) may drop only W that no predicate counts."""
+    """Hits of each event over the same `trials` W, on one pass of _spectra,
+    each W counted for the trials it stands for; the screen (see _spectra)
+    may drop only W that no predicate counts."""
     _check_trials(k, n, trials)
     hits = [0] * len(predicates)
-    for lam in _spectra(dist, k, n, trials, seed, screen):
+    for lam, count in _spectra(dist, k, n, trials, seed, screen):
         for i, predicate in enumerate(predicates):
-            hits[i] += int(np.count_nonzero(predicate(lam)))
+            hits[i] += int(count[predicate(lam)].sum())
     return hits
 
 
@@ -412,12 +425,16 @@ def spectrum_histogram(dist: EntryDistribution, k: int, n: int, trials: int,
     _check_trials(k, n, trials)
     if bins < 1 or 10 * bins > trials * k:
         raise DomainError(f"need 1 <= bins <= trials*k/10, got bins={bins}, trials*k={trials * k}")
-    lam = np.concatenate(list(_spectra(dist, k, n, trials, seed)))
-    counts, edges = np.histogram(lam, bins=bins)
-    mass = counts / lam.size
+    lam, count = (np.concatenate(part) for part in zip(*_spectra(dist, k, n, trials, seed)))
+    # each eigenvalue weighs as many trials as its W stands for; the integer
+    # weights keep the bin counts, and so the mass, exact
+    weight = np.broadcast_to(count[:, None], lam.shape)
+    counts, edges = np.histogram(lam, bins=bins, weights=weight)
+    mass = counts / (trials * k)
     lo_edge, hi_edge = mp_edges(k / n)
     nonzero = lam[:, max(0, k - n):]
-    outside = np.count_nonzero((nonzero < lo_edge - 0.05) | (nonzero > hi_edge + 0.05))
+    outside = count @ np.count_nonzero((nonzero < lo_edge - 0.05) | (nonzero > hi_edge + 0.05),
+                                       axis=1)
     return SpectrumHistogram(dist=dist, k=k, n=n, trials=trials, seed=seed,
                              bin_edges=edges, mass=mass,
-                             outside_fraction=float(outside) / lam.size)
+                             outside_fraction=float(outside) / (trials * k))

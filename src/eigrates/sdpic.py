@@ -29,6 +29,8 @@ from .core import (
     SampleMatrix,
     Spectrum,
     _chunks,
+    _sign_distances,
+    _sign_gram,
     _sign_gram_classes,
     bottom_eigenvalues_vanish,
     covariance,
@@ -61,7 +63,9 @@ _TIE_RTOL = 1e-9
 # the change d bounds the error: |e_{s-1}| <= |d| + q |e_{s-1}|, so
 # |est - Z|_inf <= INFTY_TOL / (1 - q) = 1e-9 and every sign is right.  A
 # trial with q <= CONTRACTION_SCREEN therefore converges without error and
-# adds nothing to any count, and ber_experiment does not run it.
+# adds nothing to any count, and ber_experiment does not run it.  It
+# decides q on the integers n q = max_i sum_(j != i) |n - 2 d_ij|: see
+# _unsettled.
 CONTRACTION_SCREEN = 0.9
 
 # The recursion tests convergence once per block of at most BLOCK_STAGES
@@ -183,7 +187,8 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     only then is the stack compacted, into a new buffer sized for it.
     Each row's arithmetic is independent of the others and of its
     block, so the results do not depend on when the tests or compaction
-    happen.  Returns (est, stages, converged, ahead): each
+    happen.  The first compaction frees w when the caller holds no other
+    reference.  Returns (est, stages, converged, ahead): each
     trial's last estimate and stage, whether it stopped early, and
     est(cap + 1) on the rows that did not (NaN elsewhere).
     """
@@ -192,6 +197,7 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     stages = np.full(len(z), cap)
     converged = np.zeros(len(z), dtype=bool)
     rows, wa, e1a, ea = np.arange(len(z)), w, est1, est1
+    del w
     with np.errstate(over="ignore", invalid="ignore"):
         (buf, change), stage = _block_buffers(est1), 1  # buf[0] holds est(stage)
         while stage < cap and not converged[rows].all():
@@ -351,6 +357,60 @@ def _decide_batch(est: np.ndarray, coins: np.ndarray) -> np.ndarray:
     return decided
 
 
+def _unsettled(distances: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Per row of an (m, k(k-1)/2) block of core._sign_distances: does the
+    contraction screen leave the trial to decode, q > CONTRACTION_SCREEN?
+
+    n q = max_i sum_(j != i) |n - 2 d_ij| is an integer, summed exactly in
+    floats.  The float product 0.9 * n is 9n/10 when that is an integer,
+    and lies strictly between the integers around it otherwise, so at the
+    default level a trial is decoded iff 10 n q > 9 n.  A decision on the
+    row sums of float W rounds them, and can differ from this one only
+    where q = 0.9 exactly, at a trial that converges error-free by stage
+    226 whether it is decoded or not: every count is the same.
+    """
+    rows, cols = np.triu_indices(k, 1)
+    incidence = np.zeros((rows.size, k))
+    incidence[np.arange(rows.size), rows] = incidence[np.arange(rows.size), cols] = 1.0
+    nq = np.abs(n - 2.0 * distances) @ incidence
+    return _row_max(nq) > CONTRACTION_SCREEN * n
+
+
+def _decode_pool(distances: np.ndarray, bits: np.ndarray, coins: np.ndarray,
+                 k: int, n: int) -> tuple[np.ndarray, int, int]:
+    """(wrong, cap hits, oscillations) of an s=inf pool of trials, given as
+    their code distances, bits and coins (see ber_experiment).
+
+    Z's bits join the key 8 users to an integer column.  Only the
+    recursion holds the float W of the distinct pairs, so its first
+    compaction frees it; the capped pairs' spectra come from W rebuilt for
+    them alone.
+    """
+    first, inverse = _sign_gram_classes(
+        distances, n, np.packbits(bits > 0, axis=1, bitorder="little"))
+    distances = distances[first]
+    est, _, converged, ahead = _recursion(np.ascontiguousarray(_sign_gram(distances, k, n)),
+                                          bits[first], INFTY_STAGE_CAP, INFTY_TOL)
+    capped = np.flatnonzero(~converged)
+    oscillating = np.zeros(len(first), dtype=bool)
+    if capped.size > 0:
+        lam = eigvalues_batch(_sign_gram(distances[capped], k, n))
+        oscillating[capped] = ((lam[:, -1] >= PING_PONG_LAMBDA - 1e-12)
+                               | bottom_eigenvalues_vanish(lam, 1))
+    est, converged, ahead, oscillating = (
+        a[inverse] for a in (est, converged, ahead, oscillating))
+    wrong = _decide_batch(est, coins) != bits
+    osc = np.flatnonzero(oscillating)
+    marked = wrong[osc] | (np.sign(ahead[osc]) != np.sign(est[osc]))
+    quiet = np.flatnonzero(~np.any(marked, axis=1))
+    step = np.abs(ahead[osc[quiet]] - est[osc[quiet]])
+    # steps equal up to round-off are ties, won by the lowest user
+    top = step >= np.max(step, axis=1, keepdims=True) * (1.0 - _TIE_RTOL)
+    marked[quiet, np.argmax(top, axis=1)] = True
+    wrong[osc] = marked
+    return wrong, int(np.count_nonzero(~converged)), osc.size
+
+
 def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
                    weight: float | None = None) -> BerEstimate:
     """Bit-error-rate experiment over random +/-1 codes and fair random bits.
@@ -365,19 +425,22 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     never exceeds the per-user sum; users whose last steps agree to a
     relative 1e-9 tie, and the lowest index wins.
 
-    A chunk's W comes one core.gram_blocks block at a time, after its bits
-    and coins, and no chunk-sized W stack is held: a finite stage decodes
-    each block, and the infinite mode screens each block and pools only the
-    trials that CONTRACTION_SCREEN does not settle, across chunks, into
-    stacks of at least CHUNK_TRIALS rows (or all that remain).  A trial's
-    outcome depends only on its (W, Z), so each distinct pair of a pool is
-    decoded once (found by core._sign_gram_classes, an exact integer key
-    with Z's bits as extra columns) and its estimate scattered back; coins,
-    errors and oscillation attribution stay per trial.  The screened trials
-    are provably error-free, and each trial's arithmetic does not depend on
-    its stack or block, so the counts equal those of decoding every trial.
-    A finite stage decodes each block in _sign_gram's trials-last layout:
-    a copy changes einsum's round-off, and so which exact zeros go to a coin.
+    A chunk's codes are drawn after its bits and coins.  A finite stage
+    decodes each core.gram_blocks block of W, and no chunk-sized W stack is
+    held.  The infinite mode keeps each trial as its k(k-1)/2 integer code
+    distances (core._sign_distances), screens them (_unsettled), and pools
+    only the trials that CONTRACTION_SCREEN does not settle, across chunks,
+    into stacks of at least CHUNK_TRIALS rows (or all that remain).  A
+    trial's outcome depends only on its (W, Z), so each distinct pair of a
+    pool is decoded once (found by core._sign_gram_classes, an exact
+    integer key with Z's bits as extra columns) from float W built for the
+    distinct pairs alone, and its estimate scattered back; coins, errors
+    and oscillation attribution stay per trial.  The screened trials are
+    provably error-free, and each trial's arithmetic does not depend on its
+    stack or block, so the counts equal those of decoding every trial.
+    A finite stage decodes each block in _sign_gram's trials-last layout,
+    and the infinite mode a C-contiguous stack: a copy changes einsum's
+    round-off, and so which exact zeros go to a coin.
     weight applies to finite stages only.
     """
     _check_trials(k, n, trials)
@@ -393,59 +456,34 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     cap_hits = 0
     oscillations = 0
     drawn = 0
-    # s=inf: unscreened trials wait here until a chunk's worth is in, since
-    # a small stack spends its 1,000 stages on call overhead, not arithmetic
+    # s=inf: unscreened trials wait here, as distances, until a chunk's worth
+    # is in, since a small stack spends its 1,000 stages on call overhead,
+    # not arithmetic
     pending = []
-    eye = np.eye(k)
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
         bits = EntryDistribution.RADEMACHER.sample(rng, (size, k))
         coins = EntryDistribution.RADEMACHER.sample(rng, (size, k))
         drawn += size
-        wrong = np.empty((size, k), dtype=bool)
-        start = 0
-        for w in gram_blocks(EntryDistribution.RADEMACHER, rng, size, k, n):
-            block = slice(start, start + len(w))
-            start += len(w)
-            if infinite_mode:
-                # only trials the contraction screen does not settle can err
-                q = _row_max(sum(np.abs(w[:, :, j] - eye[j]) for j in range(k)))  # ||I - W||_inf
-                rest = q > CONTRACTION_SCREEN
-                pending.append((w[rest], bits[block][rest], coins[block][rest]))
-            else:
+        if not infinite_mode:
+            wrong = np.empty((size, k), dtype=bool)
+            start = 0
+            for w in gram_blocks(EntryDistribution.RADEMACHER, rng, size, k, n):
+                block = slice(start, start + len(w))
+                start += len(w)
                 est = _partial_sum(w, bits[block], s, 1.0 if weight is None else weight)
                 wrong[block] = _decide_batch(est, coins[block]) != bits[block]
-
-        if infinite_mode:
+        else:
+            distances = _sign_distances(rng, size, k, n)
+            # only trials the contraction screen does not settle can err
+            rest = _unsettled(distances, k, n)
+            pending.append((distances[rest], bits[rest], coins[rest]))
             if sum(len(b) for _, b, _ in pending) < CHUNK_TRIALS and drawn < trials:
                 continue
-            w, bits, coins = (np.concatenate(part) for part in zip(*pending))
+            distances, bits, coins = (np.concatenate(part) for part in zip(*pending))
             pending = []
-            # an outcome depends only on (W, Z): decode each distinct pair once,
-            # keyed by W and by Z's bits (8 users to an integer column)
-            first, inverse = _sign_gram_classes(
-                w, n, np.packbits(bits > 0, axis=1, bitorder="little"))
-            w = w[first]
-            est, _, converged, ahead = _recursion(w, bits[first], INFTY_STAGE_CAP, INFTY_TOL)
-            capped = np.flatnonzero(~converged)
-            oscillating = np.zeros(len(w), dtype=bool)
-            if capped.size > 0:
-                lam = eigvalues_batch(w[capped])
-                oscillating[capped] = ((lam[:, -1] >= PING_PONG_LAMBDA - 1e-12)
-                                       | bottom_eigenvalues_vanish(lam, 1))
-            # coins, errors and attribution stay per trial
-            est, converged, ahead, oscillating = (
-                a[inverse] for a in (est, converged, ahead, oscillating))
-            wrong = _decide_batch(est, coins) != bits
-            cap_hits += int(np.count_nonzero(~converged))
-            osc = np.flatnonzero(oscillating)
-            oscillations += osc.size
-            marked = wrong[osc] | (np.sign(ahead[osc]) != np.sign(est[osc]))
-            quiet = np.flatnonzero(~np.any(marked, axis=1))
-            step = np.abs(ahead[osc[quiet]] - est[osc[quiet]])
-            # steps equal up to round-off are ties, won by the lowest user
-            top = step >= np.max(step, axis=1, keepdims=True) * (1.0 - _TIE_RTOL)
-            marked[quiet, np.argmax(top, axis=1)] = True
-            wrong[osc] = marked
+            wrong, capped, oscillating = _decode_pool(distances, bits, coins, k, n)
+            cap_hits += capped
+            oscillations += oscillating
 
         any_errors += int(np.count_nonzero(np.any(wrong, axis=1)))
         per_user += np.count_nonzero(wrong, axis=0)

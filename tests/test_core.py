@@ -535,28 +535,74 @@ class TestBartlettLaw:
 
 class TestSignGramClasses:
     # the exact key that mclab's distinct-W eigen solve and ber_experiment's
-    # distinct-(W, Z) decode share
+    # distinct-(W, Z) decode share: the +/-1 distances themselves
     @pytest.mark.parametrize("with_extra", [False, True])
     @pytest.mark.parametrize("k, n", [(3, 4), (3, 71), (9, 2), (17, 1)])
     def test_first_and_inverse_rebuild_the_stack(self, k, n, with_extra):
         # (9, 2) and (17, 1) pack their keys into two and three int64 words
         rng = derive_rng(4)
-        w = np.concatenate(list(core.gram_blocks(R, rng, 5000, k, n)))
+        distances = core._sign_distances(rng, 5000, k, n)
         extra = rng.integers(-2, 3, size=(5000, 2)) if with_extra else None
-        first, inverse = core._sign_gram_classes(w, n, extra)
-        assert np.array_equal(w[first][inverse], w)
-        rows = [m.tobytes() for m in w]
+        first, inverse = core._sign_gram_classes(distances, n, extra)
+        assert np.array_equal(distances[first][inverse], distances)
+        rows = [m.tobytes() for m in core._sign_gram(distances, k, n)]
         if with_extra:
             assert np.array_equal(extra[first][inverse], extra)
             rows = [m + e.tobytes() for m, e in zip(rows, extra)]
-        assert len(first) == len(set(rows)) < len(w)
+        assert len(first) == len(set(rows)) < len(distances)
         # each class is represented by its first row
         assert np.array_equal(np.unique(inverse, return_index=True)[1], first)
 
     def test_empty_stack(self):
-        first, inverse = core._sign_gram_classes(np.empty((0, 3, 3)), 8,
+        first, inverse = core._sign_gram_classes(np.empty((0, 3), dtype=np.uint8), 8,
                                                  np.empty((0, 1), dtype=np.int64))
         assert first.size == inverse.size == 0
+
+    def test_one_class_at_k1(self):
+        # no pairs: every W is [[1]]
+        distances = core._sign_distances(derive_rng(4), 50, 1, 6)
+        assert distances.shape == (50, 0)
+        first, inverse = core._sign_gram_classes(distances, 6)
+        assert first.tolist() == [0] and not inverse.any()
+        assert np.array_equal(core._sign_gram(distances[first], 1, 6), np.ones((1, 1, 1)))
+
+
+class TestSignDistances:
+    @pytest.mark.parametrize("k, n", [(2, 1), (3, 8), (4, 255), (4, 256), (2, 70000)])
+    def test_distances_of_the_entries(self, k, n):
+        # the upper pairs in triu order, the smallest unsigned type that holds n
+        m = 3
+        rng, expected_rng = derive_rng(6), derive_rng(6)
+        distances = core._sign_distances(rng, m, k, n)
+        entries = R.sample(expected_rng, (m, k, n))
+        rows, cols = np.triu_indices(k, 1)
+        expected = np.count_nonzero(entries[:, rows] != entries[:, cols], axis=-1)
+        assert distances.dtype == np.min_scalar_type(n)
+        assert distances.dtype == {1: np.uint8, 8: np.uint8, 255: np.uint8,
+                                   256: np.uint16, 70000: np.uint32}[n]
+        assert np.array_equal(distances, expected)
+        assert repr(rng.bit_generator.state) == repr(expected_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (3, 8), (5, 70)])
+    def test_blocks_keep_the_stream(self, monkeypatch, k, n):
+        # drawn in blocks of (1 << 10) // (k max(n, k)) trials, the last shorter
+        monkeypatch.setattr(core, "GRAM_BLOCK_ENTRIES", 1 << 10)
+        m = 3 * max(1, (1 << 10) // (k * max(n, k))) + 2
+        rng, expected_rng = derive_rng(8), derive_rng(8)
+        distances = core._sign_distances(rng, m, k, n)
+        entries = R.sample(expected_rng, (m, k, n))
+        rows, cols = np.triu_indices(k, 1)
+        assert np.array_equal(distances,
+                              np.count_nonzero(entries[:, rows] != entries[:, cols], axis=-1))
+        assert repr(rng.bit_generator.state) == repr(expected_rng.bit_generator.state)
+
+    def test_gram_keeps_trials_last(self):
+        # sdpic's finite-stage decode reads W in this layout: einsum's
+        # round-off, and so its exact zeros, depend on it
+        k, n, m = 3, 16, 100
+        w = core._sign_gram(core._sign_distances(derive_rng(7), m, k, n), k, n)
+        assert w.strides == (8, 8 * k * m, 8 * m)
+        assert np.array_equal(w, covariance_batch(R.sample(derive_rng(7), (m, k, n))))
 
 
 class TestCholeskyCompletes:

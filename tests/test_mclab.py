@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -26,6 +27,9 @@ from eigrates import mclab, ber_experiment
 from eigrates.core import (
     GRAM_BLOCK_ENTRIES,
     _chunks,
+    _sign_distances,
+    _sign_gram,
+    _sign_gram_classes,
     covariance_batch,
     eigvalues_batch,
     gram_blocks,
@@ -36,6 +40,91 @@ import wishart_reference
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
 N = EntryDistribution.STD_NORMAL
+
+
+def chunk_grams(dist, k, n, trials, seed):
+    """The W of each chunk that _spectra samples, one stack per chunk."""
+    return [np.concatenate(list(gram_blocks(dist, rng, size, k, n)))
+            for rng, size in _chunks(seed, trials, mclab.CHUNK_TRIALS)]
+
+
+def trial_eigvalues(dist, k, n, trials, seed):
+    """Ascending eigenvalues of every trial that _spectra samples, one row
+    per trial: the reference for its (lam, count) pairs."""
+    return np.concatenate([eigvalues_batch(w) for w in chunk_grams(dist, k, n, trials, seed)])
+
+
+def expand(pairs):
+    """_spectra's (lam, count) pairs as one row per trial, rows sorted."""
+    lam = np.concatenate([np.repeat(lam, count, axis=0) for lam, count in pairs])
+    return sort_rows(lam)
+
+
+def sort_rows(lam):
+    return lam[np.lexsort(lam.T[::-1])]
+
+
+# +/-1 Monte Carlo outputs, pinned before the distance refactor: each shape
+# maps to (min_below levels, max_above levels), and each level to its hits
+# over PINNED_TRIALS trials at PINNED_SEED (two chunks).  Levels with an
+# integer n * alpha put tied W on the level, where round-off decides.
+PINNED_TRIALS, PINNED_SEED = 70000, 26
+PINNED_SIGN_TAILS = {
+    (3, 8): (((0.0, 0.25, 0.5), (1329, 13878, 45617)),
+             ((1.5, 2.0, 2.5), (43296, 6676, 103))),
+    (3, 24): (((0.4, 0.5, 0.625), (1160, 5788, 19110)),
+              ((1.4, 1.5, 1.75), (19105, 8021, 598))),
+    (4, 10): (((0.0, 0.1, 0.3), (423, 1272, 30807)),
+              ((1.7, 2.0, 2.5), (39083, 11703, 571))),
+    (5, 5): (((0.0, 0.1, 0.2), (22378, 58073, 68878)),
+             ((2.2, 3.0, 3.6), (42757, 5067, 364))),
+    (6, 3): (((0.0, 0.05, 0.3), (64705, 70000, 70000)),
+             ((3.4, 4.0, 5.0), (37160, 11499, 1346))),
+    (8, 2): (((0.0, 0.5, 1.0), (70000, 70000, 70000)),
+             ((5.0, 6.0, 7.0), (45486, 8303, 5004))),
+    (8, 64): (((0.4, 0.45, 0.5), (1848, 7975, 21945)),
+              ((1.6, 1.7, 1.85), (22218, 7282, 812))),
+    (2, 16): (((0.375, 0.5, 0.625), (1466, 5370, 14669)),
+              ((1.375, 1.5, 1.625), (14669, 5370, 1466))),
+    (2, 300): (((0.85, 0.9, 0.96), (662, 6453, 36548)),
+               ((1.04, 1.1, 1.15), (36548, 6453, 662))),
+}
+# zero_eigen_rate(k, 1, n_list, PINNED_TRIALS, PINNED_SEED): (method, hits, p_hat)
+PINNED_ZERO_POINTS = {
+    (2, (6, 13, 14, 16, 18)): [("exact", None, 0.03125), ("mc", 11, 11 / 70000),
+                               ("mc", 7, 7 / 70000), ("mc", 2, 2 / 70000),
+                               ("mc", 1, 1 / 70000)],
+    (3, (4, 8, 9, 12)): [("exact", None, 0.34375), ("exact", None, 0.0233154296875),
+                         ("mc", 770, 770 / 70000), ("mc", 103, 103 / 70000)],
+}
+# SHA-256 of spectrum_histogram(R, k, n, PINNED_TRIALS, 40, PINNED_SEED)'s
+# mass then bin edges, and its outside fraction
+PINNED_HISTOGRAMS = {
+    (3, 8): ("9edcd67bd21bc735153b9081e11206b520d0d533376faaac00b25c872c5c63ef",
+             0.008242857142857142),
+    (2, 16): ("f7ab96f1c3510de9ef3f48bc9d1bc8fcdf77403c62923e6d19e4e7a798291ff0",
+              0.0019357142857142856),
+}
+
+
+class TestPinnedSignTails:
+    @pytest.mark.parametrize("k, n", list(PINNED_SIGN_TAILS))
+    def test_tail_hits(self, k, n):
+        for side, (levels, hits) in zip((TailSide.MIN_BELOW, TailSide.MAX_ABOVE),
+                                        PINNED_SIGN_TAILS[k, n]):
+            estimates = estimate_tails(R, k, n, levels, side, PINNED_TRIALS, PINNED_SEED)
+            assert tuple(e.hits for e in estimates) == hits, side
+
+    @pytest.mark.parametrize("k, n_list", list(PINNED_ZERO_POINTS))
+    def test_zero_eigen_points(self, k, n_list):
+        points = zero_eigen_rate(k, 1, n_list, PINNED_TRIALS, PINNED_SEED)
+        assert [(p.method, p.hits, p.p_hat) for p in points] == PINNED_ZERO_POINTS[k, n_list]
+
+    @pytest.mark.parametrize("k, n", list(PINNED_HISTOGRAMS))
+    def test_histogram_mass(self, k, n):
+        h = spectrum_histogram(R, k, n, PINNED_TRIALS, 40, PINNED_SEED)
+        digest = hashlib.sha256(h.mass.tobytes() + h.bin_edges.tobytes()).hexdigest()
+        assert (digest, h.outside_fraction) == PINNED_HISTOGRAMS[k, n]
 
 
 class TestClopperPearson:
@@ -125,14 +214,13 @@ class TestEstimateTail:
         # +/-1 chunks solve each distinct W once when there are at most
         # CHUNK_TRIALS column-class multisets; (8, 2) has 8,256, (8, 64) far more
         seed, trials = 21, mclab.CHUNK_TRIALS + 3000
-        lam = np.concatenate([eigvalues_batch(w)
-                              for rng, size in _chunks(seed, trials, mclab.CHUNK_TRIALS)
-                              for w in gram_blocks(R, rng, size, k, n)])
+        lam = trial_eigvalues(R, k, n, trials, seed)
         solved = []
         monkeypatch.setattr(mclab, "eigvalues_batch",
                             lambda w: solved.append(len(w)) or eigvalues_batch(w))
-        pooled = np.concatenate(list(mclab._spectra(R, k, n, trials, seed)))
-        assert np.array_equal(pooled, lam)
+        pairs = list(mclab._spectra(R, k, n, trials, seed))
+        assert sum(int(count.sum()) for _, count in pairs) == trials
+        assert np.array_equal(expand(pairs), sort_rows(lam))
         assert (sum(solved) < trials) == deduplicated
         for alpha, side, event in [(0.5, TailSide.MIN_BELOW, lam[:, 0] <= 0.5),
                                    (1.5, TailSide.MAX_ABOVE, lam[:, -1] >= 1.5)]:
@@ -142,6 +230,28 @@ class TestEstimateTail:
         mass, edges = np.histogram(lam.ravel(), bins=40)
         assert np.array_equal(hist.bin_edges, edges)
         assert np.array_equal(hist.mass, mass / lam.size)
+
+    @pytest.mark.parametrize("k, n", [(8, 2), (5, 5), (6, 3), (4, 10), (3, 8), (2, 16), (1, 5)])
+    def test_each_chunk_solves_its_distinct_classes(self, monkeypatch, k, n):
+        # one key per chunk, over all its gram blocks: a chunk solves each
+        # distinct W once, however many blocks hold it
+        seed, trials = 5, mclab.CHUNK_TRIALS + 3000
+        distinct = [len({m.tobytes() for m in w}) for w in chunk_grams(R, k, n, trials, seed)]
+        solved = []  # rows solved, per chunk
+        classes = mclab._sign_gram_classes
+
+        def chunk_classes(distances, n):
+            solved.append(0)
+            return classes(distances, n)
+
+        def solve(w):
+            solved[-1] += len(w)
+            return eigvalues_batch(w)
+        monkeypatch.setattr(mclab, "_sign_gram_classes", chunk_classes)
+        monkeypatch.setattr(mclab, "eigvalues_batch", solve)
+        for _ in mclab._spectra(R, k, n, trials, seed):
+            pass
+        assert solved == distinct
 
     def test_multiset_gate_matches_math_comb(self):
         cap = mclab.CHUNK_TRIALS
@@ -153,24 +263,32 @@ class TestEstimateTail:
     @pytest.mark.parametrize("k, n, key", [(3, 8, 8), (17, 10**6, None), (64, 10**5, None)])
     def test_dedup_decided_without_math_comb(self, monkeypatch, k, n, key):
         # math.comb builds a binomial of 355,228 bits at (17, 10^6); the chunk
-        # itself is not drawn here
+        # itself is not drawn here.  key: the n of the distances drawn for
+        # the exact key, None for W drawn in gram blocks
         def no_comb(*args):
             raise AssertionError("math.comb called")
         keys = []
         monkeypatch.setattr(math, "comb", no_comb)
-        monkeypatch.setattr(mclab, "gram_blocks", lambda dist, rng, m, k, n: [np.zeros((m, k, k))])
-        monkeypatch.setattr(mclab, "_eigvalues", lambda w, n, screen: keys.append(n) or w[:, 0])
+        monkeypatch.setattr(mclab, "gram_blocks", lambda dist, rng, m, k, n:
+                            keys.append(None) or [np.zeros((m, k, k))])
+        monkeypatch.setattr(mclab, "_sign_distances", lambda rng, m, k, n:
+                            keys.append(n) or np.zeros((m, k * (k - 1) // 2), dtype=np.uint8))
+        monkeypatch.setattr(mclab, "_eigvalues", lambda w, count, screen: (w[:, 0], count))
         next(mclab._spectra(R, k, n, 1, 0))
         assert keys == [key]
 
     @pytest.mark.parametrize("k, n", [(3, 4), (3, 71), (5, 4), (9, 2), (17, 1)])
     def test_distinct_sign_eigvalues(self, monkeypatch, k, n):
-        # _eigvalues with and without the exact key (n or None), and with no
-        # screen or one at the median of either extreme eigenvalue, which
-        # keeps the rows at or beyond it; (9, 2) and (17, 1) pack their keys
-        # into more than one int64 word
-        w = np.concatenate(list(gram_blocks(R, derive_rng(2), 5000, k, n)))
+        # _eigvalues over a chunk's distinct W with their trial counts, or
+        # over every W with count 1, with no screen or one at the median of
+        # either extreme eigenvalue, which keeps the rows at or beyond it;
+        # (9, 2) and (17, 1) pack their keys into more than one int64 word
+        distances = _sign_distances(derive_rng(2), 5000, k, n)
+        w = _sign_gram(distances, k, n)
         lam = eigvalues_batch(w)
+        first, inverse = _sign_gram_classes(distances, n)
+        distinct = _sign_gram(distances[first], k, n)
+        assert np.array_equal(distinct[inverse], w)
         upper, lower = float(np.median(lam[:, -1])), float(np.median(lam[:, 0]))
         screens = [(None, np.ones(len(w), dtype=bool)),
                    ((upper, -1.0), lam[:, -1] >= upper - 1e-6),
@@ -180,14 +298,16 @@ class TestEstimateTail:
         monkeypatch.setattr(mclab, "eigvalues_batch",
                             lambda w: solved.append(w) or eigvalues_batch(w))
         for screen, keep in screens:
-            for key in (n, None):
+            for stack, count in ((distinct, np.bincount(inverse)),
+                                 (w, np.ones(len(w), dtype=np.int64))):
                 solved.clear()
-                assert np.array_equal(mclab._eigvalues(w, key, screen), lam[keep])
+                kept = mclab._eigvalues(stack, count, screen)
+                assert np.array_equal(expand([kept]), sort_rows(lam[keep]))
                 rows = np.concatenate(solved)
-                # each kept W solved once, each distinct one once with the key
-                distinct = {m.tobytes() for m in w[keep]}
-                assert len(rows) == (len(distinct) if key else np.count_nonzero(keep))
-                assert {m.tobytes() for m in rows} == distinct
+                # each kept W solved once, each distinct one once over the classes
+                kept_w = {m.tobytes() for m in w[keep]}
+                assert len(rows) == (len(kept_w) if stack is distinct else np.count_nonzero(keep))
+                assert {m.tobytes() for m in rows} == kept_w
 
     def test_trials_gate(self):
         with pytest.raises(DomainError):
@@ -217,7 +337,7 @@ class TestTailScreen:
     @pytest.mark.parametrize("k, n", [(3, 30), (8, 64), (6, 3), (16, 40)])
     def test_counts_equal_unscreened(self, monkeypatch, dist, k, n):
         seed, trials = 31, 6000
-        lam = np.concatenate(list(mclab._spectra(dist, k, n, trials, seed)))
+        lam = trial_eigvalues(dist, k, n, trials, seed)
         lam_min, lam_max = lam[:, 0], lam[:, -1]
         # three-level grids at sampled eigenvalues: in each tail, so the
         # screened level (the lowest upper level, the highest lower one)
@@ -245,7 +365,7 @@ class TestTailScreen:
         # for many W; levels at such q/n put those W on the level (1.7 is
         # the rate curve's level, out of reach of this many trials)
         k, n, seed, trials = 3, 200, 41, 20000
-        lam_max = np.concatenate(list(mclab._spectra(R, k, n, trials, seed)))[:, -1]
+        lam_max = trial_eigvalues(R, k, n, trials, seed)[:, -1]
         integral = np.abs(lam_max * n - np.rint(lam_max * n)) < 1e-9 * n
         levels = [1.7] + [q / n for q in np.unique(np.rint(lam_max[integral] * n))[-6:]]
         ties = sum(int(np.count_nonzero(np.abs(lam_max - a) < 1e-12)) for a in levels)
@@ -261,7 +381,7 @@ class TestTailScreen:
     @pytest.mark.parametrize("dist", [R, N])
     def test_levels_not_finite(self, dist, alpha):
         # the shift is infinite or NaN: no warning, and LAPACK decides every W
-        lam = np.concatenate(list(mclab._spectra(dist, 4, 9, 3000, 2)))
+        lam = trial_eigvalues(dist, 4, 9, 3000, 2)
         upper = estimate_tail(dist, 4, 9, alpha, TailSide.MAX_ABOVE, 3000, 2)
         lower = estimate_tail(dist, 4, 9, alpha, TailSide.MIN_BELOW, 3000, 2)
         assert upper.hits == np.count_nonzero(lam[:, -1] >= alpha)
@@ -269,20 +389,21 @@ class TestTailScreen:
 
     @pytest.mark.parametrize("k, n", [(3, 30), (6, 3)])
     def test_screens_distinct_sign_matrices_only(self, monkeypatch, k, n):
-        # each gram block of a deduplicated +/-1 chunk screens each of its
-        # distinct W once: a chunk has 6 blocks at (3, 30), 3 at (6, 3)
+        # a deduplicated +/-1 chunk screens each of its distinct W once, in
+        # one call, however many gram blocks (6 at (3, 30), 3 at (6, 3)) hold it
         screened = []
         screen = mclab.cholesky_completes
 
         def spy(w, shift, sign):
-            screened.append(len(w))
+            screened.append({m.tobytes() for m in w})
+            assert len(screened[-1]) == len(w)
             return screen(w, shift, sign)
         monkeypatch.setattr(mclab, "cholesky_completes", spy)
-        trials = mclab.CHUNK_TRIALS
-        estimate_tail(R, k, n, 1.5, TailSide.MAX_ABOVE, trials, 8)
-        distinct = math.comb((1 << (k - 1)) + n - 1, n)
-        assert len(screened) == {(3, 30): 6, (6, 3): 3}[k, n]
-        assert max(screened) <= distinct and sum(screened) < trials
+        trials, seed = mclab.CHUNK_TRIALS, 8
+        estimate_tail(R, k, n, 1.5, TailSide.MAX_ABOVE, trials, seed)
+        w, = chunk_grams(R, k, n, trials, seed)
+        assert screened == [{m.tobytes() for m in w}]
+        assert len(screened[0]) <= math.comb((1 << (k - 1)) + n - 1, n)
 
 
 class TestMemoryBound:
@@ -293,6 +414,19 @@ class TestMemoryBound:
         tracemalloc.start()
         try:
             estimate_tail(dist, 32, 32, 3.0, TailSide.MAX_ABOVE, 1 << 13, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * GRAM_BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("k, n", [(17, 1), (12, 1)])
+    def test_deduplicated_chunk_holds_no_wide_key(self, k, n):
+        # a 2^16-trial chunk keeps its distances (8.5 MiB at (17, 1)) and a
+        # key of them; an int64 copy of the distances would take 94 MiB
+        # (peaks near 26 and 10 MiB)
+        tracemalloc.start()
+        try:
+            estimate_tail(R, k, n, 1.5, TailSide.MAX_ABOVE, mclab.CHUNK_TRIALS, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -555,6 +555,19 @@ class TestBerExperiment:
             tracemalloc.stop()
         assert peak < 6 * 8 * core.GRAM_BLOCK_ENTRIES
 
+    def test_infinite_mode_pools_distances(self):
+        # at (16, 64) every trial of a 2^14-trial chunk is unsettled: its pool
+        # takes 1.9 MiB as distances, 32 MiB as float W.  Float W is built
+        # once, for the distinct pairs; a pool of float W (its chunk list,
+        # their join and the distinct rows) peaked at 88.6 MiB
+        tracemalloc.start()
+        try:
+            ber_experiment(16, 64, math.inf, 1 << 14, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * core.GRAM_BLOCK_ENTRIES
+
     def test_weight_rejected_at_infinite_stage(self):
         # the infinite mode runs the unweighted recursion, so a weight
         # would be recorded without having been used
@@ -579,6 +592,46 @@ class TestContractionScreen:
             mp.setattr(sdpic, "CONTRACTION_SCREEN", -1.0)  # screens nothing
             unscreened = ber_experiment(k, n, math.inf, trials, seed)
         assert ber_experiment(k, n, math.inf, trials, seed) == unscreened
+
+
+    def test_integer_decision_at_q_exactly_0_9(self, monkeypatch):
+        # n q = max_i sum_(j != i) |n - 2 d_ij|.  At n = 20, distances
+        # (d01, d02, d12) = (5, 6, 7) give row sums 10 + 8, 10 + 6 and 8 + 6,
+        # so q = 18/20 = 0.9 exactly, and the trial is settled.  (A row of
+        # distances (1, 10) has the same sum, but at k = 3 the parity of
+        # d01 + d02 + d12 then puts another row at 20.)
+        k, n = 3, 20
+        distances = np.array([[5, 6, 7], [5, 4, 9], [1, 10, 9]], dtype=np.uint8)
+        assert sdpic._unsettled(distances, k, n).tolist() == [False, True, True]
+        w = core._sign_gram(distances, k, n)
+        q = np.max(np.sum(np.abs(np.eye(k) - w), axis=2), axis=1)
+        assert q[0] == 0.9 and np.allclose(q[1:], [1.1, 1.0], rtol=0, atol=1e-15)
+        # settled or not, such a trial decodes without error for every Z
+        for bits in np.array(np.meshgrid(*[[-1.0, 1.0]] * k)).reshape(k, -1).T:
+            est, _, converged, _ = sdpic._recursion(w[:1], bits[None], sdpic.INFTY_STAGE_CAP,
+                                                    sdpic.INFTY_TOL)
+            assert converged[0] and np.array_equal(np.sign(est[0]), bits)
+        # chunk 0 of this run holds many q = 0.9 trials; decoding every trial
+        # gives the same records
+        trials, seed = sdpic.CHUNK_TRIALS, 909
+        w, _ = chunk_zero_stack(k, n, trials, seed)
+        n_q = np.rint(n * np.max(np.sum(np.abs(np.eye(k) - w), axis=2), axis=1))
+        assert np.count_nonzero(n_q == 18) > 100
+        screened = ber_experiment(k, n, math.inf, trials, seed)
+        monkeypatch.setattr(sdpic, "CONTRACTION_SCREEN", -1.0)  # screens nothing
+        assert ber_experiment(k, n, math.inf, trials, seed) == screened
+
+    @pytest.mark.parametrize("k, n", [(3, 20), (3, 10), (4, 30), (5, 40)])
+    def test_float_and_integer_screens_differ_only_at_0_9(self, k, n):
+        trials, seed = sdpic.CHUNK_TRIALS, 5
+        w, _ = chunk_zero_stack(k, n, trials, seed)
+        rows, cols = np.triu_indices(k, 1)
+        distances = np.rint((1.0 - w[:, rows, cols]) * n / 2).astype(np.uint8)
+        exact = sdpic._unsettled(distances, k, n)
+        q = np.max(np.sum(np.abs(np.eye(k) - w), axis=2), axis=1)
+        on_level = np.rint(n * q) * 10 == 9 * n
+        assert np.array_equal(exact[~on_level], (q > sdpic.CONTRACTION_SCREEN)[~on_level])
+        assert not exact[on_level].any()
 
 
 class TestRecursionKeepsItsBits:
@@ -695,8 +748,8 @@ class TestDistinctPairs:
         deduplicated = ber_experiment(*args)
         with pytest.MonkeyPatch.context() as mp:
             # every row its own class
-            mp.setattr(sdpic, "_sign_gram_classes",
-                       lambda w, n, extra: (np.arange(len(w)), np.arange(len(w))))
+            mp.setattr(sdpic, "_sign_gram_classes", lambda distances, n, extra: (
+                np.arange(len(distances)), np.arange(len(distances))))
             every_trial = ber_experiment(*args)
         assert deduplicated.cap_hit_count > 0
         assert deduplicated == every_trial
