@@ -450,20 +450,18 @@ def _sign_gram(distances: np.ndarray, k: int, n: int) -> np.ndarray:
     return ((n - 2 * np.arange(n + 1)) / n)[padded[pair].transpose(2, 0, 1)]
 
 
-def _sign_gram_classes(distances: np.ndarray, n: int, extra: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def _sign_gram_classes(distances: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) of the distinct rows of an (m, k(k-1)/2) block of
-    +/-1 distances in 0..n (from _sign_distances), each row keyed with its
-    row of the optional (m, c) integer columns extra:
-    distances[first] holds each distinct row once, at its first index, and
-    distances[first][inverse] is distances again (so is
-    extra[first][inverse]).  Equal distances are equal W.
+    +/-1 distances in 0..n (from _sign_distances, or sdpic's sign-flipped
+    ones): distances[first] holds each distinct row once, at its first
+    index, and distances[first][inverse] is distances again.  Equal
+    distances are equal W.
 
     The key is exact, with no hashing: the distances, bit_length(n) bits
     each, packed into 16-bit words (one all-zero word at k = 1, where every
-    W is [[1]]; wider ones if n needs more bits), then the extra columns,
-    sorted row by row.  numpy sorts 16-bit keys stably by radix, several
-    times faster than 64-bit ones.
+    W is [[1]]; wider ones if n needs more bits), sorted row by row.  numpy
+    sorts 16-bit keys stably by radix, several times faster than 64-bit
+    ones.
     """
     m, upper = distances.shape
     bits = int(n).bit_length()
@@ -474,8 +472,6 @@ def _sign_gram_classes(distances: np.ndarray, n: int, extra: np.ndarray | None =
         # columns j, j + per_word, ... are digit j of words 0, 1, ...
         digit = distances[:, j::per_word]
         words[:, :digit.shape[1]] |= digit.astype(word) << bits * j
-    if extra is not None:
-        words = np.concatenate([words, extra], axis=1)
     order = np.lexsort(words.T)
     key = words[order]
     new = np.ones(m, dtype=bool)

@@ -9,9 +9,9 @@ by W) and then iteratively subtracts the estimated cross-user interference:
 
 The partial-sum form sum_{j<s} (I-W)^j W Z is algebraically identical, and
 the weighted variant replaces W by W/M and rescales.  Each form has one
-batched kernel over a (t, k, k) stack of W, and every decoder runs one of
-them, a single instance as a batch of 1.  The two forms round differently,
-so both are kept and checked against each other.  Whether the iteration
+kernel, over a (t, k, k) stack of W or over a single (k, k) W, and every
+decoder runs one of them.  The two forms round differently, so both are
+kept and checked against each other.  Whether the iteration
 converges is governed entirely by the spectrum of W, which ties bit errors
 to the extreme-eigenvalue deviations quantified elsewhere in this package.
 """
@@ -112,19 +112,14 @@ def mf_decode(c: SampleMatrix, z: np.ndarray) -> np.ndarray:
 
 
 def _instance(c: SampleMatrix, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W and Z of a single instance as a batch of 1 for the kernels."""
+    """The (k, k) W and (k,) Z of a single instance, for the kernels."""
     z = _check_signal(c, z)
-    return covariance(c).values[None], z[None]
+    return covariance(c).values, z
 
 
 def _stack_product(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """W x row by row over a (t, k, k) stack, in one einsum call."""
     return np.einsum("tij,tj->ti", w, x, out=out)
-
-
-def _matrix_product(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """W x row by row with the bits of w @ x: one BLAS call per matrix."""
-    return np.matmul(w, x[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -158,24 +153,35 @@ def _block_buffers(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return buf, np.empty((b, t, k))
 
 
-# The BER paths multiply a stack in one call; a single instance keeps the
-# bits of w @ x, which einsum does not reproduce in the last place.
-def _partial_sum(w: np.ndarray, z: np.ndarray, s: int, weight: float = 1.0,
-                 product=_stack_product) -> np.ndarray:
-    """M^-1 sum_{j<s} (I - W/M)^j W Z over a (t, k, k) stack of W."""
+# The BER paths multiply a stack in one einsum call; a single instance
+# keeps the bits of w @ z, which einsum does not reproduce in the last place,
+# through np.dot, which runs the gemv that matmul runs per matrix.
+def _partial_sum(w: np.ndarray, z: np.ndarray, s: int, weight: float = 1.0) -> np.ndarray:
+    """M^-1 sum_{j<s} (I - W/M)^j W Z over a (t, k, k) stack of W, or for a
+    single (k, k) W and (k,) Z with np.dot as the product.
+
+    A stage is one product and, at weight 1 (where the scaling by 1 is
+    exact and skipped), two in-place ufunc calls.
+    """
+    product = np.dot if z.ndim == 1 else _stack_product
     m_inv = 1.0 / weight
     with np.errstate(over="ignore", invalid="ignore"):
         term = product(w, z)
         acc = term.copy()
+        step = np.empty_like(term)
         for _ in range(s - 1):
-            term = term - m_inv * product(w, term)
+            product(w, term, out=step)
+            if m_inv != 1.0:
+                step *= m_inv
+            term -= step
             acc += term
         return acc * m_inv
 
 
 def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
                product=_stack_product) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """est(s) = est(1) - (W - I) est(s-1) over a (t, k, k) stack, s <= cap.
+    """est(s) = est(1) - (W - I) est(s-1) over a (t, k, k) stack, s <= cap,
+    or for a single (k, k) W and (k,) Z.
 
     The stages run in blocks of up to b (_block_stages), each iterate
     written into the next slot of one buffer.  With tol, a trial stops at
@@ -184,15 +190,22 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     block's changes; the rows run the rest of the block regardless.  A
     stopped trial's result is recorded at once (converged), but its row
     stays in the working stack until a quarter of the stack has stopped;
-    only then is the stack compacted, into a new buffer sized for it.
-    Each row's arithmetic is independent of the others and of its
-    block, so the results do not depend on when the tests or compaction
-    happen.  The first compaction frees w when the caller holds no other
-    reference.  Returns (est, stages, converged, ahead): each
-    trial's last estimate and stage, whether it stopped early, and
-    est(cap + 1) on the rows that did not (NaN elsewhere).
+    only then, and only if some row still runs, is the stack compacted,
+    into a new buffer sized for it.  Each row's arithmetic is independent
+    of the others and of its block, so the results do not depend on when
+    the tests or compaction happen.  The first compaction frees w when the
+    caller holds no other reference.  A single instance is a stack of one
+    row whose products are np.dot on the row's 1-d views, made once per
+    block: a stage is one np.dot and two in-place ufunc calls.  Returns
+    (est, stages, converged, ahead), with one row per trial (one row for a
+    single instance): each trial's last estimate and stage, whether it
+    stopped early, and est(cap + 1) on the rows that did not (NaN
+    elsewhere).
     """
-    est1 = product(w, z)
+    lead = slice(None)  # the products see all rows of a stack, the 1-d row of an instance
+    if z.ndim == 1:
+        w, z, product, lead = w[None], z[None], np.dot, 0
+    est1 = product(w[lead], z[lead]).reshape(z.shape)
     est = est1.copy()
     stages = np.full(len(z), cap)
     converged = np.zeros(len(z), dtype=bool)
@@ -204,11 +217,12 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
             m = min(len(buf) - 1, cap - stage)
             # the product gets a row of its own: writing it into buf[j + 1] made 100
             # sdpic_stage + iterate_to_limit instances ~25% slower (4 alternated runs, 2 cores)
-            scratch = change[0]
-            for j in range(m):
-                product(wa, buf[j], out=scratch)
-                np.subtract(scratch, buf[j], out=scratch)
-                np.subtract(e1a, scratch, out=buf[j + 1])
+            wv, e1v, scratch, x = wa[lead], e1a[lead], change[0, lead], buf[0, lead]
+            for nxt in buf[1:m + 1, lead]:
+                product(wv, x, out=scratch)
+                np.subtract(scratch, x, out=scratch)
+                np.subtract(e1v, scratch, out=nxt)
+                x = nxt
             ea = buf[m]
             if tol is not None:
                 np.subtract(buf[1:m + 1], buf[:m], out=change[:m])
@@ -220,9 +234,9 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
                     stages[rows[done]] = stage + first
                     converged[rows[done]] = True
                     keep = ~converged[rows]
-                    if 4 * np.count_nonzero(keep) <= 3 * len(rows):
+                    if 0 < 4 * np.count_nonzero(keep) <= 3 * len(rows):
                         ea = ea[keep]
-                        del buf, change, scratch  # freed before W is copied
+                        del buf, change, scratch, x, nxt, wv, e1v  # freed before W is copied
                         rows, wa, e1a = rows[keep], wa[keep], e1a[keep]
                         buf, change = _block_buffers(ea)
                         ea, stage = buf[0], stage + m
@@ -231,7 +245,7 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
             # the buffer carries it into the next block in slot 0, uncopied
             buf, stage = buf[::-1], stage + m
         # one more stage over the whole working stack, so W is not copied
-        step = e1a - (product(wa, ea) - ea)
+        step = (e1a[lead] - (product(wa[lead], ea[lead]) - ea[lead])).reshape(ea.shape)
         keep = ~converged[rows]
         est[rows[keep]] = ea[keep]
         ahead = np.full_like(est, np.nan)
@@ -242,7 +256,7 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
 def sdpic_stage(c: SampleMatrix, z: np.ndarray, s: int) -> np.ndarray:
     """Stage-s estimate by the interference-cancellation recursion."""
     _check_stage(s)
-    return _recursion(*_instance(c, z), s, product=_matrix_product)[0][0]
+    return _recursion(*_instance(c, z), s)[0][0]
 
 
 def sdpic_closed(c: SampleMatrix, z: np.ndarray, s: int) -> np.ndarray:
@@ -252,7 +266,7 @@ def sdpic_closed(c: SampleMatrix, z: np.ndarray, s: int) -> np.ndarray:
     identity evaluated along different paths.
     """
     _check_stage(s)
-    return _partial_sum(*_instance(c, z), s, product=_matrix_product)[0]
+    return _partial_sum(*_instance(c, z), s)
 
 
 def weighted_sdpic(c: SampleMatrix, z: np.ndarray, s: int, weight: float) -> np.ndarray:
@@ -264,7 +278,7 @@ def weighted_sdpic(c: SampleMatrix, z: np.ndarray, s: int, weight: float) -> np.
     exactly.
     """
     _check_stage(s, weight)
-    return _partial_sum(*_instance(c, z), s, weight, _matrix_product)[0]
+    return _partial_sum(*_instance(c, z), s, weight)
 
 
 def decide_bits(estimate: np.ndarray, coin_seed: int) -> np.ndarray:
@@ -304,25 +318,23 @@ def iterate_to_limit(c: SampleMatrix, z: np.ndarray) -> tuple[np.ndarray, int, b
     Returns (estimate, stages_run, converged); converged False means the
     INFTY_STAGE_CAP stage cap was hit first.
     """
-    est, stages, converged, _ = _recursion(*_instance(c, z), INFTY_STAGE_CAP, INFTY_TOL,
-                                            product=_matrix_product)
+    est, stages, converged, _ = _recursion(*_instance(c, z), INFTY_STAGE_CAP, INFTY_TOL)
     return est[0], int(stages[0]), bool(converged[0])
 
 
 def stage_trace(c: SampleMatrix, z: np.ndarray, max_stage: int,
                 coin_seed: int) -> list[tuple[int, float, int]]:
     """Per-stage (stage, ||est - Z||_inf, bit errors) rows, with sdpic_stage's bits."""
-    w, zb = _instance(c, z)
-    z = zb[0]
+    w, z = _instance(c, z)
     bits = np.sign(z)
     rows = []
-    est = est1 = _matrix_product(w, zb)
+    est = est1 = np.dot(w, z)
     with np.errstate(over="ignore", invalid="ignore"):
         for stage in range(1, max_stage + 1):
             if stage > 1:
-                est = est1 - (_matrix_product(w, est) - est)
-            errors = int(np.count_nonzero(decide_bits(est[0], coin_seed) != bits))
-            rows.append((stage, float(np.max(np.abs(est[0] - z))), errors))
+                est = est1 - (np.dot(w, est) - est)
+            errors = int(np.count_nonzero(decide_bits(est, coin_seed) != bits))
+            rows.append((stage, float(np.max(np.abs(est - z))), errors))
     return rows
 
 
@@ -376,29 +388,48 @@ def _unsettled(distances: np.ndarray, k: int, n: int) -> np.ndarray:
     return _row_max(nq) > CONTRACTION_SCREEN * n
 
 
+def _oscillating(w: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack of capped W: does the recursion oscillate,
+    lambda_max >= PING_PONG_LAMBDA (less 1e-12) or W singular by core's
+    zero-eigenvalue rule?"""
+    lam = eigvalues_batch(w)
+    return (lam[:, -1] >= PING_PONG_LAMBDA - 1e-12) | bottom_eigenvalues_vanish(lam, 1)
+
+
 def _decode_pool(distances: np.ndarray, bits: np.ndarray, coins: np.ndarray,
                  k: int, n: int) -> tuple[np.ndarray, int, int]:
     """(wrong, cap hits, oscillations) of an s=inf pool of trials, given as
     their code distances, bits and coins (see ber_experiment).
 
-    Z's bits join the key 8 users to an integer column.  Only the
-    recursion holds the float W of the distinct pairs, so its first
-    compaction frees it; the capped pairs' spectra come from W rebuilt for
-    them alone.
+    Negating user i's code row and bit negates row and column i of W off
+    the diagonal, and row i of every iterate, exactly: each product and sum
+    only changes sign, and rounding to nearest is symmetric.  So (W, Z)
+    decodes as D decode(D W D, 1) with D = diag(Z), and on distances D W D
+    is d_ij -> n - d_ij wherever z_i != z_j.  The pool keys on those
+    flipped distances alone (about 120 sign classes where 2^16 trials at
+    (3, 8) hold about 900 distinct (W, Z) pairs), decodes each class once
+    against Z = 1, and multiplies its estimates back by each trial's bits.
+    Whether a capped class oscillates is decided on its D W D, whose
+    eigenvalues are W's to LAPACK's round-off (about 1e-15), far inside the
+    guard bands.  Only the recursion holds the float W of the classes, so
+    its first compaction frees it; the capped classes' spectra come from W
+    rebuilt for them alone.
     """
-    first, inverse = _sign_gram_classes(
-        distances, n, np.packbits(bits > 0, axis=1, bitorder="little"))
+    rows, cols = np.triu_indices(k, 1)
+    negative = bits < 0
+    distances = np.where(negative[:, rows] != negative[:, cols], n - distances, distances)
+    first, inverse = _sign_gram_classes(distances, n)
     distances = distances[first]
     est, _, converged, ahead = _recursion(np.ascontiguousarray(_sign_gram(distances, k, n)),
-                                          bits[first], INFTY_STAGE_CAP, INFTY_TOL)
+                                          np.ones((len(first), k)), INFTY_STAGE_CAP, INFTY_TOL)
     capped = np.flatnonzero(~converged)
     oscillating = np.zeros(len(first), dtype=bool)
     if capped.size > 0:
-        lam = eigvalues_batch(_sign_gram(distances[capped], k, n))
-        oscillating[capped] = ((lam[:, -1] >= PING_PONG_LAMBDA - 1e-12)
-                               | bottom_eigenvalues_vanish(lam, 1))
+        oscillating[capped] = _oscillating(_sign_gram(distances[capped], k, n))
     est, converged, ahead, oscillating = (
         a[inverse] for a in (est, converged, ahead, oscillating))
+    est *= bits
+    ahead *= bits
     wrong = _decide_batch(est, coins) != bits
     osc = np.flatnonzero(oscillating)
     marked = wrong[osc] | (np.sign(ahead[osc]) != np.sign(est[osc]))
@@ -431,11 +462,12 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     distances (core._sign_distances), screens them (_unsettled), and pools
     only the trials that CONTRACTION_SCREEN does not settle, across chunks,
     into stacks of at least CHUNK_TRIALS rows (or all that remain).  A
-    trial's outcome depends only on its (W, Z), so each distinct pair of a
-    pool is decoded once (found by core._sign_gram_classes, an exact
-    integer key with Z's bits as extra columns) from float W built for the
-    distinct pairs alone, and its estimate scattered back; coins, errors
-    and oscillation attribution stay per trial.  The screened trials are
+    trial's (W, Z) decodes exactly as D decode(D W D, 1) with D = diag(Z),
+    so each sign class of a pool (its flipped distances, found by
+    core._sign_gram_classes, an exact integer key) is decoded once against
+    Z = 1 from float W built for the classes alone, and its estimate is
+    multiplied back by each trial's bits (_decode_pool); coins, errors and
+    oscillation attribution stay per trial.  The screened trials are
     provably error-free, and each trial's arithmetic does not depend on its
     stack or block, so the counts equal those of decoding every trial.
     A finite stage decodes each block in _sign_gram's trials-last layout,

@@ -535,27 +535,24 @@ class TestBartlettLaw:
 
 class TestSignGramClasses:
     # the exact key that mclab's distinct-W eigen solve and ber_experiment's
-    # distinct-(W, Z) decode share: the +/-1 distances themselves
-    @pytest.mark.parametrize("with_extra", [False, True])
+    # sign-class decode share: the +/-1 distances themselves
+    @pytest.mark.parametrize("widened", [False, True])
     @pytest.mark.parametrize("k, n", [(3, 4), (3, 71), (9, 2), (17, 1)])
-    def test_first_and_inverse_rebuild_the_stack(self, k, n, with_extra):
-        # (9, 2) and (17, 1) pack their keys into two and three int64 words
-        rng = derive_rng(4)
-        distances = core._sign_distances(rng, 5000, k, n)
-        extra = rng.integers(-2, 3, size=(5000, 2)) if with_extra else None
-        first, inverse = core._sign_gram_classes(distances, n, extra)
+    def test_first_and_inverse_rebuild_the_stack(self, k, n, widened):
+        # (9, 2) and (17, 1) pack their keys into several 16-bit words;
+        # widened distances (n > 65,535 makes them uint32) into 32-bit ones
+        distances = core._sign_distances(derive_rng(4), 5000, k, n)
+        if widened:
+            distances = distances.astype(np.uint32)
+        first, inverse = core._sign_gram_classes(distances, n)
         assert np.array_equal(distances[first][inverse], distances)
         rows = [m.tobytes() for m in core._sign_gram(distances, k, n)]
-        if with_extra:
-            assert np.array_equal(extra[first][inverse], extra)
-            rows = [m + e.tobytes() for m, e in zip(rows, extra)]
         assert len(first) == len(set(rows)) < len(distances)
         # each class is represented by its first row
         assert np.array_equal(np.unique(inverse, return_index=True)[1], first)
 
     def test_empty_stack(self):
-        first, inverse = core._sign_gram_classes(np.empty((0, 3), dtype=np.uint8), 8,
-                                                 np.empty((0, 1), dtype=np.int64))
+        first, inverse = core._sign_gram_classes(np.empty((0, 3), dtype=np.uint8), 8)
         assert first.size == inverse.size == 0
 
     def test_one_class_at_k1(self):

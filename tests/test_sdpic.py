@@ -69,6 +69,18 @@ def chunk_zero_stack(k, n, trials, seed):
     return np.concatenate(list(core.gram_blocks(R, rng, trials, k, n))), bits
 
 
+def _matrix_product(w, x, out=None):
+    """W x row by row with the bits of w @ x: the matmul reference whose bits
+    the single-instance decoders (np.dot) must keep."""
+    return np.matmul(w, x[..., None], out=None if out is None else out[..., None])[..., 0]
+
+
+def instance_stack(c, z):
+    """A single instance's W and Z as a stack of one."""
+    w, z = sdpic._instance(c, z)
+    return w[None], z[None]
+
+
 def eager_recursion(w, z, cap, tol=None, visit=None, product=sdpic._stack_product):
     """The recursion compacting its stack in every stage where a trial
     converges: the reference that sdpic._recursion must match bit for bit."""
@@ -103,7 +115,7 @@ def eager_recursion(w, z, cap, tol=None, visit=None, product=sdpic._stack_produc
 def eager_trace(c, z, stages, coin_seed):
     """stage_trace's rows built from eager_recursion's per-stage iterates."""
     iterates = []
-    eager_recursion(*sdpic._instance(c, z), stages, product=sdpic._matrix_product,
+    eager_recursion(*instance_stack(c, z), stages, product=_matrix_product,
                     visit=lambda s, e: iterates.append((s, e[0].copy())))
     assert [s for s, _ in iterates] == list(range(1, stages + 1))
     return [(s, float(np.max(np.abs(e - z))),
@@ -425,6 +437,8 @@ class TestDecodeAndLimit:
             sdpic_closed(c, z, 1000)
             weighted_sdpic(c, z, 1000, 1.0)
             run_decode(c, z, 1000, coin_seed=1)
+            iterate_to_limit(c, z)
+            stage_trace(c, z, 1000, coin_seed=1)
 
     def test_stage_trace_follows_sdpic_stage(self):
         c = sample_matrix(R, 4, 9, 21)
@@ -512,7 +526,7 @@ class TestBerExperiment:
         stacked = ber_experiment(*args)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sdpic, "_recursion",
-                       functools.partial(sdpic._recursion, product=sdpic._matrix_product))
+                       functools.partial(sdpic._recursion, product=_matrix_product))
             per_matrix = ber_experiment(*args)
         assert stacked.oscillation_count > 0
         assert stacked.per_user_error_counts == per_matrix.per_user_error_counts
@@ -558,7 +572,7 @@ class TestBerExperiment:
     def test_infinite_mode_pools_distances(self):
         # at (16, 64) every trial of a 2^14-trial chunk is unsettled: its pool
         # takes 1.9 MiB as distances, 32 MiB as float W.  Float W is built
-        # once, for the distinct pairs; a pool of float W (its chunk list,
+        # once, for the sign classes; a pool of float W (its chunk list,
         # their join and the distinct rows) peaked at 88.6 MiB
         tracemalloc.start()
         try:
@@ -635,7 +649,7 @@ class TestContractionScreen:
 
 
 class TestRecursionKeepsItsBits:
-    @pytest.mark.parametrize("product", [sdpic._stack_product, sdpic._matrix_product])
+    @pytest.mark.parametrize("product", [sdpic._stack_product, _matrix_product])
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("cap", [40, 1000])
     def test_mixed_stacks(self, k, cap, product):
@@ -645,9 +659,9 @@ class TestRecursionKeepsItsBits:
         assert_same_results(sdpic._recursion(w, z, cap, sdpic.INFTY_TOL, product=product),
                             expected)
 
-    @pytest.mark.parametrize("product", [sdpic._stack_product, sdpic._matrix_product])
+    @pytest.mark.parametrize("product", [sdpic._stack_product, _matrix_product])
     def test_divergent_instance(self, product):
-        w, z = sdpic._instance(divergent_instance(), np.ones(8))
+        w, z = instance_stack(divergent_instance(), np.ones(8))
         expected = eager_recursion(w, z, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL,
                                    product=product)
         assert not np.all(np.isfinite(expected[0]))
@@ -689,7 +703,7 @@ class TestRecursionKeepsItsBits:
         assert set((expected[1][:stopping] - 2) % b) == set(range(b))
         assert_same_results(sdpic._recursion(w, z, 1000, sdpic.INFTY_TOL), expected)
 
-    @pytest.mark.parametrize("product", [sdpic._stack_product, sdpic._matrix_product])
+    @pytest.mark.parametrize("product", [sdpic._stack_product, _matrix_product])
     @pytest.mark.parametrize("cap_of", [lambda b: 1, lambda b: 2, lambda b: b - 1,
                                         lambda b: b + 1, lambda b: 1000],
                              ids=["1", "2", "b-1", "b+1", "1000"])
@@ -725,46 +739,190 @@ class TestRecursionKeepsItsBits:
                               int(rng.integers(1 << 30)))
             z = random_bits(rng, k)
             est, stages, converged = iterate_to_limit(c, z)
-            expected = eager_recursion(*sdpic._instance(c, z), sdpic.INFTY_STAGE_CAP,
-                                       sdpic.INFTY_TOL, product=sdpic._matrix_product)
+            expected = eager_recursion(*instance_stack(c, z), sdpic.INFTY_STAGE_CAP,
+                                       sdpic.INFTY_TOL, product=_matrix_product)
             assert np.array_equal(est, expected[0][0], equal_nan=True)
             assert (stages, converged) == (expected[1][0], expected[2][0])
             outcomes.add(converged)
         assert outcomes == {True, False}
 
 
+def matmul_partial_sum(w, z, s, weight=1.0):
+    """The partial sum M^-1 sum_{j<s} (I - W/M)^j W Z with the matmul reference
+    as the product."""
+    m_inv = 1.0 / weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = _matrix_product(w, z)
+        acc = term.copy()
+        for _ in range(s - 1):
+            term = term - m_inv * _matrix_product(w, term)
+            acc += term
+        return acc * m_inv
+
+
+class TestInstanceKeepsMatmulBits:
+    # a single instance's products are np.dot's gemv, which must give the
+    # bits of matmul's per-matrix loop
+    @staticmethod
+    def instances():
+        rng = derive_rng(13)
+        laws = (R, EntryDistribution.UNIFORM_SYM, EntryDistribution.STD_NORMAL)
+        for i in range(48):  # every (law, k) pair twice
+            k = i % 8 + 1
+            c = sample_matrix(laws[i % 3], k, int(rng.integers(4, 65)),
+                              int(rng.integers(1 << 30)))
+            yield c, random_bits(rng, k), int(rng.integers(1, 33))
+        # W = [[1, 1], [1, 1]]: capped, alternating between (2, 2) and (0, 0)
+        yield SampleMatrix(R, 2, 2, np.ones((2, 2)), seed=0), np.ones(2), 1000
+        yield divergent_instance(), np.ones(8), 1000  # overflows
+
+    def test_decoders(self):
+        capped = []
+        for c, z, s in self.instances():
+            w, zb = instance_stack(c, z)
+            est, stages, converged = iterate_to_limit(c, z)
+            expected = eager_recursion(w, zb, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL,
+                                       product=_matrix_product)
+            assert np.array_equal(est, expected[0][0], equal_nan=True)
+            assert (stages, converged) == (expected[1][0], expected[2][0])
+            if not converged:
+                capped.append(bool(np.all(np.isfinite(est))))
+            expected = eager_recursion(w, zb, s, product=_matrix_product)[0][0]
+            assert np.array_equal(sdpic_stage(c, z, s), expected, equal_nan=True)
+            assert np.array_equal(sdpic_closed(c, z, s), matmul_partial_sum(w, zb, s)[0],
+                                  equal_nan=True)
+            for weight in (0.7, 1.0, 1.5):
+                assert np.array_equal(weighted_sdpic(c, z, s, weight),
+                                      matmul_partial_sum(w, zb, s, weight)[0], equal_nan=True)
+            assert stage_trace(c, z, min(s, 60), 3) == eager_trace(c, z, min(s, 60), 3)
+        assert True in capped and False in capped
+
+
+def sign_stack(k, seed):
+    """+/-1 W stack holding singular, lambda_max >= 2 and overflowing trials
+    among convergent ones, with random bits."""
+    rng = derive_rng(seed)
+    w = np.concatenate([block for n in (max(1, k // 2), k, 2 * k, 8 * k)
+                        for block in core.gram_blocks(R, rng, 300, k, n)])
+    z = (rng.integers(0, 2, size=(len(w), k)) * 2 - 1).astype(np.float64)
+    return np.ascontiguousarray(w), z
+
+
+class TestSignSymmetry:
+    # negating user i's code row and bit negates row and column i of W off
+    # the diagonal and row i of every iterate, exactly; the s=inf pool
+    # decodes each sign class against Z = 1 on this identity
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_recursion(self, k):
+        w, z = sign_stack(k, seed=k)
+        d = random_bits(derive_rng(k, 1), (len(w), k))
+        lam = eigvalues_batch(w)
+        assert np.any(lam[:, -1] >= 2.0) and np.any(core.bottom_eigenvalues_vanish(lam, 1))
+        est, stages, converged, ahead = sdpic._recursion(w, z, sdpic.INFTY_STAGE_CAP,
+                                                         sdpic.INFTY_TOL)
+        assert 0 < np.count_nonzero(converged) < len(z)
+        # |1 - lambda| <= k - 1, so the iterates overflow from k = 4 only
+        assert np.all(np.isfinite(est)) == (k < 4)
+        dwd = d[:, :, None] * w * d[:, None, :]
+        assert_same_results(
+            sdpic._recursion(dwd, d * z, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL),
+            (d * est, stages, converged, d * ahead))
+
+    @pytest.mark.parametrize("s", [1, 4, 32])
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_partial_sum(self, k, s):
+        w, z = sign_stack(k, seed=k)
+        d = random_bits(derive_rng(k, 1), (len(w), k))
+        dwd = d[:, :, None] * w * d[:, None, :]
+        assert_same_results([sdpic._partial_sum(dwd, d * z, s)],
+                            [d * sdpic._partial_sum(w, z, s)])
+
+
+def every_trial_pool(distances, bits, coins, k, n):
+    """sdpic._decode_pool with every trial decoded on its own (W, Z): no sign
+    flip and no deduplication, the reference for the pooled counts."""
+    est, _, converged, ahead = sdpic._recursion(
+        np.ascontiguousarray(core._sign_gram(distances, k, n)), bits,
+        sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL)
+    capped = np.flatnonzero(~converged)
+    oscillating = np.zeros(len(bits), dtype=bool)
+    if capped.size > 0:
+        oscillating[capped] = sdpic._oscillating(core._sign_gram(distances[capped], k, n))
+    wrong = sdpic._decide_batch(est, coins) != bits
+    osc = np.flatnonzero(oscillating)
+    marked = wrong[osc] | (np.sign(ahead[osc]) != np.sign(est[osc]))
+    quiet = np.flatnonzero(~np.any(marked, axis=1))
+    step = np.abs(ahead[osc[quiet]] - est[osc[quiet]])
+    top = step >= np.max(step, axis=1, keepdims=True) * (1.0 - sdpic._TIE_RTOL)
+    marked[quiet, np.argmax(top, axis=1)] = True
+    wrong[osc] = marked
+    return wrong, int(np.count_nonzero(~converged)), osc.size
+
+
+def unsettled_sign_classes(k, n, trials, seed):
+    """(W, bits, D W D) of chunk 0's trials that the contraction screen
+    leaves to decode.  A sign flip turns a zero of W into -0.0, which the
+    pool's D W D, built from flipped distances, holds as +0.0: adding 0.0
+    makes them equal."""
+    w, bits = chunk_zero_stack(k, n, trials, seed)
+    rest = np.max(np.sum(np.abs(np.eye(k) - w), axis=2), axis=1) > sdpic.CONTRACTION_SCREEN
+    w, bits = w[rest], bits[rest]
+    return w, bits, bits[:, :, None] * w * bits[:, None, :] + 0.0
+
+
 class TestDistinctPairs:
-    # at s=inf an outcome depends only on (W, Z), so ber_experiment decodes
-    # each distinct pair of a pool once and scatters the result to its trials
+    # at s=inf (W, Z) decodes as D decode(D W D, 1) with D = diag(Z), so
+    # ber_experiment decodes each sign class of a pool once against Z = 1
+    # and multiplies the result back by each trial's bits
     @pytest.mark.parametrize("args", [
         (3, 8, math.inf, 1 << 16, 12345),
         (4, 6, math.inf, 20000, 3),
         (3, 18, math.inf, 10**5, 909),  # oscillation ties at lambda_max = 2
-        # singular W with Z = (1, -1) decodes to exact zeros: each duplicate
-        # of that pair takes its own coins
+        # singular W with Z = (1, -1) decodes to exact zeros: each trial of
+        # that class takes its own coins
         (2, 2, math.inf, 20000, 4),
     ])
     def test_counts_equal_decoding_every_trial(self, args):
-        deduplicated = ber_experiment(*args)
+        classes = ber_experiment(*args)
         with pytest.MonkeyPatch.context() as mp:
-            # every row its own class
-            mp.setattr(sdpic, "_sign_gram_classes", lambda distances, n, extra: (
-                np.arange(len(distances)), np.arange(len(distances))))
+            mp.setattr(sdpic, "_decode_pool", every_trial_pool)
             every_trial = ber_experiment(*args)
-        assert deduplicated.cap_hit_count > 0
-        assert deduplicated == every_trial
+        assert classes.cap_hit_count > 0
+        assert classes == every_trial
 
     @pytest.mark.parametrize("k, n", [(2, 2), (3, 8), (4, 6), (3, 18)])
-    def test_one_decode_per_distinct_pair(self, monkeypatch, k, n):
+    def test_one_decode_per_sign_class(self, monkeypatch, k, n):
         # CHUNK_TRIALS trials make one chunk and so one pool
         trials, seed = sdpic.CHUNK_TRIALS, 909
-        w, bits = chunk_zero_stack(k, n, trials, seed)
-        rest = np.max(np.sum(np.abs(np.eye(k) - w), axis=2), axis=1) > sdpic.CONTRACTION_SCREEN
-        pairs = {m.tobytes() + b.tobytes() for m, b in zip(w[rest], bits[rest])}
+        w, bits, dwd = unsettled_sign_classes(k, n, trials, seed)
+        pairs = {m.tobytes() + b.tobytes() for m, b in zip(w, bits)}
+        classes = {m.tobytes() for m in dwd}
         decoded = []
         recursion = sdpic._recursion
         monkeypatch.setattr(sdpic, "_recursion",
                             lambda w, z, *args: decoded.append(len(z)) or recursion(w, z, *args))
         ber_experiment(k, n, math.inf, trials, seed)
-        assert decoded == [len(pairs)]
-        assert len(pairs) < np.count_nonzero(rest)
+        assert decoded == [len(classes)]
+        assert len(classes) <= len(pairs) < len(w)
+        if (k, n) in ((3, 8), (4, 6)):
+            assert len(classes) < len(pairs)
+
+    @pytest.mark.parametrize("k, n", [(3, 8), (4, 6), (3, 18), (5, 9)])
+    def test_class_oscillation_flag_is_each_members(self, monkeypatch, k, n):
+        # a capped class's flag is decided on its D W D, whose eigenvalues
+        # are each member's W's to LAPACK's round-off
+        trials, seed = sdpic.CHUNK_TRIALS, 909
+        w, _, dwd = unsettled_sign_classes(k, n, trials, seed)
+        members = {}
+        for t, m in enumerate(dwd):
+            members.setdefault(m.tobytes(), []).append(t)
+        flagged = []
+        oscillating = sdpic._oscillating
+        monkeypatch.setattr(sdpic, "_oscillating",
+                            lambda w: flagged.append((w, oscillating(w))) or flagged[-1][1])
+        ber_experiment(k, n, math.inf, trials, seed)
+        [(capped, flags)] = flagged
+        assert flags.any()
+        for m, flag in zip(capped, flags):
+            own = sdpic._oscillating(w[members[m.tobytes()]])
+            assert own.size > 0 and np.all(own == flag)
