@@ -51,7 +51,6 @@ from .rates import (
     mgf_bound_check,
     phase_transition_alpha_star,
     phase_transition_alpha_star_k,
-    rate_joint_wishart,
     rate_k,
     rate_lower_bound_bounded,
     rate_lower_bound_rademacher,
@@ -67,7 +66,6 @@ from .sdpic import (
     decide_bits,
     error_free_condition,
     iterate_to_limit,
-    mf_decode,
     run_decode,
     sdpic_closed,
     sdpic_stage,

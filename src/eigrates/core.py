@@ -321,9 +321,20 @@ def mp_edges(beta: float) -> tuple[float, float]:
 # for eigenvalues, without spectrum()'s eigenvectors or certificate.  Tests
 # cross-check them against a Jacobi reference.
 
-# Entries (or W entries) in one gram_blocks block, which bounds the W and
-# the scratch memory that a trial loop holds at a time.
+# Entries (of C, W or scratch) in one _row_blocks block, which bounds the W
+# and the scratch memory that a trial loop holds at a time.
 GRAM_BLOCK_ENTRIES = 1 << 20
+
+
+def _row_blocks(m: int, row_entries: int):
+    """Consecutive slices of range(m), of GRAM_BLOCK_ENTRIES // row_entries
+    rows each (at least 1), the last shorter: the one block rule of every
+    trial loop, for rows of row_entries entries of W or scratch each (a
+    row of none counts as one)."""
+    step = max(1, GRAM_BLOCK_ENTRIES // max(1, row_entries))
+    for start in range(0, m, step):
+        yield slice(start, min(start + step, m))
+
 
 def covariance_batch(entries: np.ndarray) -> np.ndarray:
     """(m, k, k) stack of (1/n) C C^T for an (m, k, n) stack of C, exactly
@@ -335,8 +346,8 @@ def covariance_batch(entries: np.ndarray) -> np.ndarray:
 def gram_blocks(dist: EntryDistribution, rng: np.random.Generator,
                 m: int, k: int, n: int):
     """W = (1/n) C C^T for m fresh k x n entry matrices, as (rows, k, k)
-    blocks of _block_sizes' trials or, for normal entries,
-    GRAM_BLOCK_ENTRIES // k^2, at least 1 and the last shorter.
+    blocks of _row_blocks(m, k max(n, k)) trials (k*n entries and k*k
+    products per trial) or, for normal entries, _row_blocks(m, k^2).
 
     For +/-1 and uniform entries the joined blocks are bit for bit
     covariance_batch(dist.sample(rng, (m, k, n))), and once exhausted the
@@ -348,27 +359,20 @@ def gram_blocks(dist: EntryDistribution, rng: np.random.Generator,
     if dist is EntryDistribution.STD_NORMAL:
         yield from _wishart_gram(rng, m, k, n)
         return
-    for size in _block_sizes(m, k, n):
+    for block in _row_blocks(m, k * max(n, k)):
+        size = block.stop - block.start
         if dist is EntryDistribution.RADEMACHER:
             yield _sign_gram(_sign_distances(rng, size, k, n), k, n)
         else:
             yield covariance_batch(dist.sample(rng, (size, k, n)))
 
 
-def _block_sizes(m: int, k: int, n: int):
-    """Trials per block of m entry matrices: GRAM_BLOCK_ENTRIES // (k max(n, k))
-    (k*n entries and k*k products per trial), at least 1, the last shorter."""
-    step = max(1, GRAM_BLOCK_ENTRIES // (k * max(n, k)))
-    for start in range(0, m, step):
-        yield min(step, m - start)
-
-
 def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int):
     """W = (1/n) L L^T for m normal-entry k x n matrices, by the Bartlett
     decomposition (Muirhead, Aspects of Multivariate Statistical Theory,
-    1982, Sec. 3.2), yielded in blocks of GRAM_BLOCK_ENTRIES // k^2
-    trials.  nW is real Wishart W_k(n, I), and so is L L^T for the
-    lower trapezoidal k x r matrix L, r = min(k, n), with (0-based)
+    1982, Sec. 3.2), yielded in blocks of _row_blocks(m, k^2) trials.
+    nW is real Wishart W_k(n, I), and so is L L^T for the lower
+    trapezoidal k x r matrix L, r = min(k, n), with (0-based)
     L_ii = sqrt(chi2(n - i)) for i < r, L_ij standard normal for j < i and
     j < r, and zeros elsewhere.  The rows from index r on are full normal
     rows, so W has rank r, as C C^T / n has.  A trial costs r chi-square
@@ -383,11 +387,10 @@ def _wishart_gram(rng: np.random.Generator, m: int, k: int, n: int):
     diagonal = rng.chisquare(n - np.arange(r), size=(m, r))
     np.sqrt(diagonal, out=diagonal)
     rows, cols = np.tril_indices(k, -1, r)
-    step = max(1, GRAM_BLOCK_ENTRIES // (k * k))
-    for start in range(0, m, step):
-        size = min(step, m - start)
+    for block in _row_blocks(m, k * k):
+        size = block.stop - block.start
         lower = np.zeros((size, k, r))
-        lower[:, np.arange(r), np.arange(r)] = diagonal[start:start + size]
+        lower[:, np.arange(r), np.arange(r)] = diagonal[block]
         lower[:, rows, cols] = rng.standard_normal((size, rows.size))
         # matmul of contiguous operands is several times faster than einsum
         # here, but this gemm is not always exactly symmetric: average it,
@@ -407,8 +410,8 @@ def _sign_distances(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndar
     n (uint8 up to n = 255, uint16 up to 65,535).  Row i and row j of C
     differ in d_ij entries, so n W_ij = n - 2 d_ij.
 
-    The bits are drawn in blocks of _block_sizes' trials, which bounds the
-    scratch.  They (1 is the entry +1) go into rows zero-padded to whole
+    The bits are drawn in gram_blocks' blocks of trials (k max(n, k)
+    entries a trial), which bounds the scratch.  They (1 is the entry +1) go into rows zero-padded to whole
     words of 1, 2, 4 or 8 bytes (the smallest that holds a row, else 8),
     one flat packbits turns row i into the words b_i, and only the
     k(k-1)/2 pairs i < j are XORed.
@@ -418,16 +421,15 @@ def _sign_distances(rng: np.random.Generator, m: int, k: int, n: int) -> np.ndar
     width = -(-row_bytes // word) * word * 8  # padded bits per row
     rows, cols = np.triu_indices(k, 1)
     distances = np.empty((m, rows.size), dtype=np.min_scalar_type(n))
-    start = 0
-    for size in _block_sizes(m, k, n):
+    for block in _row_blocks(m, k * max(n, k)):
+        size = block.stop - block.start
         bits = np.zeros((size, k, width), dtype=bool)
         bits[..., :n] = random_bits(rng, (size, k, n))
         words = np.packbits(bits, bitorder="little").view(f"u{word}").reshape(size, k, -1)
         # trials last, so each XOR and popcount runs along all trials at once
         words = np.ascontiguousarray(words.transpose(1, 2, 0))
         differ = np.bitwise_count(words[rows] ^ words[cols])
-        distances[start:start + size] = differ.sum(axis=1, dtype=distances.dtype).T
-        start += size
+        distances[block] = differ.sum(axis=1, dtype=distances.dtype).T
     return distances
 
 

@@ -35,6 +35,7 @@ from .core import (
     EntryDistribution,
     GRAM_BLOCK_ENTRIES,
     _chunks,
+    _row_blocks,
     _sign_distances,
     _sign_gram,
     _sign_gram_classes,
@@ -141,20 +142,18 @@ def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int, sc
     +/-1 W take at most comb(2^(k-1) + n - 1, n) values (one per multiset
     of column classes, as in enumerate_exact).  When that is at most
     CHUNK_TRIALS, a chunk draws its trials as core._sign_distances, finds
-    the distinct ones once (core._sign_gram_classes, an exact integer key;
-    sdpic.ber_experiment decodes each distinct (W, Z) of an s=inf pool by
-    the same key), and builds float W for those alone, in pieces of at
-    most GRAM_BLOCK_ENTRIES // k^2 rows, each W counted as often as it was
-    drawn.  A chunk's distances take at most 8.5 MiB and their key 1.1 MiB
-    (both at k = 17, n = 1).
-    Otherwise each row is one trial of a
-    core.gram_blocks block.  The screen (see _tail_screen) applies at
-    k >= 3 only: at k <= 2 eigvalues_batch's closed forms cost less than it.
+    the distinct ones once (core._sign_gram_classes, the exact integer key
+    on which sdpic's s=inf pool also finds its sign classes), and builds
+    float W for those alone, one core._row_blocks block (k^2 entries a
+    row) at a time, each W counted as often as it was drawn.  A chunk's
+    distances take at most 8.5 MiB and their key 1.1 MiB (both at k = 17,
+    n = 1).  Otherwise each row is one trial of a core.gram_blocks block.
+    The screen (see _tail_screen) applies at k >= 3 only: at k <= 2
+    eigvalues_batch's closed forms cost less than it.
     """
     dedup = dist is EntryDistribution.RADEMACHER and _multisets_at_most(1 << (k - 1), n,
                                                                         CHUNK_TRIALS)
     screen = screen if k >= 3 else None
-    step = max(1, GRAM_BLOCK_ENTRIES // (k * k))
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
         if not dedup:
             for w in gram_blocks(dist, rng, size, k, n):
@@ -163,8 +162,7 @@ def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int, sc
         distances = _sign_distances(rng, size, k, n)
         first, inverse = _sign_gram_classes(distances, n)
         count = np.bincount(inverse)
-        for start in range(0, len(first), step):
-            piece = slice(start, start + step)
+        for piece in _row_blocks(len(first), k * k):
             yield _eigvalues(_sign_gram(distances[first[piece]], k, n), count[piece], screen)
 
 

@@ -444,13 +444,6 @@ def rate_two_sparse(alpha: float) -> float:
     return 0.5 * (xlogx(alpha) + xlogx(2.0 - alpha))
 
 
-def rate_joint_wishart(alpha: float, beta: float) -> float:
-    """Joint top/bottom deviation rate for normal entries: the rates add."""
-    if not (0 < beta <= 1 <= alpha):
-        raise DomainError(f"need 0 < beta <= 1 <= alpha, got alpha={alpha}, beta={beta}")
-    return rate_wishart(alpha) + rate_wishart(beta)
-
-
 def rate_lower_bound_bounded(alpha: float, bound: float) -> float:
     """(alpha/M^2 - 1 - log(alpha/M^2))/2 for entries with |C| < M, alpha >= M^2."""
     if not bound >= 1.0:

@@ -1,5 +1,5 @@
-"""Noise-free CDMA uplink with +/-1 codes: matched filter, multistage
-soft-decision interference cancellation, and bit-error-rate experiments.
+"""Noise-free CDMA uplink with +/-1 codes: multistage soft-decision
+interference cancellation and bit-error-rate experiments.
 
 Users send one bit each through a shared channel; the receiver correlates
 with each code (matched filter, equivalent to multiplying the sent vector
@@ -29,6 +29,7 @@ from .core import (
     SampleMatrix,
     Spectrum,
     _chunks,
+    _row_blocks,
     _sign_distances,
     _sign_gram,
     _sign_gram_classes,
@@ -101,16 +102,6 @@ def _check_signal(c: SampleMatrix, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mf_decode(c: SampleMatrix, z: np.ndarray) -> np.ndarray:
-    """Matched filter: correlate the received sum C^T Z with each code.
-
-    Equals W Z with W the code covariance.
-    """
-    z = _check_signal(c, z)
-    received = c.entries.T @ z
-    return c.entries @ received / c.n
-
-
 def _instance(c: SampleMatrix, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (k, k) W and (k,) Z of a single instance, for the kernels."""
     z = _check_signal(c, z)
@@ -178,8 +169,8 @@ def _partial_sum(w: np.ndarray, z: np.ndarray, s: int, weight: float = 1.0) -> n
         return acc * m_inv
 
 
-def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
-               product=_stack_product) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _recursion(w: np.ndarray, z: np.ndarray, cap: int,
+               tol: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """est(s) = est(1) - (W - I) est(s-1) over a (t, k, k) stack, s <= cap,
     or for a single (k, k) W and (k,) Z.
 
@@ -193,16 +184,17 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     only then, and only if some row still runs, is the stack compacted,
     into a new buffer sized for it.  Each row's arithmetic is independent
     of the others and of its block, so the results do not depend on when
-    the tests or compaction happen.  The first compaction frees w when the
-    caller holds no other reference.  A single instance is a stack of one
-    row whose products are np.dot on the row's 1-d views, made once per
-    block: a stage is one np.dot and two in-place ufunc calls.  Returns
+    the tests or compaction happen.  A stack's stage is one _stack_product
+    call.  A single instance is a stack of one row whose products are
+    np.dot on the row's 1-d views, made once per block: a stage is one
+    np.dot and two in-place ufunc calls.  Returns
     (est, stages, converged, ahead), with one row per trial (one row for a
     single instance): each trial's last estimate and stage, whether it
     stopped early, and est(cap + 1) on the rows that did not (NaN
     elsewhere).
     """
-    lead = slice(None)  # the products see all rows of a stack, the 1-d row of an instance
+    # the products see all rows of a stack, the 1-d row of an instance
+    product, lead = _stack_product, slice(None)
     if z.ndim == 1:
         w, z, product, lead = w[None], z[None], np.dot, 0
     est1 = product(w[lead], z[lead]).reshape(z.shape)
@@ -210,7 +202,6 @@ def _recursion(w: np.ndarray, z: np.ndarray, cap: int, tol: float | None = None,
     stages = np.full(len(z), cap)
     converged = np.zeros(len(z), dtype=bool)
     rows, wa, e1a, ea = np.arange(len(z)), w, est1, est1
-    del w
     with np.errstate(over="ignore", invalid="ignore"):
         (buf, change), stage = _block_buffers(est1), 1  # buf[0] holds est(stage)
         while stage < cap and not converged[rows].all():
@@ -379,13 +370,17 @@ def _unsettled(distances: np.ndarray, k: int, n: int) -> np.ndarray:
     default level a trial is decoded iff 10 n q > 9 n.  A decision on the
     row sums of float W rounds them, and can differ from this one only
     where q = 0.9 exactly, at a trial that converges error-free by stage
-    226 whether it is decoded or not: every count is the same.
+    226 whether it is decoded or not: every count is the same.  The row
+    sums go one core._row_blocks block (k(k-1)/2 entries a row) at a time.
     """
     rows, cols = np.triu_indices(k, 1)
     incidence = np.zeros((rows.size, k))
     incidence[np.arange(rows.size), rows] = incidence[np.arange(rows.size), cols] = 1.0
-    nq = np.abs(n - 2.0 * distances) @ incidence
-    return _row_max(nq) > CONTRACTION_SCREEN * n
+    unsettled = np.empty(len(distances), dtype=bool)
+    for block in _row_blocks(len(distances), rows.size):
+        nq = np.abs(n - 2.0 * distances[block]) @ incidence
+        unsettled[block] = _row_max(nq) > CONTRACTION_SCREEN * n
+    return unsettled
 
 
 def _oscillating(w: np.ndarray) -> np.ndarray:
@@ -409,23 +404,27 @@ def _decode_pool(distances: np.ndarray, bits: np.ndarray, coins: np.ndarray,
     flipped distances alone (about 120 sign classes where 2^16 trials at
     (3, 8) hold about 900 distinct (W, Z) pairs), decodes each class once
     against Z = 1, and multiplies its estimates back by each trial's bits.
-    Whether a capped class oscillates is decided on its D W D, whose
-    eigenvalues are W's to LAPACK's round-off (about 1e-15), far inside the
-    guard bands.  Only the recursion holds the float W of the classes, so
-    its first compaction frees it; the capped classes' spectra come from W
-    rebuilt for them alone.
+    The classes are built, decoded and spectrum-tested one core._row_blocks
+    block of float W (k^2 entries a row) at a time, C-contiguous: a copy
+    in _sign_gram's trials-last layout rounds einsum differently, and so
+    changes counts.  Whether a capped class oscillates is decided on the
+    block's D W D, whose eigenvalues are W's to LAPACK's round-off (about
+    1e-15), far inside the guard bands.
     """
     rows, cols = np.triu_indices(k, 1)
     negative = bits < 0
     distances = np.where(negative[:, rows] != negative[:, cols], n - distances, distances)
     first, inverse = _sign_gram_classes(distances, n)
     distances = distances[first]
-    est, _, converged, ahead = _recursion(np.ascontiguousarray(_sign_gram(distances, k, n)),
-                                          np.ones((len(first), k)), INFTY_STAGE_CAP, INFTY_TOL)
-    capped = np.flatnonzero(~converged)
-    oscillating = np.zeros(len(first), dtype=bool)
-    if capped.size > 0:
-        oscillating[capped] = _oscillating(_sign_gram(distances[capped], k, n))
+    est, ahead = np.empty((2, len(first), k))
+    converged, oscillating = np.zeros((2, len(first)), dtype=bool)
+    for block in _row_blocks(len(first), k * k):
+        w = np.ascontiguousarray(_sign_gram(distances[block], k, n))
+        est[block], _, converged[block], ahead[block] = _recursion(
+            w, np.ones((len(w), k)), INFTY_STAGE_CAP, INFTY_TOL)
+        capped = ~converged[block]
+        oscillating[block][capped] = _oscillating(w[capped])
+        del w  # before the next block is built
     est, converged, ahead, oscillating = (
         a[inverse] for a in (est, converged, ahead, oscillating))
     est *= bits
@@ -456,23 +455,25 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
     never exceeds the per-user sum; users whose last steps agree to a
     relative 1e-9 tie, and the lowest index wins.
 
-    A chunk's codes are drawn after its bits and coins.  A finite stage
-    decodes each core.gram_blocks block of W, and no chunk-sized W stack is
-    held.  The infinite mode keeps each trial as its k(k-1)/2 integer code
-    distances (core._sign_distances), screens them (_unsettled), and pools
-    only the trials that CONTRACTION_SCREEN does not settle, across chunks,
-    into stacks of at least CHUNK_TRIALS rows (or all that remain).  A
-    trial's (W, Z) decodes exactly as D decode(D W D, 1) with D = diag(Z),
-    so each sign class of a pool (its flipped distances, found by
-    core._sign_gram_classes, an exact integer key) is decoded once against
-    Z = 1 from float W built for the classes alone, and its estimate is
-    multiplied back by each trial's bits (_decode_pool); coins, errors and
-    oscillation attribution stay per trial.  The screened trials are
-    provably error-free, and each trial's arithmetic does not depend on its
-    stack or block, so the counts equal those of decoding every trial.
-    A finite stage decodes each block in _sign_gram's trials-last layout,
-    and the infinite mode a C-contiguous stack: a copy changes einsum's
-    round-off, and so which exact zeros go to a coin.
+    A chunk's codes are drawn after its bits and coins.  Every W is held
+    one core._row_blocks block at a time, and no chunk-sized W stack is:
+    a finite stage decodes each core.gram_blocks block of W.  The infinite
+    mode keeps each trial as its k(k-1)/2 integer code distances
+    (core._sign_distances), screens them block by block (_unsettled), and
+    pools only the trials that CONTRACTION_SCREEN does not settle, across
+    chunks, into stacks of at least CHUNK_TRIALS rows (or all that remain).
+    A trial's (W, Z) decodes exactly as D decode(D W D, 1) with
+    D = diag(Z), so each sign class of a pool (its flipped distances, found
+    by core._sign_gram_classes, an exact integer key) is decoded once
+    against Z = 1, and its estimate is multiplied back by each trial's bits
+    (_decode_pool, which builds, decodes and spectrum-tests the classes'
+    float W one block at a time); coins, errors and oscillation attribution
+    stay per trial.  The screened trials are provably error-free, and each
+    trial's arithmetic does not depend on its stack or block, so the counts
+    equal those of decoding every trial.  A finite stage decodes each block
+    in _sign_gram's trials-last layout, and the infinite mode C-contiguous
+    blocks: a copy changes einsum's round-off, and so which exact zeros go
+    to a coin.
     weight applies to finite stages only.
     """
     _check_trials(k, n, trials)

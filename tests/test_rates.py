@@ -21,7 +21,6 @@ from eigrates import (
     mgf_bound_check,
     phase_transition_alpha_star,
     phase_transition_alpha_star_k,
-    rate_joint_wishart,
     rate_k,
     rate_lower_bound_bounded,
     rate_lower_bound_rademacher,
@@ -388,13 +387,6 @@ class TestClosedForms:
         for alpha in (-0.1, 2.1, math.nan):
             with pytest.raises(DomainError):
                 rate_two_sparse(alpha)
-
-    def test_joint_wishart(self):
-        assert rate_joint_wishart(1.0, 1.0) == 0.0
-        assert rate_joint_wishart(2.0, 0.5) == pytest.approx(0.25, abs=1e-5)
-        assert rate_joint_wishart(1.7, 1.0) == rate_wishart(1.7)
-        with pytest.raises(DomainError):
-            rate_joint_wishart(0.5, 2.0)
 
     def test_bounded_lower_bound(self):
         assert rate_lower_bound_bounded(2.0, 1.0) == pytest.approx(0.15342640972, abs=1e-10)

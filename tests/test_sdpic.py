@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 import warnings
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigrates import (
+    DimensionError,
     DomainError,
     EntryDistribution,
     SampleMatrix,
@@ -19,7 +19,6 @@ from eigrates import (
     derive_rng,
     error_free_condition,
     iterate_to_limit,
-    mf_decode,
     run_decode,
     sample_matrix,
     sdpic_closed,
@@ -81,9 +80,11 @@ def instance_stack(c, z):
     return w[None], z[None]
 
 
-def eager_recursion(w, z, cap, tol=None, visit=None, product=sdpic._stack_product):
+def eager_recursion(w, z, cap, tol=None, visit=None):
     """The recursion compacting its stack in every stage where a trial
-    converges: the reference that sdpic._recursion must match bit for bit."""
+    converges: the reference that sdpic._recursion must match bit for bit,
+    with the stack product that sdpic._stack_product is when called."""
+    product = sdpic._stack_product
     est1 = product(w, z)
     est = est1.copy()
     stages = np.full(len(z), cap)
@@ -115,8 +116,10 @@ def eager_recursion(w, z, cap, tol=None, visit=None, product=sdpic._stack_produc
 def eager_trace(c, z, stages, coin_seed):
     """stage_trace's rows built from eager_recursion's per-stage iterates."""
     iterates = []
-    eager_recursion(*instance_stack(c, z), stages, product=_matrix_product,
-                    visit=lambda s, e: iterates.append((s, e[0].copy())))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdpic, "_stack_product", _matrix_product)
+        eager_recursion(*instance_stack(c, z), stages,
+                        visit=lambda s, e: iterates.append((s, e[0].copy())))
     assert [s for s, _ in iterates] == list(range(1, stages + 1))
     return [(s, float(np.max(np.abs(e - z))),
              int(np.count_nonzero(decide_bits(e, coin_seed) != z))) for s, e in iterates]
@@ -184,36 +187,6 @@ PINNED_FINITE_MODE = [
 ]
 
 
-class TestMfDecode:
-    def test_orthogonal_codes_are_exact(self):
-        z = np.array([1.0, -1.0])
-        assert np.allclose(mf_decode(orthogonal_pair(), z), z, atol=1e-15)
-
-    def test_k1_rademacher_identity(self):
-        c = scalar_code([1, -1, 1, 1])
-        assert mf_decode(c, np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_equals_w_times_z(self):
-        rng = derive_rng(3)
-        for _ in range(20):
-            k, n = int(rng.integers(1, 8)), int(rng.integers(4, 40))
-            c = sample_matrix(R, k, n, int(rng.integers(1 << 30)))
-            z = random_bits(rng, k)
-            w = covariance(c).values
-            assert np.max(np.abs(mf_decode(c, z) - w @ z)) <= 1e-10
-
-    def test_interference_decomposition(self):
-        # the estimate is the sent vector plus (W - I) Z
-        c = sample_matrix(R, 4, 16, 9)
-        z = np.array([1.0, 1.0, -1.0, 1.0])
-        w = covariance(c).values
-        assert np.allclose(mf_decode(c, z) - z, (w - np.eye(4)) @ z, atol=1e-12)
-
-    def test_dimension_gate(self):
-        with pytest.raises(DomainError):
-            mf_decode(orthogonal_pair(), np.array([1.0, 1.0, 1.0]))
-
-
 class TestStagesAndClosedForm:
     def test_identity_is_fixed_point(self):
         z = np.array([1.0, -1.0])
@@ -228,13 +201,17 @@ class TestStagesAndClosedForm:
     def test_stage_one_is_matched_filter(self):
         c = sample_matrix(R, 3, 9, 4)
         z = np.array([1.0, -1.0, 1.0])
-        assert np.max(np.abs(sdpic_closed(c, z, 1) - mf_decode(c, z))) <= 1e-10
+        assert np.max(np.abs(sdpic_closed(c, z, 1) - covariance(c).values @ z)) <= 1e-10
 
     def test_stage_zero_rejected(self):
         with pytest.raises(DomainError):
             sdpic_stage(orthogonal_pair(), np.array([1.0, 1.0]), 0)
         with pytest.raises(DomainError):
             sdpic_closed(orthogonal_pair(), np.array([1.0, 1.0]), 0)
+
+    def test_signal_dimension_gate(self):
+        with pytest.raises(DimensionError):
+            sdpic_stage(orthogonal_pair(), np.array([1.0, 1.0, 1.0]), 1)
 
     # each stage gate and each weight gate, fed one bad value
     GATED = {
@@ -406,7 +383,7 @@ class TestDecodeAndLimit:
         z = np.array([1.0, -1.0, 1.0])
         state = run_decode(c, z, 1, coin_seed=5)
         assert state.stage == 1
-        assert np.allclose(state.estimate, mf_decode(c, z))
+        assert np.allclose(state.estimate, covariance(c).values @ z)
         assert set(np.unique(state.decided)) <= {-1.0, 1.0}
 
     def test_iterate_to_limit_converges(self):
@@ -525,8 +502,7 @@ class TestBerExperiment:
         args = (3, 18, math.inf, 10**5, 909)
         stacked = ber_experiment(*args)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sdpic, "_recursion",
-                       functools.partial(sdpic._recursion, product=_matrix_product))
+            mp.setattr(sdpic, "_stack_product", _matrix_product)
             per_matrix = ber_experiment(*args)
         assert stacked.oscillation_count > 0
         assert stacked.per_user_error_counts == per_matrix.per_user_error_counts
@@ -572,15 +548,36 @@ class TestBerExperiment:
     def test_infinite_mode_pools_distances(self):
         # at (16, 64) every trial of a 2^14-trial chunk is unsettled: its pool
         # takes 1.9 MiB as distances, 32 MiB as float W.  Float W is built
-        # once, for the sign classes; a pool of float W (its chunk list,
-        # their join and the distinct rows) peaked at 88.6 MiB
+        # one gram block of sign classes at a time; the classes' whole
+        # float W, held by the recursion, peaked at 73.7 MiB, and a pool of
+        # float W (its chunk list, their join and the distinct rows) at 88.6
         tracemalloc.start()
         try:
             ber_experiment(16, 64, math.inf, 1 << 14, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 8 * core.GRAM_BLOCK_ENTRIES
+        assert peak < 6 * 8 * core.GRAM_BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("k, n, trials", [(4, 6, 20000), (3, 8, 20000), (5, 9, 3000)])
+    def test_split_pools_keep_their_records(self, k, n, trials, monkeypatch):
+        # a shrunk gram block splits every screen and pool into many blocks
+        # (at (5, 9) almost every trial is its own sign class, so fewer
+        # trials give as many blocks); each row's arithmetic does not
+        # depend on its block
+        args = (k, n, math.inf, trials, 17)
+        whole = ber_experiment(*args)
+        calls = []
+        for name in ("_decode_pool", "_recursion"):
+            def counted(*a, _f=getattr(sdpic, name), _name=name, **kw):
+                calls.append(_name)
+                return _f(*a, **kw)
+            monkeypatch.setattr(sdpic, name, counted)
+        monkeypatch.setattr(core, "GRAM_BLOCK_ENTRIES", 1 << 9)
+        assert ber_experiment(*args) == whole
+        # each pool's _decode_pool call is followed by its _recursion calls
+        per_pool = " ".join(calls).split("_decode_pool")[1:]
+        assert per_pool and all(len(pool.split()) > 1 for pool in per_pool)
 
     def test_weight_rejected_at_infinite_stage(self):
         # the infinite mode runs the unweighted recursion, so a weight
@@ -652,21 +649,21 @@ class TestRecursionKeepsItsBits:
     @pytest.mark.parametrize("product", [sdpic._stack_product, _matrix_product])
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("cap", [40, 1000])
-    def test_mixed_stacks(self, k, cap, product):
+    def test_mixed_stacks(self, k, cap, product, monkeypatch):
+        monkeypatch.setattr(sdpic, "_stack_product", product)
         w, z = mixed_stack(k, 1500, seed=k)
-        expected = eager_recursion(w, z, cap, sdpic.INFTY_TOL, product=product)
+        expected = eager_recursion(w, z, cap, sdpic.INFTY_TOL)
         assert 0 < np.count_nonzero(expected[2]) < len(z)  # some converge, some do not
-        assert_same_results(sdpic._recursion(w, z, cap, sdpic.INFTY_TOL, product=product),
-                            expected)
+        assert_same_results(sdpic._recursion(w, z, cap, sdpic.INFTY_TOL), expected)
 
     @pytest.mark.parametrize("product", [sdpic._stack_product, _matrix_product])
-    def test_divergent_instance(self, product):
+    def test_divergent_instance(self, product, monkeypatch):
+        monkeypatch.setattr(sdpic, "_stack_product", product)
         w, z = instance_stack(divergent_instance(), np.ones(8))
-        expected = eager_recursion(w, z, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL,
-                                   product=product)
+        expected = eager_recursion(w, z, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL)
         assert not np.all(np.isfinite(expected[0]))
-        assert_same_results(sdpic._recursion(w, z, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL,
-                                             product=product), expected)
+        assert_same_results(sdpic._recursion(w, z, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL),
+                            expected)
 
     def test_visit_without_tolerance(self):
         # with no tol every trial runs to the cap; stage_trace, the one
@@ -707,12 +704,13 @@ class TestRecursionKeepsItsBits:
     @pytest.mark.parametrize("cap_of", [lambda b: 1, lambda b: 2, lambda b: b - 1,
                                         lambda b: b + 1, lambda b: 1000],
                              ids=["1", "2", "b-1", "b+1", "1000"])
-    def test_caps_at_block_edges(self, cap_of, product):
+    def test_caps_at_block_edges(self, cap_of, product, monkeypatch):
+        monkeypatch.setattr(sdpic, "_stack_product", product)
         w, z = mixed_stack(3, 40, seed=8)
         cap = cap_of(sdpic._block_stages(40, 3))
         for tol in (sdpic.INFTY_TOL, None):
-            assert_same_results(sdpic._recursion(w, z, cap, tol, product=product),
-                                eager_recursion(w, z, cap, tol, product=product))
+            assert_same_results(sdpic._recursion(w, z, cap, tol),
+                                eager_recursion(w, z, cap, tol))
 
     @pytest.mark.parametrize("tol", [sdpic.INFTY_TOL, None])
     def test_empty_stack(self, tol):
@@ -729,7 +727,8 @@ class TestRecursionKeepsItsBits:
         assert 0 < np.count_nonzero(expected[2]) < len(z)
         assert_same_results(sdpic._recursion(w, z, 300, sdpic.INFTY_TOL), expected)
 
-    def test_instance_laws_through_iterate_to_limit(self):
+    def test_instance_laws_through_iterate_to_limit(self, monkeypatch):
+        monkeypatch.setattr(sdpic, "_stack_product", _matrix_product)  # the reference's product
         rng = derive_rng(12)
         laws = (R, EntryDistribution.UNIFORM_SYM, EntryDistribution.STD_NORMAL)
         outcomes = set()
@@ -740,7 +739,7 @@ class TestRecursionKeepsItsBits:
             z = random_bits(rng, k)
             est, stages, converged = iterate_to_limit(c, z)
             expected = eager_recursion(*instance_stack(c, z), sdpic.INFTY_STAGE_CAP,
-                                       sdpic.INFTY_TOL, product=_matrix_product)
+                                       sdpic.INFTY_TOL)
             assert np.array_equal(est, expected[0][0], equal_nan=True)
             assert (stages, converged) == (expected[1][0], expected[2][0])
             outcomes.add(converged)
@@ -776,18 +775,18 @@ class TestInstanceKeepsMatmulBits:
         yield SampleMatrix(R, 2, 2, np.ones((2, 2)), seed=0), np.ones(2), 1000
         yield divergent_instance(), np.ones(8), 1000  # overflows
 
-    def test_decoders(self):
+    def test_decoders(self, monkeypatch):
+        monkeypatch.setattr(sdpic, "_stack_product", _matrix_product)  # the reference's product
         capped = []
         for c, z, s in self.instances():
             w, zb = instance_stack(c, z)
             est, stages, converged = iterate_to_limit(c, z)
-            expected = eager_recursion(w, zb, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL,
-                                       product=_matrix_product)
+            expected = eager_recursion(w, zb, sdpic.INFTY_STAGE_CAP, sdpic.INFTY_TOL)
             assert np.array_equal(est, expected[0][0], equal_nan=True)
             assert (stages, converged) == (expected[1][0], expected[2][0])
             if not converged:
                 capped.append(bool(np.all(np.isfinite(est))))
-            expected = eager_recursion(w, zb, s, product=_matrix_product)[0][0]
+            expected = eager_recursion(w, zb, s)[0][0]
             assert np.array_equal(sdpic_stage(c, z, s), expected, equal_nan=True)
             assert np.array_equal(sdpic_closed(c, z, s), matmul_partial_sum(w, zb, s)[0],
                                   equal_nan=True)
