@@ -22,18 +22,6 @@ SQRT3 = math.sqrt(3.0)
 # that spectrum() checks.
 JACOBI_TOL_FACTOR = 1e-12
 
-# An eigenvalue counts as zero when it is at most ZERO_EIG_TOL * max(1, trace),
-# the trace taken as the eigenvalue sum.  For +/-1 entries nW is an integer
-# Gram matrix of trace kn: the product of its r nonzero eigenvalues is a
-# positive integer and each is at most kn, so every nonzero eigenvalue of W
-# is at least 1/(n (kn)^(r-1)), r <= min(k, n), while round-off leaves a
-# zero within a few eps * k.  The threshold, about 1e-9 k, separates the two
-# exactly when (kn)^min(k, n) < 1e9: every shape with k*n <= 24 (all exact
-# enumerations), k = 2 up to n = 15811, k = 3 up to n = 333, k = 4 up to
-# n = 44.  Past those shapes, and for the continuous laws, it is a
-# tolerance, not a proof.
-ZERO_EIG_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # Seeding
@@ -541,9 +529,3 @@ def cholesky_completes(w: np.ndarray, shift: float, sign: float) -> np.ndarray:
         completes[start:stop] = ok
     return completes
 
-
-def bottom_eigenvalues_vanish(lam: np.ndarray, l: int) -> np.ndarray:
-    """Per row of an (m, k) stack of ascending eigenvalues: are the bottom l
-    at most ZERO_EIG_TOL * max(1, sum(lam))?"""
-    scale = np.maximum(1.0, np.sum(lam, axis=1))
-    return lam[:, l - 1] <= ZERO_EIG_TOL * scale

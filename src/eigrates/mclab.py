@@ -3,7 +3,8 @@
 The empirical side of the rate-function toolkit: sample many covariance
 matrices, count spectral events, and report -(1/n) log p_hat with a 95%
 Clopper-Pearson interval, or sum over every +/-1 sign matrix outright when
-k*n is small enough for that to be exact.
+k*n is small enough for that to be exact.  Each event is a SpectralEvent
+(side, level), whose call is the one comparison of eigenvalues with a level.
 
 Trials run in chunks of CHUNK_TRIALS whose generators derive from
 (seed, chunk_index), so a count depends only on the seed and the trial
@@ -18,7 +19,8 @@ count.  Tail counts at k >= 3 screen W first: a batched Cholesky
 factorization (core.cholesky_completes) of cI - W or W - cI, at a level
 moved by a relative guard of SCREEN_GUARD towards the bulk, proves that
 most W of a far tail reach no level, and LAPACK solves only the rest, so
-every count is the one that solving every W gives.
+every count is the one that solving every W gives.  Enumeration batches
+take the same step: _eigvalues screens and solves, _count_events counts.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .core import (
     _sign_distances,
     _sign_gram,
     _sign_gram_classes,
-    bottom_eigenvalues_vanish,
     cholesky_completes,
     eigvalues_batch,
     gram_blocks,
@@ -70,6 +71,55 @@ class TailSide(enum.Enum):
             raise DomainError(f"unknown tail side {name!r}") from None
 
 
+# An eigenvalue counts as zero when it is at most ZERO_EIG_TOL * max(1, trace),
+# the trace taken as the eigenvalue sum.  For +/-1 entries nW is an integer
+# Gram matrix of trace kn: the product of its r nonzero eigenvalues is a
+# positive integer and each is at most kn, so every nonzero eigenvalue of W
+# is at least 1/(n (kn)^(r-1)), r <= min(k, n), while round-off leaves a
+# zero within a few eps * k.  The threshold, about 1e-9 k, separates the two
+# exactly when (kn)^min(k, n) < 1e9: every shape with k*n <= 24 (all exact
+# enumerations), k = 2 up to n = 15811, k = 3 up to n = 333, k = 4 up to
+# n = 44.  Past those shapes, and for the continuous laws, it is a
+# tolerance, not a proof.
+ZERO_EIG_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class SpectralEvent:
+    """An eigenvalue event as data: {lambda_min <= level} (side MIN_BELOW),
+    {lambda_max >= level} (MAX_ABOVE) or {at least `level` zero eigenvalues}
+    (side None, by the ZERO_EIG_TOL rule; never at k < level).  Its call on
+    an (m, k) ascending stack, the (m,) hits, is the one spectral comparison."""
+
+    side: TailSide | None
+    level: float
+
+    def __call__(self, lam: np.ndarray) -> np.ndarray:
+        if self.side is TailSide.MIN_BELOW:
+            return lam[:, 0] <= self.level
+        if self.side is TailSide.MAX_ABOVE:
+            return lam[:, -1] >= self.level
+        zero = lam <= ZERO_EIG_TOL * np.maximum(1.0, np.sum(lam, axis=1, keepdims=True))
+        return np.count_nonzero(zero, axis=1) >= self.level
+
+
+def min_below(alpha: float) -> SpectralEvent:
+    """Event {smallest eigenvalue <= alpha}."""
+    return SpectralEvent(TailSide.MIN_BELOW, alpha)
+
+
+def max_above(alpha: float) -> SpectralEvent:
+    """Event {largest eigenvalue >= alpha}."""
+    return SpectralEvent(TailSide.MAX_ABOVE, alpha)
+
+
+def zero_count_at_least(l: int) -> SpectralEvent:
+    """Event {at least l eigenvalues are zero}, l >= 1 (DomainError otherwise)."""
+    if not l >= 1:
+        raise DomainError(f"need l >= 1, got l={l}")
+    return SpectralEvent(None, l)
+
+
 def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
     """Exact CI_LEVEL binomial interval; stays honest at zero or full hit counts."""
     if not (0 <= hits <= trials) or trials < 1:
@@ -85,10 +135,12 @@ def _rate(p: float, n: int) -> float | None:
     return None if p == 0.0 else max(0.0, -math.log(p) / n)
 
 
-def _binomial(hits: int, trials: int, n: int) -> tuple[float, float, float, float | None]:
-    """(p_hat, ci_low, ci_high, empirical_rate) of hits out of trials at n."""
+def _binomial(hits: int, trials: int, n: int) -> dict:
+    """The summary fields p_hat, ci_low, ci_high and empirical_rate of hits
+    out of trials at n, as every Monte Carlo result names them."""
     p_hat = hits / trials
-    return (p_hat, *clopper_pearson(hits, trials), _rate(p_hat, n))
+    ci_low, ci_high = clopper_pearson(hits, trials)
+    return dict(p_hat=p_hat, ci_low=ci_low, ci_high=ci_high, empirical_rate=_rate(p_hat, n))
 
 
 def _record(result, experiment: str) -> dict:
@@ -134,10 +186,10 @@ class TailEstimate:
         return _record(self, "tail")
 
 
-def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int, screen=None):
+def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int, events=()):
     """(lam, count) for `trials` sampled W: the ascending eigenvalues of
-    (rows, k) W that _eigvalues keeps, and the (rows,) number of trials
-    each row stands for.
+    (rows, k) W that _eigvalues keeps under the events' _tail_screen, and
+    the (rows,) number of trials each row stands for.
 
     +/-1 W take at most comb(2^(k-1) + n - 1, n) values (one per multiset
     of column classes, as in enumerate_exact).  When that is at most
@@ -148,12 +200,11 @@ def _spectra(dist: EntryDistribution, k: int, n: int, trials: int, seed: int, sc
     row) at a time, each W counted as often as it was drawn.  A chunk's
     distances take at most 8.5 MiB and their key 1.1 MiB (both at k = 17,
     n = 1).  Otherwise each row is one trial of a core.gram_blocks block.
-    The screen (see _tail_screen) applies at k >= 3 only: at k <= 2
-    eigvalues_batch's closed forms cost less than it.
     """
+    _check_trials(k, n, trials)
     dedup = dist is EntryDistribution.RADEMACHER and _multisets_at_most(1 << (k - 1), n,
                                                                         CHUNK_TRIALS)
-    screen = screen if k >= 3 else None
+    screen = _tail_screen(events)
     for rng, size in _chunks(seed, trials, CHUNK_TRIALS):
         if not dedup:
             for w in gram_blocks(dist, rng, size, k, n):
@@ -189,9 +240,10 @@ def _eigvalues(w: np.ndarray, count: np.ndarray, screen) -> tuple[np.ndarray, np
     the guarded level completes, and the kept rows are solved in one call
     (w holds at most GRAM_BLOCK_ENTRIES entries, so the copy is bounded).
     eigvalsh treats each matrix of a stack alone, so the eigenvalues are
-    bit for bit those of solving every row.
+    bit for bit those of solving every row.  The screen applies at k >= 3
+    only: at k <= 2 eigvalues_batch's closed forms cost less than it.
     """
-    if screen is not None:
+    if screen is not None and w.shape[-1] >= 3:
         level, sign = screen
         guard = SCREEN_GUARD * (1.0 + abs(level) + float(np.einsum("mii->m", w).max()))
         keep = ~cholesky_completes(w, level + sign * guard, sign)
@@ -199,17 +251,16 @@ def _eigvalues(w: np.ndarray, count: np.ndarray, screen) -> tuple[np.ndarray, np
     return eigvalues_batch(w), count
 
 
-def _tail_screen(alphas, side: TailSide):
-    """The screen (level, sign) of _eigvalues for the tail events of
-    estimate_tails (None for no levels): it drops each W that a Cholesky
-    factorization proves reaches no level of `alphas`.  An infinite level
-    gives an infinite or NaN shift, whose factorization fails at once, so
-    every W goes to LAPACK.
+def _tail_screen(events):
+    """The screen (level, sign) of _eigvalues for a list of events (None
+    unless all are tail events on one side): it drops each W that a Cholesky
+    factorization proves hits none.  An infinite level gives an infinite or
+    NaN shift, whose factorization fails at once, so LAPACK decides every W.
 
     lambda_max(W) < c iff cI - W is positive definite, and lambda_min(W) > c
     iff W - cI is (Sylvester's law of inertia), so the screen factors
-    cI - W at c = min(alphas) - delta (max_above), or W - cI at
-    c = max(alphas) + delta (min_below), with the guard
+    cI - W at c = min(levels) - delta (max_above), or W - cI at
+    c = max(levels) + delta (min_below), with the guard
     delta = SCREEN_GUARD (1 + |alpha| + tr W), tr W the largest trace of
     the stack.  A completed factorization of A is exact for some A + dA
     with ||dA||_2 <= k g ||A||_2 / (1 - k g), g = gamma_(k+1) (Higham,
@@ -218,46 +269,20 @@ def _tail_screen(alphas, side: TailSide):
     error of eigvalsh, so a screened W would not have hit at any level,
     and LAPACK still decides every W that could.
     """
-    levels = [float(alpha) for alpha in alphas]  # Python floats: inf - inf is a silent NaN
-    if not levels:
+    sides = {event.side for event in events}
+    if len(sides) != 1 or None in sides:
         return None
-    if side is TailSide.MAX_ABOVE:
-        return min(levels), -1.0
-    return max(levels), 1.0
+    levels = [float(event.level) for event in events]  # Python floats: inf - inf is a silent NaN
+    return (min(levels), -1.0) if sides == {TailSide.MAX_ABOVE} else (max(levels), 1.0)
 
 
-def _count_events(dist: EntryDistribution, k: int, n: int, trials: int, seed: int,
-                  predicates, screen=None) -> list[int]:
-    """Hits of each event over the same `trials` W, on one pass of _spectra,
-    each W counted for the trials it stands for; the screen (see _spectra)
-    may drop only W that no predicate counts."""
-    _check_trials(k, n, trials)
-    hits = [0] * len(predicates)
-    for lam, count in _spectra(dist, k, n, trials, seed, screen):
-        for i, predicate in enumerate(predicates):
-            hits[i] += int(count[predicate(lam)].sum())
+def _count_events(spectra, events) -> list[int]:
+    """Hits of each event over a stream of (lam, count) pairs (_spectra's or
+    enumerate_exact's), each row weighted by its count."""
+    hits = [0] * len(events)
+    for lam, count in spectra:
+        hits = [h + int(count[event(lam)].sum()) for h, event in zip(hits, events)]
     return hits
-
-
-def min_below(alpha: float):
-    """Event {smallest eigenvalue <= alpha}."""
-    def pred(lam: np.ndarray) -> np.ndarray:
-        return lam[:, 0] <= alpha
-    return pred
-
-
-def max_above(alpha: float):
-    """Event {largest eigenvalue >= alpha}."""
-    def pred(lam: np.ndarray) -> np.ndarray:
-        return lam[:, -1] >= alpha
-    return pred
-
-
-def zero_count_at_least(l: int):
-    """Event {at least l eigenvalues are zero}, by core's ZERO_EIG_TOL rule."""
-    def pred(lam: np.ndarray) -> np.ndarray:
-        return bottom_eigenvalues_vanish(lam, l)
-    return pred
 
 
 def estimate_tail(dist: EntryDistribution, k: int, n: int, alpha: float,
@@ -275,30 +300,25 @@ def estimate_tails(dist: EntryDistribution, k: int, n: int, alphas, side: TailSi
     """estimate_tail at each level of `alphas`, counted on one sampling pass:
     each level's estimate equals its own estimate_tail run.
 
-    At k >= 3 a batched Cholesky screen (_tail_screen, with its guard
-    SCREEN_GUARD) first drops the W that provably reach no level, and
-    LAPACK decides the rest, so in a far tail most trials skip the eigen
-    solve.  The counts are those of solving every W.
+    At k >= 3 a batched Cholesky screen (_tail_screen) first drops the W
+    that provably reach no level, so in a far tail most trials skip the
+    eigen solve; the counts are those of solving every W.
     """
-    pred = min_below if side is TailSide.MIN_BELOW else max_above
-    counts = _count_events(dist, k, n, trials, seed, [pred(alpha) for alpha in alphas],
-                           _tail_screen(alphas, side))
-    estimates = []
-    for alpha, hits in zip(alphas, counts):
-        p_hat, lo, hi, rate = _binomial(hits, trials, n)
-        estimates.append(TailEstimate(dist=dist, k=k, n=n, alpha=alpha, side=side,
-                                      trials=trials, hits=hits, p_hat=p_hat, ci_low=lo,
-                                      ci_high=hi, empirical_rate=rate, seed=seed))
-    return estimates
+    events = [SpectralEvent(side, alpha) for alpha in alphas]
+    counts = _count_events(_spectra(dist, k, n, trials, seed, events), events)
+    return [TailEstimate(dist=dist, k=k, n=n, alpha=alpha, side=side, trials=trials, hits=hits,
+                         seed=seed, **_binomial(hits, trials, n))
+            for alpha, hits in zip(alphas, counts)]
 
 
-def enumerate_exact(k: int, n: int, predicate) -> float:
+def enumerate_exact(k: int, n: int, event: SpectralEvent) -> float:
     """Exact event probability for +/-1 entries, summed over column classes.
 
     W depends only on how many columns fall in each of the 2^(k-1) classes
     {v, -v} of sign patterns, so the sum runs over the multisets of n
-    classes: each gives its integer Gram matrix G, one eigenvalue
-    evaluation of W = G/n, and the exact count 2^n n!/prod(m_c!) of the
+    classes: each gives its integer Gram matrix G (G/n is core._sign_gram's
+    W), solved and counted as in Monte Carlo (_eigvalues, screened, then
+    _count_events), weighted by the exact count 2^n n!/prod(m_c!) of the
     sign matrices it stands for.  The result is (#hits) / 2^(k*n), for
     k*n <= 24.  Multisets go in batches of at most GRAM_BLOCK_ENTRIES
     column and Gram entries (k*(n+k) per multiset), which bounds the memory.
@@ -308,16 +328,18 @@ def enumerate_exact(k: int, n: int, predicate) -> float:
         raise DomainError(f"enumeration needs k*n <= {ENUM_MAX_BITS}, got {bits}")
     if k < 1 or n < 1:
         raise DomainError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    # class c holds the columns +/-v with v_0 = +1, v_(i+1) = (-1)^(bit i of c)
-    shifts = np.arange(k - 1)
-    hits = 0
-    for rows in _multisets(1 << (k - 1), n, max(1, GRAM_BLOCK_ENTRIES // (k * (n + k)))):
-        cols = np.ones(rows.shape + (k,), dtype=np.int64)
-        cols[..., 1:] = 1 - 2 * ((rows[..., None] >> shifts) & 1)
-        gram = np.einsum("bni,bnj->bij", cols, cols)
-        lam = eigvalues_batch(gram / n)
-        hits += int(np.sum(_sign_matrix_counts(rows)[predicate(lam)]))
+    screen = _tail_screen([event])
+    batches = _multisets(1 << (k - 1), n, max(1, GRAM_BLOCK_ENTRIES // (k * (n + k))))
+    hits, = _count_events((_eigvalues(_class_gram(rows, k) / n, _sign_matrix_counts(rows), screen)
+                           for rows in batches), [event])
     return hits / (1 << bits)
+
+
+def _class_gram(rows: np.ndarray, k: int) -> np.ndarray:
+    """The integer Gram matrix G of each row of column classes; class c
+    holds the columns +/-v with v_i = (-1)^(bit i of 2c), so v_0 = +1."""
+    cols = 1 - 2 * (((rows[..., None] << 1) >> np.arange(k)) & 1)
+    return np.einsum("bni,bnj->bij", cols, cols)
 
 
 def _multisets(classes: int, n: int, chunk: int):
@@ -375,19 +397,18 @@ def zero_eigen_rate(k: int, l: int, n_list, trials: int, seed: int) -> list[Zero
     if not (1 <= l <= k - 1):
         raise DomainError(f"need 1 <= l <= k-1, got l={l}, k={k}")
     points = []
-    pred = zero_count_at_least(l)
+    event = zero_count_at_least(l)
     for n in n_list:
         if k * n <= ENUM_MAX_BITS and _multisets_at_most(1 << (k - 1), n, CHUNK_TRIALS):
-            p = enumerate_exact(k, n, pred)
+            p = enumerate_exact(k, n, event)
             points.append(ZeroEigenPoint(k=k, l=l, n=n, method="exact", trials=None,
                                          hits=None, p_hat=p, ci_low=None, ci_high=None,
                                          empirical_rate=_rate(p, n), seed=None))
         else:
-            hits, = _count_events(EntryDistribution.RADEMACHER, k, n, trials, seed, [pred])
-            p, lo, hi, rate = _binomial(hits, trials, n)
-            points.append(ZeroEigenPoint(k=k, l=l, n=n, method="mc", trials=trials,
-                                         hits=hits, p_hat=p, ci_low=lo, ci_high=hi,
-                                         empirical_rate=rate, seed=seed))
+            hits, = _count_events(_spectra(EntryDistribution.RADEMACHER, k, n, trials, seed,
+                                           [event]), [event])
+            points.append(ZeroEigenPoint(k=k, l=l, n=n, method="mc", trials=trials, hits=hits,
+                                         seed=seed, **_binomial(hits, trials, n)))
     return points
 
 
@@ -420,7 +441,6 @@ def spectrum_histogram(dist: EntryDistribution, k: int, n: int, trials: int,
     the k - n smallest eigenvalues of each trial are its structural zeros
     and count as inside, and the other n are checked against the edges.
     """
-    _check_trials(k, n, trials)
     if bins < 1 or 10 * bins > trials * k:
         raise DomainError(f"need 1 <= bins <= trials*k/10, got bins={bins}, trials*k={trials * k}")
     lam, count = (np.concatenate(part) for part in zip(*_spectra(dist, k, n, trials, seed)))

@@ -33,14 +33,13 @@ from .core import (
     _sign_distances,
     _sign_gram,
     _sign_gram_classes,
-    bottom_eigenvalues_vanish,
     covariance,
     derive_rng,
     eigvalues_batch,
     gram_blocks,
 )
 from .errors import DimensionError, DomainError
-from .mclab import _binomial, _check_trials, _record
+from .mclab import _binomial, _check_trials, _record, max_above, zero_count_at_least
 
 # s = infinity mode: fixed-point tolerance on the stage-to-stage sup norm,
 # and the stage cap after which the trial is classified by its spectrum.
@@ -48,7 +47,7 @@ INFTY_TOL = 1e-10
 INFTY_STAGE_CAP = 1000
 
 # Capped trials with lambda_max at least this oscillate (so do singular W,
-# by core's zero-eigenvalue rule).
+# by mclab's zero-eigenvalue rule).
 PING_PONG_LAMBDA = 2.0
 
 # Relative tolerance under which two users' last steps count as a tie when
@@ -385,10 +384,10 @@ def _unsettled(distances: np.ndarray, k: int, n: int) -> np.ndarray:
 
 def _oscillating(w: np.ndarray) -> np.ndarray:
     """Per matrix of a stack of capped W: does the recursion oscillate,
-    lambda_max >= PING_PONG_LAMBDA (less 1e-12) or W singular by core's
+    lambda_max >= PING_PONG_LAMBDA (less 1e-12) or W singular by mclab's
     zero-eigenvalue rule?"""
     lam = eigvalues_batch(w)
-    return (lam[:, -1] >= PING_PONG_LAMBDA - 1e-12) | bottom_eigenvalues_vanish(lam, 1)
+    return max_above(PING_PONG_LAMBDA - 1e-12)(lam) | zero_count_at_least(1)(lam)
 
 
 def _decode_pool(distances: np.ndarray, bits: np.ndarray, coins: np.ndarray,
@@ -521,10 +520,9 @@ def ber_experiment(k: int, n: int, s: float, trials: int, seed: int,
         any_errors += int(np.count_nonzero(np.any(wrong, axis=1)))
         per_user += np.count_nonzero(wrong, axis=0)
 
-    p_hat, lo, hi, rate = _binomial(any_errors, trials, n)
     return BerEstimate(k=k, n=n, s=float(s), weight=weight, trials=trials,
                        any_user_error_count=any_errors,
                        per_user_error_counts=tuple(int(v) for v in per_user),
-                       p_hat=p_hat, ci_low=lo, ci_high=hi, empirical_rate=rate,
-                       seed=seed, cap_hit_count=cap_hits, oscillation_count=oscillations)
+                       seed=seed, cap_hit_count=cap_hits, oscillation_count=oscillations,
+                       **_binomial(any_errors, trials, n))
 

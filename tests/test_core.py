@@ -19,10 +19,10 @@ from eigrates import (
     quadratic_form,
     sample_matrix,
     spectrum,
+    zero_count_at_least,
 )
 from eigrates import core
 from eigrates.core import (
-    bottom_eigenvalues_vanish,
     covariance_batch,
     eigvalues_batch,
 )
@@ -249,20 +249,6 @@ class TestSpectrumAgainstJacobi:
         with pytest.raises(ConvergenceError) as err:
             spectrum(w)
         assert err.value.offdiag_residual > core.JACOBI_TOL_FACTOR * float(np.linalg.norm(w.values))
-
-
-class TestZeroEigenvalueRule:
-    def test_bottom_eigenvalues_vanish(self):
-        lam = np.array([[0.0, 0.0, 3.0], [1e-12, 2e-9, 3.0], [0.0, 0.5, 2.5]])
-        assert bottom_eigenvalues_vanish(lam, 1).tolist() == [True, True, True]
-        assert bottom_eigenvalues_vanish(lam, 2).tolist() == [True, True, False]
-
-    def test_scale_is_max_of_one_and_trace(self):
-        # the scale is the eigenvalue sum when it exceeds 1, and 1 otherwise
-        assert bottom_eigenvalues_vanish(np.array([[3e-9, 3.0]]), 1)[0]
-        assert not bottom_eigenvalues_vanish(np.array([[3.1e-9, 3.0]]), 1)[0]
-        assert bottom_eigenvalues_vanish(np.array([[0.9e-9, 0.1]]), 1)[0]
-        assert not bottom_eigenvalues_vanish(np.array([[1.1e-9, 0.1]]), 1)[0]
 
 
 class TestQuadraticForm:
@@ -529,8 +515,8 @@ class TestBartlettLaw:
         k, n = 5, 3
         lam = eigvalues_batch(np.concatenate(
             list(core.gram_blocks(N, derive_rng(47), self.TRIALS, k, n))))
-        assert np.all(bottom_eigenvalues_vanish(lam, k - n))
-        assert not np.any(bottom_eigenvalues_vanish(lam, k - n + 1))
+        assert np.all(zero_count_at_least(k - n)(lam))
+        assert not np.any(zero_count_at_least(k - n + 1)(lam))
 
 
 class TestSignGramClasses:

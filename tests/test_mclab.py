@@ -377,6 +377,36 @@ class TestTailScreen:
         assert screened == [estimate_tail(R, k, n, a, TailSide.MAX_ABOVE, trials, seed).hits
                             for a in levels]
 
+    def test_screen_of_events(self):
+        # one screen for events on one tail side, at the level nearest the
+        # bulk; none for no events, a zero count, or both sides
+        screen = mclab._tail_screen
+        assert screen([]) is None
+        assert screen([zero_count_at_least(1)]) is None
+        assert screen([zero_count_at_least(1), max_above(1.5)]) is None
+        assert screen([min_below(0.5), max_above(1.5)]) is None
+        assert screen([max_above(2.0), max_above(1.5), max_above(np.float64(1.7))]) == (1.5, -1.0)
+        assert screen([min_below(0.25), min_below(0.5), min_below(0.3)]) == (0.5, 1.0)
+        level, _ = screen([max_above(2), max_above(np.float64(1.7))])
+        assert type(level) is float and level == 1.7
+        assert screen([max_above(math.inf)]) == (math.inf, -1.0)
+
+    @pytest.mark.parametrize("k, n", [(3, 8), (4, 6)])
+    def test_enumeration_equals_unscreened(self, monkeypatch, k, n):
+        # enumeration shares Monte Carlo's screen; levels 0.5, 1.5 and 2.0
+        # hold W with an eigenvalue exactly on the level
+        events = [side(alpha) for side in (min_below, max_above)
+                  for alpha in (0.25, 0.5, 1.0, 1.5, 2.0, 2.5)]
+        solved = []
+        monkeypatch.setattr(mclab, "eigvalues_batch",
+                            lambda w: solved.append(len(w)) or eigvalues_batch(w))
+        screened = [enumerate_exact(k, n, event) for event in events]
+        kept = sum(solved)
+        solved.clear()
+        self._unscreened(monkeypatch)
+        assert screened == [enumerate_exact(k, n, event) for event in events]
+        assert kept < sum(solved)
+
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("dist", [R, N])
     def test_levels_not_finite(self, dist, alpha):
@@ -541,6 +571,64 @@ class TestEnumerateExact:
             exact = enumerate_exact(k, n, pred)
             est = estimate_tail(R, k, n, alpha, side, 40000, 17)
             assert est.ci_low <= exact <= est.ci_high
+
+
+class TestZeroEigenvalueRule:
+    def test_zero_count_at_least(self):
+        lam = np.array([[0.0, 0.0, 3.0], [1e-12, 2e-9, 3.0], [0.0, 0.5, 2.5]])
+        assert zero_count_at_least(1)(lam).tolist() == [True, True, True]
+        assert zero_count_at_least(2)(lam).tolist() == [True, True, False]
+
+    def test_scale_is_max_of_one_and_trace(self):
+        # the scale is the eigenvalue sum when it exceeds 1, and 1 otherwise
+        assert zero_count_at_least(1)(np.array([[3e-9, 3.0]]))[0]
+        assert not zero_count_at_least(1)(np.array([[3.1e-9, 3.0]]))[0]
+        assert zero_count_at_least(1)(np.array([[0.9e-9, 0.1]]))[0]
+        assert not zero_count_at_least(1)(np.array([[1.1e-9, 0.1]]))[0]
+
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_l_below_one(self, l):
+        # l = 0 once read lam[:, -1] and counted no W at all
+        with pytest.raises(DomainError, match="l >= 1"):
+            enumerate_exact(2, 3, zero_count_at_least(l))
+
+    def test_more_zeros_than_eigenvalues(self):
+        # a k-row W has at most k zero eigenvalues; l > k once raised IndexError
+        lam = np.zeros((4, 2))
+        assert zero_count_at_least(2)(lam).all()
+        assert not zero_count_at_least(3)(lam).any()
+        assert enumerate_exact(2, 3, zero_count_at_least(3)) == 0.0
+        assert enumerate_exact(2, 3, zero_count_at_least(2)) == 0.0
+
+
+class TestOneEventCall:
+    # every eigenvalue decision in the package is a SpectralEvent call
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        call = mclab.SpectralEvent.__call__
+        monkeypatch.setattr(mclab.SpectralEvent, "__call__",
+                            lambda event, lam: made.append(event) or call(event, lam))
+        return made
+
+    def test_enumeration_and_monte_carlo(self, calls):
+        assert enumerate_exact(3, 4, max_above(1.5)) > 0
+        assert set(calls) == {max_above(1.5)}
+        calls.clear()
+        estimate_tails(U, 3, 8, (0.2, 0.3), TailSide.MIN_BELOW, 1000, 3)
+        assert set(calls) == {min_below(0.2), min_below(0.3)}
+
+    def test_zero_eigen_points(self, calls):
+        for n, method in [(4, "exact"), (12, "mc")]:
+            calls.clear()
+            point, = zero_eigen_rate(3, 2, [n], 1000, 5)
+            assert point.method == method
+            assert calls and set(calls) == {zero_count_at_least(2)}
+
+    def test_capped_sign_classes(self, calls):
+        est = ber_experiment(3, 8, math.inf, 1 << 16, 12345)
+        assert est.cap_hit_count > 0
+        assert set(calls) == {max_above(2.0 - 1e-12), zero_count_at_least(1)}
 
 
 class TestZeroEigenRate:

@@ -26,8 +26,9 @@ from eigrates import (
     spectrum,
     stage_trace,
     weighted_sdpic,
+    zero_count_at_least,
 )
-from eigrates import core, sdpic
+from eigrates import core, mclab, sdpic
 from eigrates.core import covariance_batch, eigvalues_batch
 
 R = EntryDistribution.RADEMACHER
@@ -492,7 +493,7 @@ class TestBerExperiment:
             lam = np.linalg.eigvalsh(w)
             scale = max(1.0, float(np.trace(w)))
             oscillating += bool(lam[-1] >= sdpic.PING_PONG_LAMBDA - 1e-12
-                                or lam[0] <= core.ZERO_EIG_TOL * scale)
+                                or lam[0] <= mclab.ZERO_EIG_TOL * scale)
         assert 0 < oscillating < est.cap_hit_count
         assert est.oscillation_count == oscillating
 
@@ -816,7 +817,7 @@ class TestSignSymmetry:
         w, z = sign_stack(k, seed=k)
         d = random_bits(derive_rng(k, 1), (len(w), k))
         lam = eigvalues_batch(w)
-        assert np.any(lam[:, -1] >= 2.0) and np.any(core.bottom_eigenvalues_vanish(lam, 1))
+        assert np.any(lam[:, -1] >= 2.0) and np.any(zero_count_at_least(1)(lam))
         est, stages, converged, ahead = sdpic._recursion(w, z, sdpic.INFTY_STAGE_CAP,
                                                          sdpic.INFTY_TOL)
         assert 0 < np.count_nonzero(converged) < len(z)
