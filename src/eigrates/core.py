@@ -195,7 +195,7 @@ class UnitVector:
         c = np.asarray(self.coords, dtype=np.float64)
         if c.ndim != 1 or c.size < 1:
             raise DimensionError("unit vector needs a 1-d, nonempty coordinate array")
-        norm = float(np.linalg.norm(c))
+        norm = math.sqrt(c.dot(c))  # np.linalg.norm's arithmetic on a 1-d array
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(f"not a unit vector: ||x||_2 = {norm!r}")
         object.__setattr__(self, "coords", _readonly(c))

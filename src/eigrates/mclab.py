@@ -302,9 +302,13 @@ def estimate_tails(dist: EntryDistribution, k: int, n: int, alphas, side: TailSi
 
     At k >= 3 a batched Cholesky screen (_tail_screen) first drops the W
     that provably reach no level, so in a far tail most trials skip the
-    eigen solve; the counts are those of solving every W.
+    eigen solve; the counts are those of solving every W.  An empty grid
+    passes the trial gate and returns [] without sampling.
     """
+    _check_trials(k, n, trials)
     events = [SpectralEvent(side, alpha) for alpha in alphas]
+    if not events:
+        return []
     counts = _count_events(_spectra(dist, k, n, trials, seed, events), events)
     return [TailEstimate(dist=dist, k=k, n=n, alpha=alpha, side=side, trials=trials, hits=hits,
                          seed=seed, **_binomial(hits, trials, n))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp
+from scipy.special import log_ndtr
 
 from .core import EntryDistribution, UnitVector, derive_rng
 from .errors import DomainError, UnsupportedDomainError
@@ -93,15 +93,19 @@ class CgfSpec:
 
         Global sign flips leave S^2 invariant, so the 2^(k-1) half-space
         patterns carry its full distribution with uniform weight.  The
-        array is built by doubling: coordinate j >= 1 is added on the
-        first half and subtracted on the second half of each block of
+        array is built by doubling in place: coordinate j >= 1 is added on
+        the first half and subtracted on the second half of each block of
         2^j entries.
         """
         if self._s is None:
             coords = self.x.coords
-            values = np.array([coords[0]])
+            values = np.empty(1 << (self.x.k - 1))
+            values[0] = coords[0]
+            size = 1
             for xj in coords[1:]:
-                values = np.concatenate([values + xj, values - xj])
+                np.subtract(values[:size], xj, out=values[size:2 * size])
+                values[:size] += xj
+                size *= 2
             self._s = values
         return self._s
 
@@ -117,8 +121,8 @@ class CgfSpec:
         density at 0, so inf S^2 = 0; sup S^2 is 3 (sum_j |x_j|)^2 or inf."""
         if self.dist is EntryDistribution.RADEMACHER:
             s2 = self.squared_support()
-            return float(np.max(s2) if side > 0 else np.min(s2))
-        s = float(np.sum(np.abs(self.x.coords)))
+            return float(s2.max() if side > 0 else s2.min())
+        s = float(np.abs(self.x.coords).sum())
         upper = 3.0 * s * s if self.dist is EntryDistribution.UNIFORM_SYM else math.inf
         return upper if side > 0 else 0.0
 
@@ -162,7 +166,7 @@ def _tilted(spec: CgfSpec, t: float) -> tuple[float, float, float]:
     if spec.dist is EntryDistribution.RADEMACHER:
         s2 = spec.squared_support()
         w, m = _sign_weights(spec, t)
-        tot = float(np.sum(w))
+        tot = float(w.sum())
         lam = m + math.log(tot) - (spec.x.k - 1) * LOG2
         mean = float(np.dot(w, s2)) / tot
         sq_dev = s2 - mean
@@ -171,17 +175,17 @@ def _tilted(spec: CgfSpec, t: float) -> tuple[float, float, float]:
     z, v, lam, p = _uniform_rule(spec, t)
     q, dq = _coth_terms(v)
     zx2 = 3.0 * np.outer(z * z, spec.x.coords ** 2)
-    g = np.sum(zx2 * q, axis=1)
+    g = (zx2 * q).sum(axis=1)
     mean = float(np.dot(p, g))
     centered = g - mean
-    curv = np.dot(p, centered * centered) + np.dot(p, np.sum(zx2 * zx2 * dq, axis=1))
+    curv = np.dot(p, centered * centered) + np.dot(p, (zx2 * zx2 * dq).sum(axis=1))
     return lam, mean, float(curv)
 
 
 def _sign_weights(spec: CgfSpec, t: float) -> tuple[np.ndarray, float]:
     """(exp(t S^2 - m) over the sign patterns, m = max t S^2), in one array."""
     w = t * spec.squared_support()
-    m = float(np.max(w))
+    m = float(w.max())
     w -= m
     np.exp(w, out=w)
     return w, m
@@ -197,17 +201,38 @@ def _uniform_rule(spec: CgfSpec, t: float):
     rule is shifted onto N(mu, 1) through the likelihood ratio
     exp(mu^2/2 - mu z).  Both factors are entire, so the shifted rule keeps
     its accuracy at every t; centred at 0 it lost the peak once mu neared
-    its largest node, 27.4.
+    its largest node, 27.4.  Lambda is summed by _logsumexp, this module's
+    port of scipy 1.17's logsumexp arithmetic, so rates do not depend on
+    which scipy version implements logsumexp.
     """
     z, log_w = _hermgauss()
     root = math.sqrt(6.0 * t)
-    mu = root * float(np.sum(np.abs(spec.x.coords)))
+    mu = root * float(np.abs(spec.x.coords).sum())
     z = z + mu
     v = root * np.outer(z, spec.x.coords)
     log_node = (log_w + LOG2 + log_ndtr(z) + mu * (0.5 * mu - z)
-                + np.sum(_log_sinhc(v), axis=1))
-    lam = 0.0 if t == 0.0 else float(logsumexp(log_node))
+                + _log_sinhc(v).sum(axis=1))
+    lam = 0.0 if t == 0.0 else _logsumexp(log_node)
     return z, v, lam, np.exp(log_node - lam)
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a nonempty 1-d float array, in the arithmetic of
+    scipy.special.logsumexp (scipy 1.17, real input, no weights): the tied
+    maxima are taken out of the shifted sum and counted, m of them, and the
+    result log1p(s / m) + log(m) + max falls back to the direct
+    log(sum(exp(a))) where it is not finite."""
+    top = a.max()
+    ties = a == top
+    m = np.count_nonzero(ties)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(ties, -np.inf, a) - top).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
 
 
 def _cgf_gradient(spec: CgfSpec, t: float) -> np.ndarray:
@@ -227,12 +252,12 @@ def _cgf_gradient(spec: CgfSpec, t: float) -> np.ndarray:
         z, v, _, p = _uniform_rule(spec, t)
         return 6.0 * t * spec.x.coords * ((p * z * z) @ _coth_terms(v)[0])
     ws = _sign_weights(spec, t)[0]
-    ws /= np.sum(ws)
+    ws /= ws.sum()
     ws *= spec.signed_support()
     grad = np.empty(spec.x.k)
     for j in range(spec.x.k - 1, 0, -1):
         plus, minus = ws.reshape(2, -1)  # the sign of x_j splits the halves
-        grad[j] = np.sum(plus) - np.sum(minus)
+        grad[j] = plus.sum() - minus.sum()
         ws = plus + minus
     grad[0] = ws[0]
     return 2.0 * t * grad
@@ -599,7 +624,7 @@ def _canonical(coords: np.ndarray) -> np.ndarray:
 
 def _sphere_objective(dist: EntryDistribution, coords: np.ndarray,
                       alpha: float) -> tuple[CgfSpec, LegendreSolve]:
-    spec = CgfSpec.for_direction(dist, UnitVector(coords / np.linalg.norm(coords)))
+    spec = CgfSpec.for_direction(dist, UnitVector(coords / math.sqrt(coords.dot(coords))))
     return spec, legendre_solve(spec, alpha)
 
 
@@ -642,7 +667,7 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
     point is returned as reached; rate_k maps the one it reports to
     _canonical.
     """
-    x = start / np.linalg.norm(start)
+    x = start / math.sqrt(start.dot(start))
     spec, best = _sphere_objective(dist, x, alpha)
     h0 = DESCENT_INITIAL_STEP
     pairs = []  # secant triples (s, y, 1/s.y) at x, oldest first
@@ -655,7 +680,7 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
             break
         grad = -_cgf_gradient(spec, best.t_star)
         grad -= np.dot(grad, x) * x
-        if np.linalg.norm(grad) < 1e-12:
+        if math.sqrt(grad.dot(grad)) < 1e-12:
             converged = True
             break
         if last is not None:
@@ -672,7 +697,7 @@ def _descend(dist: EntryDistribution, start: np.ndarray,
         # halving down to a gradient step of 1e-13 on the base scale
         while step * DESCENT_INITIAL_STEP > 1e-13:
             trial = x + step * d
-            trial /= np.linalg.norm(trial)
+            trial /= math.sqrt(trial.dot(trial))
             cand_spec, cand = _sphere_objective(dist, trial, alpha)
             if cand.rate < best.rate + 1e-4 * step * slope:
                 improvement = best.rate - cand.rate
@@ -766,15 +791,19 @@ def phase_transition_alpha_star() -> float:
 
 def _crossing(gap, grid, tol: float) -> float:
     """The last neighbouring pair a, b of `grid` with gap(a) > 0 >= gap(b),
-    bisected to width tol: the midpoint of the final bracket.  Raises
-    DomainError when the grid has no such pair."""
-    values = [gap(a) for a in grid]
-    pairs = [i for i in range(len(grid) - 1) if values[i] > 0.0 >= values[i + 1]]
-    if not pairs:
-        raise DomainError(f"no strategy crossing found on [{grid[0]}, {grid[-1]}]")
-    lo, hi = grid[pairs[-1]], grid[pairs[-1] + 1]
-    root = _bracketed_root(lambda a: (-gap(a), None), lo, hi, 0.5 * (lo + hi), tol)
-    return float(0.5 * (root.lo + root.hi))
+    bisected to width tol: the midpoint of the final bracket.  The grid is
+    scanned from its right end, and the scan stops at the first such pair,
+    so gap is evaluated only from there rightwards.  Raises DomainError,
+    after evaluating every grid point, when the grid has no such pair."""
+    right = gap(grid[-1])
+    for i in range(len(grid) - 2, -1, -1):
+        left = gap(grid[i])
+        if left > 0.0 >= right:
+            lo, hi = grid[i], grid[i + 1]
+            root = _bracketed_root(lambda a: (-gap(a), None), lo, hi, 0.5 * (lo + hi), tol)
+            return float(0.5 * (root.lo + root.hi))
+        right = left
+    raise DomainError(f"no strategy crossing found on [{grid[0]}, {grid[-1]}]")
 
 
 def phase_transition_alpha_star_k(k: int) -> float:

@@ -399,10 +399,12 @@ def _decode_pool(distances: np.ndarray, bits: np.ndarray, coins: np.ndarray,
     the diagonal, and row i of every iterate, exactly: each product and sum
     only changes sign, and rounding to nearest is symmetric.  So (W, Z)
     decodes as D decode(D W D, 1) with D = diag(Z), and on distances D W D
-    is d_ij -> n - d_ij wherever z_i != z_j.  The pool keys on those
-    flipped distances alone (about 120 sign classes where 2^16 trials at
-    (3, 8) hold about 900 distinct (W, Z) pairs), decodes each class once
-    against Z = 1, and multiplies its estimates back by each trial's bits.
+    is d_ij -> n - d_ij wherever z_i != z_j, flipped in place in the
+    caller's pool, which ber_experiment builds for this call alone.  The
+    pool keys on those flipped distances alone (about 120 sign classes
+    where 2^16 trials at (3, 8) hold about 900 distinct (W, Z) pairs),
+    decodes each class once against Z = 1, and multiplies its estimates
+    back by each trial's bits.
     The classes are built, decoded and spectrum-tested one core._row_blocks
     block of float W (k^2 entries a row) at a time, C-contiguous: a copy
     in _sign_gram's trials-last layout rounds einsum differently, and so
@@ -412,7 +414,7 @@ def _decode_pool(distances: np.ndarray, bits: np.ndarray, coins: np.ndarray,
     """
     rows, cols = np.triu_indices(k, 1)
     negative = bits < 0
-    distances = np.where(negative[:, rows] != negative[:, cols], n - distances, distances)
+    np.subtract(n, distances, out=distances, where=negative[:, rows] != negative[:, cols])
     first, inverse = _sign_gram_classes(distances, n)
     distances = distances[first]
     est, ahead = np.empty((2, len(first), k))

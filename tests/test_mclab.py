@@ -315,6 +315,16 @@ class TestEstimateTail:
         # no levels: nothing to count or screen
         assert estimate_tails(N, 2, 10, (), TailSide.MAX_ABOVE, 10, 5) == []
 
+    def test_empty_grid_samples_nothing(self, monkeypatch):
+        def no_spectra(*args):
+            raise AssertionError("an empty level grid sampled trials")
+
+        monkeypatch.setattr(mclab, "_spectra", no_spectra)
+        assert estimate_tails(R, 8, 64, (), TailSide.MAX_ABOVE, 1 << 15, 1) == []
+        # the trial gate still runs first
+        with pytest.raises(DomainError):
+            estimate_tails(R, 8, 64, (), TailSide.MAX_ABOVE, 0, 1)
+
     def test_side_parse(self):
         # one spelling per side: the enum value
         for side in TailSide:

@@ -30,7 +30,7 @@ from eigrates import (
     wishart_t_star,
 )
 from eigrates import rates
-from eigrates.rates import _cgf_gradient, _crossing, _descend, _tilted
+from eigrates.rates import _cgf_gradient, _crossing, _descend, _logsumexp, _tilted
 
 R = EntryDistribution.RADEMACHER
 U = EntryDistribution.UNIFORM_SYM
@@ -198,6 +198,39 @@ class TestUniformRule:
         assert slope == pytest.approx(want[1], abs=1e-10)
         assert curv == pytest.approx(want[2], abs=1e-10)
         assert curv > 0.0
+
+
+def fuzzed_logsumexp_inputs(rng, count):
+    """Vectors of length 1-300 at several scales, with ties at the maximum,
+    -inf, +inf and NaN entries, all -inf vectors, overflowing ones and
+    size-1 arrays."""
+    for i in range(count):
+        size = 1 if i % 10 == 0 else int(rng.integers(1, 301))
+        a = rng.standard_normal(size) * rng.choice([1e-3, 1.0, 30.0, 400.0, 800.0])
+        a += rng.choice([0.0, -700.0, 700.0])
+        kind = i % 7
+        if kind == 1:
+            a[rng.integers(0, size, rng.integers(1, size + 1))] = a.max()
+        elif kind == 2:
+            a[rng.integers(0, size, rng.integers(1, size + 1))] = -math.inf
+        elif kind == 3:
+            a[rng.integers(0, size)] = math.inf
+        elif kind == 4:
+            a[rng.integers(0, size)] = math.nan
+        elif kind == 5 and i % 3 == 0:
+            a[:] = -math.inf
+        yield a
+
+
+class TestLogsumexp:
+    def test_equals_scipy_bit_for_bit(self):
+        # the port must give scipy's float in every case, non-finite ones
+        # included (where both fall back to log(sum(exp(a))))
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(3030)
+        for a in fuzzed_logsumexp_inputs(rng, 5000):
+            assert _logsumexp(a).hex() == float(logsumexp(a)).hex(), a
 
 
 class TestLegendre:
@@ -871,6 +904,37 @@ class TestPhaseTransition:
         assert _crossing(gap, grid, 1e-10) == pytest.approx(0.625, abs=1e-9)
         with pytest.raises(DomainError):
             _crossing(gap, grid[[0, -1]], 1e-10)
+
+    def test_crossing_scans_from_the_right(self):
+        # on test_crossing_is_the_last's grid the last fall is between 0.6
+        # and 0.7: gap is read at 1.0, 0.9, 0.8, 0.7 and 0.6, then only
+        # inside that bracket
+        calls = []
+
+        def gap(a):
+            calls.append(a)
+            return math.cos(4.0 * math.pi * a)
+
+        grid = np.linspace(0.0, 1.0, 11)
+        _crossing(gap, grid, 1e-10)
+        assert calls[:5] == list(grid[:5:-1])
+        assert all(0.6 < a < 0.7 for a in calls[5:]) and len(calls) > 5
+
+        # no crossing: every grid point is read, then DomainError
+        calls.clear()
+        with pytest.raises(DomainError, match="no strategy crossing"):
+            _crossing(lambda a: calls.append(a) or 1.0, grid, 1e-10)
+        assert sorted(calls) == list(grid)
+
+    def test_k3_solves(self, monkeypatch):
+        # the scan reads the 58 grid points from 0.99 down to 0.42, and the
+        # bisection of [0.42, 0.43] 17 more
+        solves = []
+        solve = rates.legendre_solve
+        monkeypatch.setattr(rates, "legendre_solve",
+                            lambda spec, a: solves.append(a) or solve(spec, a))
+        phase_transition_alpha_star_k(3)
+        assert len(solves) == 75
 
     def test_small_k_sequence_reported(self, capsys):
         # the drift with k is observed, not asserted
